@@ -213,6 +213,21 @@ kernelOccurrences(int n)
     return occ;
 }
 
+/** kernelOccurrences(n) with every occurrence also holding one of
+ * two hub nodes: each hub's bucket is a clique of n/2 occurrences,
+ * the dense regime an app-wide shared constant produces. */
+std::vector<std::vector<ir::NodeId>>
+kernelHubOccurrences(int n)
+{
+    auto occ = kernelOccurrences(n);
+    for (int i = 0; i < n; ++i) {
+        for (ir::NodeId &node : occ[i])
+            node += 2;
+        occ[i].insert(occ[i].begin(), static_cast<ir::NodeId>(i % 2));
+    }
+    return occ;
+}
+
 ir::Graph
 kernelIsoTarget(int ops)
 {
@@ -273,10 +288,14 @@ runKernelRows()
                     ms, ms_ref, stages.jsonFragment().c_str());
     }
 
-    // MIS: inverted-index overlap + bucket greedy / bitset exact vs
-    // the all-pairs + scanning reference.
-    for (int n : {26, 200, 800, 2000}) {
-        const auto occ = kernelOccurrences(n);
+    // MIS: bucket-built bitset overlap rows + bucket greedy / bitset
+    // exact vs the all-pairs + scanning reference, on sparse random
+    // occurrences (`mis`) and on two-hub ones whose overlap graph is
+    // two big cliques (`mis_dense`).  MIS has no deterministic work
+    // counter, so CI gates the dense rows' ms_ref/ms ratio.
+    const auto misRow = [](const char *kernel, int n,
+                           const std::vector<std::vector<ir::NodeId>>
+                               &occ) {
         bench::StageSnapshot stages;
         auto t0 = std::chrono::steady_clock::now();
         const auto got = mining::maximalIndependentSet(occ);
@@ -284,12 +303,16 @@ runKernelRows()
         t0 = std::chrono::steady_clock::now();
         const auto ref = mining::maximalIndependentSetReference(occ);
         const double ms_ref = wallMs(t0);
-        std::printf("{\"kernel\":\"mis\",\"n\":%d,\"size\":%d,"
+        std::printf("{\"kernel\":\"%s\",\"n\":%d,\"size\":%d,"
                     "\"match\":%s,\"ms\":%.2f,\"ms_ref\":%.2f,%s}\n",
-                    n, got.size,
+                    kernel, n, got.size,
                     got.chosen == ref.chosen ? "true" : "false", ms,
                     ms_ref, stages.jsonFragment().c_str());
-    }
+    };
+    for (int n : {26, 200, 800, 2000})
+        misRow("mis", n, kernelOccurrences(n));
+    for (int n : {1000, 4000})
+        misRow("mis_dense", n, kernelHubOccurrences(n));
 
     // Isomorphism: label-indexed matcher vs whole-graph-scan
     // reference, multiply-accumulate pattern.

@@ -14,6 +14,11 @@ baseline, and at least MIN_MINER_ISO_FACTOR fewer full
 isomorphism-matcher invocations than the reference growth miner — the
 headline claim of the incremental-embedding rework.
 
+MIS has no deterministic work counter, so its gate is a loose timing
+ratio on the dense (`mis_dense`, two-hub) rows: occurrences sharing a
+node widely are where an overlap construction that is quadratic per
+shared node loses to the all-pairs reference.
+
 Failure conditions:
   * any clique row expands more than 2x the baseline's node count
     (the pruning bound regressed);
@@ -21,6 +26,8 @@ Failure conditions:
     falls below 5x (the headline reduction claim);
   * any miner row whose pattern count drifts from the baseline or
     whose matcher-call reduction falls below MIN_MINER_ISO_FACTOR;
+  * the largest mis_dense row's reference/optimized wall-time ratio
+    (ms_ref/ms) falls below MIN_MIS_DENSE_SPEEDUP;
   * any row reports match:false (optimized and reference kernels
     disagreed — a determinism-contract break).
 
@@ -33,6 +40,7 @@ import sys
 NODE_REGRESSION_FACTOR = 2.0
 MIN_CLIQUE_RATIO = 5.0
 MIN_MINER_ISO_FACTOR = 3.0
+MIN_MIS_DENSE_SPEEDUP = 5.0
 
 
 def load_rows(path):
@@ -102,6 +110,18 @@ def main():
             failures.append(
                 f"clique n={largest['n']}: weak/coloring node ratio "
                 f"{largest['ratio']:.2f} < {MIN_CLIQUE_RATIO}")
+
+    base_dense = [r for r in baseline if r["kernel"] == "mis_dense"]
+    cur_dense = [r for r in current if r["kernel"] == "mis_dense"]
+    if base_dense and not cur_dense:
+        failures.append("no mis_dense rows in current output")
+    if cur_dense:
+        largest = max(cur_dense, key=lambda r: r["n"])
+        speedup = largest["ms_ref"] / max(largest["ms"], 0.01)
+        if speedup < MIN_MIS_DENSE_SPEEDUP:
+            failures.append(
+                f"mis_dense n={largest['n']}: ms_ref/ms "
+                f"{speedup:.2f} < {MIN_MIS_DENSE_SPEEDUP}")
 
     if failures:
         for f in failures:

@@ -204,6 +204,10 @@ class BitsetMatrix {
     {
         row(r)[i >> 6] |= 1ull << (i & 63);
     }
+    void reset(std::size_t r, std::size_t i)
+    {
+        row(r)[i >> 6] &= ~(1ull << (i & 63));
+    }
     bool test(std::size_t r, std::size_t i) const
     {
         return (row(r)[i >> 6] >> (i & 63)) & 1;

@@ -12,60 +12,80 @@
  * Optimized MIS kernels.  Every function must return byte-identical
  * results to its counterpart in mis_reference.cpp (the differential
  * suite in tests/kernels_test.cpp enforces this): the overlap rows
- * come out ascending, greedy picks the (min live degree, min index)
- * vertex, and the exact search pivots on the (max live degree, min
- * index) vertex with strict-improvement incumbents — all identical
- * decision rules, only the data structures changed.
+ * hold exactly the reference's adjacency, greedy picks the (min live
+ * degree, min index) vertex, and the exact search pivots on the (max
+ * live degree, min index) vertex with strict-improvement incumbents —
+ * all identical decision rules, only the data structures changed.
  */
 namespace apex::mining {
 
-std::vector<std::vector<int>>
-overlapGraph(const std::vector<std::vector<ir::NodeId>> &occurrences)
-{
-    const int n = static_cast<int>(occurrences.size());
-    std::vector<std::vector<int>> adj(n);
+namespace {
 
-    // Inverted index: (target node, occurrence) incidence pairs.
-    // Occurrences sharing no node never meet, so the pairwise work is
-    // quadratic only within each node's bucket instead of across all
-    // occurrence pairs.
+/**
+ * The overlap graph as bitset rows: row i = occurrences sharing a
+ * target node with occurrence i, i itself excluded.  Occurrences that
+ * hold one node form a clique, so each node's bucket is ORed into the
+ * rows of its members — only over the words the bucket spans, which
+ * keeps small local buckets cheap on large instances.
+ */
+core::BitsetMatrix
+overlapRows(const std::vector<std::vector<ir::NodeId>> &occurrences)
+{
+    const std::size_t n = occurrences.size();
+    // (target node, occurrence) incidences, sorted: each node's run
+    // is its bucket, ascending by occurrence.
     std::vector<std::pair<ir::NodeId, int>> incidence;
     std::size_t total = 0;
     for (const auto &occ : occurrences)
         total += occ.size();
     incidence.reserve(total);
-    for (int i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i)
         for (ir::NodeId node : occurrences[i])
-            incidence.emplace_back(node, i);
+            incidence.emplace_back(node, static_cast<int>(i));
     std::sort(incidence.begin(), incidence.end());
 
-    std::vector<std::pair<int, int>> edges;
+    core::BitsetMatrix rows(n, n);
+    core::DenseBitset bucket(n);
     for (std::size_t lo = 0; lo < incidence.size();) {
         std::size_t hi = lo;
         while (hi < incidence.size() &&
                incidence[hi].first == incidence[lo].first)
             ++hi;
-        for (std::size_t a = lo; a < hi; ++a)
-            for (std::size_t b = a + 1; b < hi; ++b)
-                if (incidence[a].second != incidence[b].second)
-                    edges.emplace_back(incidence[a].second,
-                                       incidence[b].second);
+        if (hi - lo > 1) {
+            for (std::size_t a = lo; a < hi; ++a)
+                bucket.set(incidence[a].second);
+            const std::size_t w0 = incidence[lo].second / 64;
+            const std::size_t w1 = incidence[hi - 1].second / 64 + 1;
+            for (std::size_t a = lo; a < hi; ++a) {
+                std::uint64_t *row = rows.row(incidence[a].second);
+                for (std::size_t w = w0; w < w1; ++w)
+                    row[w] |= bucket.data()[w];
+            }
+            for (std::size_t a = lo; a < hi; ++a)
+                bucket.reset(incidence[a].second);
+        }
         lo = hi;
     }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-    // Lexicographic edge order fills every row ascending: (i, r)
-    // edges with i < r all precede (r, j) edges, exactly the order
-    // the historic all-pairs loop produced.
-    for (const auto &[i, j] : edges) {
-        adj[i].push_back(j);
-        adj[j].push_back(i);
-    }
-    return adj;
+    for (std::size_t i = 0; i < n; ++i)
+        rows.reset(i, i);
+    return rows;
 }
 
-namespace {
+/** Visit the set bits of row & live, ascending. */
+template <typename Fn>
+void
+forEachLive(const std::uint64_t *row, const core::DenseBitset &live,
+            Fn &&fn)
+{
+    const std::uint64_t *alive = live.data();
+    for (std::size_t w = 0; w < live.words(); ++w) {
+        std::uint64_t word = row[w] & alive[w];
+        while (word) {
+            fn(static_cast<int>(w * 64 + std::countr_zero(word)));
+            word &= word - 1;
+        }
+    }
+}
 
 /**
  * Min-degree greedy with a bucket-by-degree structure: buckets[d] is
@@ -77,18 +97,16 @@ namespace {
  * reference scan's.
  */
 MisResult
-greedyMis(const std::vector<std::vector<int>> &adj)
+greedyMis(const core::BitsetMatrix &adj)
 {
-    const int n = static_cast<int>(adj.size());
+    const int n = static_cast<int>(adj.rows());
     MisResult result;
-    if (n == 0)
-        return result;
-
-    std::vector<bool> alive(n, true);
+    core::DenseBitset alive(n);
+    alive.setAll();
     std::vector<int> degree(n);
     int maxd = 0;
     for (int i = 0; i < n; ++i) {
-        degree[i] = static_cast<int>(adj[i].size());
+        degree[i] = static_cast<int>(adj.rowCount(i));
         maxd = std::max(maxd, degree[i]);
     }
     using MinHeap = std::priority_queue<int, std::vector<int>,
@@ -97,6 +115,7 @@ greedyMis(const std::vector<std::vector<int>> &adj)
     for (int i = 0; i < n; ++i)
         buckets[degree[i]].push(i);
 
+    std::vector<int> removed;
     int remaining = n;
     int cur = 0;
     while (remaining > 0) {
@@ -107,27 +126,27 @@ greedyMis(const std::vector<std::vector<int>> &adj)
                 continue;
             }
             const int top = buckets[cur].top();
-            if (!alive[top] || degree[top] != cur) {
+            if (!alive.test(top) || degree[top] != cur) {
                 buckets[cur].pop(); // stale copy
                 continue;
             }
             best = top;
         }
         result.chosen.push_back(best);
-        // Remove best and its neighbourhood.
-        std::vector<int> removed = {best};
-        for (int nb : adj[best])
-            if (alive[nb])
-                removed.push_back(nb);
-        for (int r : removed) {
-            alive[r] = false;
-            --remaining;
-            for (int nb : adj[r])
-                if (alive[nb]) {
-                    buckets[--degree[nb]].push(nb);
-                    cur = std::min(cur, degree[nb]);
-                }
-        }
+        // Clear best and its live neighbourhood from `alive` first,
+        // then charge the survivors: edges inside the removed set
+        // are never walked.
+        removed.assign(1, best);
+        forEachLive(adj.row(best), alive,
+                    [&](int nb) { removed.push_back(nb); });
+        for (int r : removed)
+            alive.reset(r);
+        remaining -= static_cast<int>(removed.size());
+        for (int r : removed)
+            forEachLive(adj.row(r), alive, [&](int nb) {
+                buckets[--degree[nb]].push(nb);
+                cur = std::min(cur, degree[nb]);
+            });
     }
     std::sort(result.chosen.begin(), result.chosen.end());
     result.size = static_cast<int>(result.chosen.size());
@@ -143,26 +162,19 @@ greedyMis(const std::vector<std::vector<int>> &adj)
  * rows instead of adjacency-list walks.
  */
 struct ExactMis {
-    int n;
-    core::BitsetMatrix adj;  ///< Row v = neighbours of v.
+    const core::BitsetMatrix &adj; ///< Row v = neighbours of v.
     core::DenseBitset alive;
     std::vector<int> degree; ///< Live degree of each live vertex.
     std::vector<int> current;
     std::vector<int> best;
     std::vector<int> removed_stack; ///< Shared DFS removal stack.
 
-    explicit ExactMis(const std::vector<std::vector<int>> &lists)
-        : n(static_cast<int>(lists.size())),
-          adj(static_cast<std::size_t>(n),
-              static_cast<std::size_t>(n)),
-          alive(static_cast<std::size_t>(n)), degree(n)
+    explicit ExactMis(const core::BitsetMatrix &rows)
+        : adj(rows), alive(rows.rows()), degree(rows.rows())
     {
-        for (int v = 0; v < n; ++v) {
-            for (int u : lists[v])
-                adj.set(v, u);
-            degree[v] = static_cast<int>(lists[v].size());
-            alive.set(v);
-        }
+        alive.setAll();
+        for (std::size_t v = 0; v < rows.rows(); ++v)
+            degree[v] = static_cast<int>(rows.rowCount(v));
     }
 
     /** Remove the vertices on removed_stack[base..): clear alive bits
@@ -173,8 +185,8 @@ struct ExactMis {
         for (std::size_t k = base; k < removed_stack.size(); ++k) {
             const int r = removed_stack[k];
             alive.reset(r);
-            forEachLiveNeighbour(
-                r, [&](int nb) { --degree[nb]; });
+            forEachLive(adj.row(r), alive,
+                        [&](int nb) { --degree[nb]; });
         }
     }
 
@@ -185,27 +197,11 @@ struct ExactMis {
     {
         for (std::size_t k = removed_stack.size(); k-- > base;) {
             const int r = removed_stack[k];
-            forEachLiveNeighbour(
-                r, [&](int nb) { ++degree[nb]; });
+            forEachLive(adj.row(r), alive,
+                        [&](int nb) { ++degree[nb]; });
             alive.set(r);
         }
         removed_stack.resize(base);
-    }
-
-    template <typename Fn>
-    void
-    forEachLiveNeighbour(int v, Fn &&fn)
-    {
-        const std::uint64_t *row = adj.row(v);
-        const std::uint64_t *live = alive.data();
-        for (std::size_t w = 0; w < alive.words(); ++w) {
-            std::uint64_t word = row[w] & live[w];
-            while (word) {
-                fn(static_cast<int>(w * 64 +
-                                    std::countr_zero(word)));
-                word &= word - 1;
-            }
-        }
     }
 
     void
@@ -240,8 +236,8 @@ struct ExactMis {
         {
             const std::size_t base = removed_stack.size();
             removed_stack.push_back(pivot);
-            forEachLiveNeighbour(
-                pivot, [&](int nb) { removed_stack.push_back(nb); });
+            forEachLive(adj.row(pivot), alive,
+                        [&](int nb) { removed_stack.push_back(nb); });
             const int n_removed =
                 static_cast<int>(removed_stack.size() - base);
             removeFrom(base);
@@ -263,10 +259,19 @@ struct ExactMis {
 
 } // namespace
 
+std::vector<std::vector<int>>
+overlapGraph(const std::vector<std::vector<ir::NodeId>> &occurrences)
+{
+    const core::BitsetMatrix rows = overlapRows(occurrences);
+    std::vector<std::vector<int>> adj(occurrences.size());
+    for (std::size_t i = 0; i < adj.size(); ++i)
+        rows.forEachInRow(i, [&](int j) { adj[i].push_back(j); });
+    return adj;
+}
+
 MisResult
 maximalIndependentSet(
-    const std::vector<std::vector<ir::NodeId>> &occurrences,
-    int exact_limit)
+    const std::vector<std::vector<ir::NodeId>> &occurrences)
 {
     const int n = static_cast<int>(occurrences.size());
     if (n == 0)
@@ -274,9 +279,9 @@ maximalIndependentSet(
     telemetry::StageTimer timer(
         telemetry::histogram("apex.mis.solve.ms"));
 
-    const auto adj = overlapGraph(occurrences);
+    const core::BitsetMatrix adj = overlapRows(occurrences);
 
-    if (n <= exact_limit) {
+    if (n <= kExactMisLimit) {
         ExactMis solver(adj);
         solver.best = greedyMis(adj).chosen; // seed bound
         solver.recurse(n);

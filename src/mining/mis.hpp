@@ -16,22 +16,33 @@
  * the paper's ranking signal for pattern interestingness.
  *
  * The solver is exact (branch and bound with a greedy bound) for
- * overlap graphs up to a size threshold and falls back to the
- * min-degree greedy heuristic above it — both return a *maximal*
- * independent set, matching the paper's terminology.
+ * overlap graphs of at most kExactMisLimit occurrences and falls back
+ * to the min-degree greedy heuristic above it — both return a
+ * *maximal* independent set, matching the paper's terminology.
  *
- * Implementation: the overlap graph is built with an inverted index
- * (target node -> occurrence ids; pairwise work is quadratic only
- * within each bucket instead of across all occurrence pairs), greedy
- * seeding keeps a bucket-by-degree structure so each pick is near
- * O(1) instead of an O(n) scan, and the exact branch and bound runs
- * on dense bitset alive-sets with cached live degrees.  All of it is
- * deterministic with ascending-index tie-breaking; the historic
- * implementations are retained as `*Reference` for differential
- * testing (tests/kernels_test.cpp) and must stay byte-identical.
+ * Implementation: the overlap graph is a bitset matrix (row i = the
+ * occurrences overlapping occurrence i) built straight from the
+ * target-node -> occurrence buckets.  All occurrences that hold one
+ * target node pairwise intersect in it, so each bucket is a clique of
+ * the overlap graph, and row i is the OR of the bucket bitsets of i's
+ * nodes with bit i cleared: Σ|bucket| x n/64 words of work and n²/8
+ * bytes of memory, bounded by MinerOptions::max_embeddings (under
+ * 50 MB at the default 20000).  An edge list would instead pay one
+ * pair per (occurrence pair, shared node) — quadratic in every
+ * bucket, so a node shared by thousands of occurrences (an app-wide
+ * constant) alone emits tens of millions of pairs.  Greedy picks use
+ * row popcounts as degrees and a bucket-by-degree structure, and the
+ * exact branch and bound runs on the same rows with cached live
+ * degrees.  All of it is deterministic with ascending-index
+ * tie-breaking; the historic implementations are retained as
+ * `*Reference` for differential testing (tests/kernels_test.cpp) and
+ * must stay byte-identical.
  */
 
 namespace apex::mining {
+
+/** Largest occurrence count solved exactly; above it, greedy. */
+inline constexpr int kExactMisLimit = 28;
 
 /** Result of the independent-set computation. */
 struct MisResult {
@@ -45,16 +56,13 @@ struct MisResult {
  * Compute a maximal independent set over occurrence overlap.
  *
  * @param occurrences    Sorted node-id sets, one per occurrence.
- * @param exact_limit    Use the exact solver when the occurrence count
- *                       is at most this (default 28).
  */
 MisResult
 maximalIndependentSet(const std::vector<std::vector<ir::NodeId>>
-                          &occurrences,
-                      int exact_limit = 28);
+                          &occurrences);
 
 /**
- * Build the overlap adjacency used by maximalIndependentSet().
+ * List view of the overlap rows maximalIndependentSet() solves on.
  * adjacency[i] lists the occurrence indices whose node sets intersect
  * occurrence i's, ascending.
  */
@@ -72,8 +80,7 @@ overlapGraphReference(
  * return byte-identical results to maximalIndependentSet(). */
 MisResult
 maximalIndependentSetReference(
-    const std::vector<std::vector<ir::NodeId>> &occurrences,
-    int exact_limit = 28);
+    const std::vector<std::vector<ir::NodeId>> &occurrences);
 
 } // namespace apex::mining
 

@@ -151,8 +151,7 @@ exactMisReference(const std::vector<std::vector<int>> &adj,
 
 MisResult
 maximalIndependentSetReference(
-    const std::vector<std::vector<ir::NodeId>> &occurrences,
-    int exact_limit)
+    const std::vector<std::vector<ir::NodeId>> &occurrences)
 {
     const int n = static_cast<int>(occurrences.size());
     if (n == 0)
@@ -160,7 +159,7 @@ maximalIndependentSetReference(
 
     const auto adj = overlapGraphReference(occurrences);
 
-    if (n <= exact_limit) {
+    if (n <= kExactMisLimit) {
         std::vector<bool> alive(n, true);
         std::vector<int> current;
         std::vector<int> best =

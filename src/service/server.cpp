@@ -733,6 +733,50 @@ Server::runJob(const std::shared_ptr<SweepJob> &job)
     telemetry::ScopedTraceId trace_scope;
     if (request.trace_id != 0)
         trace_scope.set(request.trace_id);
+    // executeJob's span closes before the report is published: a
+    // client that fetches its trace slice right after the report
+    // must find it.
+    SweepReply reply = executeJob(job);
+
+    // Stop accepting coalesced joiners *before* publishing: a request
+    // arriving after this point starts a fresh sweep instead of
+    // attaching to a completed one.
+    {
+        std::lock_guard<std::mutex> lock(inflight_mu_);
+        inflight_.erase(job->key);
+    }
+    telemetry::histogram("apex.service.request_ms")
+        .observe(std::chrono::duration<double, std::milli>(
+                     Clock::now() - t0)
+                     .count());
+
+    std::vector<SweepJob::Subscriber> subscribers;
+    {
+        std::lock_guard<std::mutex> job_lock(job->mu);
+        subscribers = job->subscribers;
+    }
+    for (const SweepJob::Subscriber &sub : subscribers) {
+        reply.id = sub.request_id;
+        enqueueOutbound(sub.session_id, kFrameReport,
+                        encodeSweepReply(reply));
+    }
+
+    // The report is on its way: release each subscriber's slot in
+    // its session's in-flight cap.
+    {
+        std::lock_guard<std::mutex> lock(inflight_mu_);
+        for (const SweepJob::Subscriber &sub : subscribers) {
+            auto sit = session_inflight_.find(sub.session_id);
+            if (sit != session_inflight_.end() && --sit->second <= 0)
+                session_inflight_.erase(sit);
+        }
+    }
+}
+
+SweepReply
+Server::executeJob(const std::shared_ptr<SweepJob> &job)
+{
+    const SweepRequest &request = job->request;
     APEX_SPAN("service.execute");
     core::SweepOptions opts = sweepOptionsFor(request);
     opts.trace_id = request.trace_id;
@@ -779,40 +823,7 @@ Server::runJob(const std::shared_ptr<SweepJob> &job)
     reply.cancelled = stop_.load();
     reply.entries = std::move(outcome.entries);
     reply.report = std::move(outcome.report);
-
-    // Stop accepting coalesced joiners *before* publishing: a request
-    // arriving after this point starts a fresh sweep instead of
-    // attaching to a completed one.
-    {
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        inflight_.erase(job->key);
-    }
-    telemetry::histogram("apex.service.request_ms")
-        .observe(std::chrono::duration<double, std::milli>(
-                     Clock::now() - t0)
-                     .count());
-
-    std::vector<SweepJob::Subscriber> subscribers;
-    {
-        std::lock_guard<std::mutex> job_lock(job->mu);
-        subscribers = job->subscribers;
-    }
-    for (const SweepJob::Subscriber &sub : subscribers) {
-        reply.id = sub.request_id;
-        enqueueOutbound(sub.session_id, kFrameReport,
-                        encodeSweepReply(reply));
-    }
-
-    // The report is on its way: release each subscriber's slot in
-    // its session's in-flight cap.
-    {
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        for (const SweepJob::Subscriber &sub : subscribers) {
-            auto sit = session_inflight_.find(sub.session_id);
-            if (sit != session_inflight_.end() && --sit->second <= 0)
-                session_inflight_.erase(sit);
-        }
-    }
+    return reply;
 }
 
 void

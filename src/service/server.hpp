@@ -170,6 +170,8 @@ class Server {
     bool dispatch(Session &session, const runtime::FramedRecord &rec);
     void admitSweep(Session &session, const SweepRequest &request);
     void runJob(const std::shared_ptr<SweepJob> &job);
+    /** Run the job's sweep under the `service.execute` span. */
+    SweepReply executeJob(const std::shared_ptr<SweepJob> &job);
     void broadcastProgress(const std::shared_ptr<SweepJob> &job,
                            const core::SweepProgress &progress);
     /** Queue @p frame for the io thread and wake it. */

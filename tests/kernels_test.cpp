@@ -4,11 +4,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "apps/apps.hpp"
 #include "core/bitset.hpp"
 #include "core/deadline.hpp"
 #include "ir/builder.hpp"
 #include "merging/clique.hpp"
 #include "mining/isomorphism.hpp"
+#include "mining/miner.hpp"
 #include "mining/mis.hpp"
 
 /*
@@ -225,8 +227,10 @@ TEST(CliqueDifferentialTest, EmptyAndEdgelessGraphs) {
 }
 
 // ---------------------------------------------------------------------
-// MIS: inverted-index overlap + bitset exact search vs references.
+// MIS: bucket-built bitset overlap rows, greedy and exact search vs
+// references.
 
+using apex::mining::FrequentSubgraphMiner;
 using apex::mining::maximalIndependentSet;
 using apex::mining::maximalIndependentSetReference;
 using apex::mining::overlapGraph;
@@ -290,6 +294,68 @@ TEST(MisDifferentialTest, GreedyRegimeMatchesReference) {
             EXPECT_EQ(got.size, ref.size);
         }
     }
+}
+
+/** Hub occurrences: occurrence i holds hub node i % hubs plus
+ * random others, so each hub's bucket is a clique of n / hubs
+ * occurrences — the dense regime an app-wide constant produces. */
+std::vector<std::vector<apex::ir::NodeId>>
+hubOccurrences(int n, int hubs, int universe, std::uint32_t seed)
+{
+    auto occ = randomOccurrences(n, universe, 3, seed);
+    for (int i = 0; i < n; ++i) {
+        for (apex::ir::NodeId &node : occ[i])
+            node += static_cast<apex::ir::NodeId>(hubs);
+        occ[i].insert(occ[i].begin(),
+                      static_cast<apex::ir::NodeId>(i % hubs));
+    }
+    return occ;
+}
+
+TEST(MisDifferentialTest, HubRegimeMatchesReference) {
+    for (int n : {300, 1500}) {
+        for (int hubs : {1, 2}) {
+            for (int universe : {50, 4 * n}) {
+                SCOPED_TRACE("n=" + std::to_string(n) +
+                             " hubs=" + std::to_string(hubs) +
+                             " universe=" + std::to_string(universe));
+                const auto occ = hubOccurrences(
+                    n, hubs, universe, 7u * n + hubs + universe);
+                EXPECT_EQ(overlapGraph(occ),
+                          overlapGraphReference(occ));
+                const auto got = maximalIndependentSet(occ);
+                const auto ref = maximalIndependentSetReference(occ);
+                EXPECT_EQ(got.chosen, ref.chosen);
+                EXPECT_EQ(got.size, ref.size);
+            }
+        }
+    }
+}
+
+TEST(MisDifferentialTest, EveryMinedAppPatternMatchesReference) {
+    // The explorer's miner options, so fast's 4,795-occurrence
+    // patterns (complete overlap graphs) are among the instances.
+    apex::mining::MinerOptions options;
+    options.min_support = 3;
+    options.max_pattern_nodes = 4;
+    options.max_patterns_per_level = 256;
+    const FrequentSubgraphMiner miner(options);
+    std::size_t patterns = 0, largest = 0;
+    for (const auto &info : apex::apps::allApps()) {
+        for (const auto &p : miner.mine(info.graph)) {
+            SCOPED_TRACE(info.name + " " + p.code);
+            const auto &occ = p.occurrences;
+            EXPECT_EQ(overlapGraph(occ), overlapGraphReference(occ));
+            const auto got = maximalIndependentSet(occ);
+            const auto ref = maximalIndependentSetReference(occ);
+            EXPECT_EQ(got.chosen, ref.chosen);
+            EXPECT_EQ(got.size, ref.size);
+            ++patterns;
+            largest = std::max(largest, occ.size());
+        }
+    }
+    EXPECT_GT(patterns, 900u);
+    EXPECT_GE(largest, 4795u);
 }
 
 TEST(MisDifferentialTest, ChosenSetIsIndependentAndMaximal) {

@@ -483,7 +483,9 @@ TEST(ServiceEndToEnd, ConcurrentIdenticalSweepsCoalesce)
     constexpr int kClients = 4;
     std::vector<std::string> outputs(kClients);
     std::vector<int> codes(kClients, -1);
-    std::vector<bool> coalesced_acks(kClients, false);
+    // One byte per client: std::vector<bool> packs the flags into
+    // shared words, so concurrent writers would race.
+    std::vector<char> coalesced_acks(kClients, false);
     std::vector<std::thread> threads;
     for (int i = 0; i < kClients; ++i)
         threads.emplace_back([&, i] {
@@ -1304,9 +1306,11 @@ TEST(ServiceEndToEnd, CoalescedJoinersFetchTheirOwnTraceSlices)
 
     constexpr int kClients = 3;
     std::vector<std::uint64_t> ids(kClients, 0);
-    std::vector<bool> slice_ok(kClients, false);
-    std::vector<bool> ids_match(kClients, false);
-    std::vector<bool> nonempty(kClients, false);
+    // One byte per client flag, as in
+    // ConcurrentIdenticalSweepsCoalesce.
+    std::vector<char> slice_ok(kClients, false);
+    std::vector<char> ids_match(kClients, false);
+    std::vector<char> nonempty(kClients, false);
     std::vector<std::thread> threads;
     for (int i = 0; i < kClients; ++i)
         threads.emplace_back([&, i] {
