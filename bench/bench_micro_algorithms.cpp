@@ -27,6 +27,7 @@
 #include "mining/miner.hpp"
 #include "mining/mis.hpp"
 #include "model/tech.hpp"
+#include "oracles/oracles.hpp"
 #include "pe/baseline.hpp"
 
 namespace {
@@ -377,7 +378,6 @@ runMinerRows()
     opt.max_pattern_nodes = 4;
     for (const auto &info : apps::allApps()) {
         mining::MineStats st, st_ref;
-        opt.engine = mining::MinerEngine::kDfsCode;
         const mining::FrequentSubgraphMiner miner(opt);
         auto t0 = std::chrono::steady_clock::now();
         const auto got = miner.mine(info.graph, &st);

@@ -17,27 +17,24 @@
  *               [--jobs N] [--cache-dir DIR] [--resume]
  *               [--deadline MS] [--cell-deadline MS]
  *               [--isolate thread|process] [--cell-retries N]
- *               [--miner-engine dfs|reference]
  *       Fault-tolerant evaluation of every built-in application
  *       across the variant recipe; failing pairs are reported and
- *       skipped rather than aborting the sweep.  --miner-engine
- *       (also accepted by analyze) selects the frequent-subgraph
- *       engine: the DFS-code/embedding-list miner (default) or the
- *       historic reference miner — outputs are byte-identical, so
- *       the flag exists for differential smoke and perf comparison.
+ *       skipped rather than aborting the sweep.
  *   apexc client <sweep|info|metrics|top> --socket PATH [--port N]
  *       Run the request against a running apexd instead of in
  *       process.  `client sweep` accepts the sweep pressure and
  *       isolation flags (--level, --isolate, --cell-retries,
- *       --deadline, --cell-deadline, plus --priority N and
- *       --progress) and prints byte-identical stdout to the batch
- *       `apexc sweep` with the same flags — the daemon's resources
- *       are invisible in the bytes.  Progress frames and the
- *       coalescing verdict go to stderr.  With --trace FILE the
+ *       --deadline, --cell-deadline, plus --priority N, --progress
+ *       and --retries N [--retry-base-ms MS]) and prints
+ *       byte-identical stdout, with the same exit code, as the batch
+ *       `apexc sweep` with the same flags — both map the flags to
+ *       sweep options through one function, and the daemon's
+ *       resources are invisible in the bytes.  Progress frames and
+ *       the coalescing verdict go to stderr.  With --trace FILE the
  *       request is traced end to end: the client mints a trace id,
  *       the daemon stamps it on every span the sweep records, and
  *       the written file merges the client's spans with the daemon's
- *       slice for *this* request (fetched via the v3 `trace`
+ *       slice for *this* request (fetched via the `trace`
  *       conversation) into one Chrome-trace file with client /
  *       apexd / worker process lanes.  `client top` renders the
  *       daemon's statusz vitals ring (sampled snapshots of sessions,
@@ -76,7 +73,8 @@
  * exit code.
  *
  * Pressure: --deadline MS bounds the whole sweep (cells that cannot
- * start in time are recorded as timeouts) and --cell-deadline MS
+ * start in time are recorded as timeouts; 0 is already expired, a
+ * negative budget is none) and --cell-deadline MS
  * bounds each evaluation; a cell whose budget expires is retried
  * once with cheap fallback knobs and marked "degraded" in the report
  * instead of failing the sweep.
@@ -114,7 +112,6 @@
 #include <sstream>
 #include <thread>
 
-#include "core/deadline.hpp"
 #include "core/evaluate.hpp"
 #include "core/hetero.hpp"
 #include "core/status.hpp"
@@ -190,22 +187,6 @@ loadFailure(const Status &status)
     return exitCodeFor(status.code());
 }
 
-/** Parse an evaluation level name; unknown names are a usage error,
- * not a silent fallback. */
-Result<core::EvalLevel>
-parseLevel(const std::string &name)
-{
-    if (name == "map")
-        return core::EvalLevel::kPostMapping;
-    if (name == "pnr")
-        return core::EvalLevel::kPostPnr;
-    if (name == "pipe")
-        return core::EvalLevel::kPostPipelining;
-    return Status(ErrorCode::kInvalidArgument,
-                  "unknown --level '" + name +
-                      "' (expected map, pnr or pipe)");
-}
-
 const char *
 flagValue(int argc, char **argv, const char *flag)
 {
@@ -262,24 +243,25 @@ makePool(int jobs)
     return std::make_unique<runtime::ThreadPool>(n);
 }
 
-/** --miner-engine dfs|reference (default dfs).  The engines are
- * byte-identical (see tests/mining_differential_test.cpp); the flag
- * exists for differential smoke runs and perf comparisons. */
-Status
-parseMinerEngine(int argc, char **argv, mining::MinerOptions *miner)
+/** The sweep flags `apexc sweep` and `apexc client sweep` share, as
+ * the request service::sweepOptionsFor() maps to sweep options on
+ * both paths (and in apexd), so the paths cannot disagree on a
+ * flag. */
+service::SweepRequest
+sweepRequest(int argc, char **argv)
 {
-    const char *s = flagValue(argc, argv, "--miner-engine");
-    if (s == nullptr)
-        return Status::okStatus();
-    if (std::strcmp(s, "dfs") == 0)
-        miner->engine = mining::MinerEngine::kDfsCode;
-    else if (std::strcmp(s, "reference") == 0)
-        miner->engine = mining::MinerEngine::kReference;
-    else
-        return Status(ErrorCode::kInvalidArgument,
-                      std::string("unknown --miner-engine '") + s +
-                          "' (expected dfs or reference)");
-    return Status::okStatus();
+    service::SweepRequest request;
+    if (const char *s = flagValue(argc, argv, "--level"))
+        request.level = s;
+    if (const char *s = isolateFlag(argc, argv))
+        request.isolate = s;
+    if (const char *s = flagValue(argc, argv, "--cell-retries"))
+        request.cell_retries = std::atoi(s);
+    if (const char *s = flagValue(argc, argv, "--deadline"))
+        request.deadline_ms = std::atof(s);
+    if (const char *s = flagValue(argc, argv, "--cell-deadline"))
+        request.cell_deadline_ms = std::atof(s);
+    return request;
 }
 
 /** --cache-dir DIR => a disk-backed artifact cache; else null. */
@@ -339,9 +321,6 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
         options.miner.min_support = std::atoi(s);
     if (const char *s = flagValue(argc, argv, "--max-nodes"))
         options.miner.max_pattern_nodes = std::atoi(s);
-    if (Status s = parseMinerEngine(argc, argv, &options.miner);
-        !s.ok())
-        return loadFailure(std::move(s));
     const auto pool = makePool(requestedJobs(argc, argv));
     options.pool = pool.get();
     core::Explorer ex(model::defaultTech(), options);
@@ -381,7 +360,7 @@ cmdExplore(int argc, char **argv, const std::string &source)
     const char *level_flag = flagValue(argc, argv, "--level");
     const std::string kind = variant_flag ? variant_flag : "base";
     const std::string level_name = level_flag ? level_flag : "pipe";
-    const auto parsed_level = parseLevel(level_name);
+    const auto parsed_level = core::parseEvalLevel(level_name);
     if (!parsed_level)
         return loadFailure(parsed_level.status());
     const core::EvalLevel level = *parsed_level;
@@ -521,14 +500,10 @@ cmdDump(int argc, char **argv, const std::string &source)
 int
 cmdSweep(int argc, char **argv)
 {
-    const char *level_flag = flagValue(argc, argv, "--level");
-    const auto parsed_level =
-        parseLevel(level_flag ? level_flag : "map");
-    if (!parsed_level)
-        return loadFailure(parsed_level.status());
-
-    core::SweepOptions options;
-    options.level = *parsed_level;
+    auto parsed = service::sweepOptionsFor(sweepRequest(argc, argv));
+    if (!parsed)
+        return loadFailure(parsed.status());
+    core::SweepOptions options = std::move(parsed).value();
 
     // One pool serves both the sweep's task graph and the miner's
     // candidate expansion, so nested parallelism shares the lanes.
@@ -548,28 +523,6 @@ cmdSweep(int argc, char **argv)
                    "--resume requires --cache-dir (the journal "
                    "lives in the cache directory)"));
 
-    // Pressure: wall-clock budgets for the sweep and for each cell.
-    bool deadline_bounded = false;
-    if (const char *s = flagValue(argc, argv, "--deadline")) {
-        options.deadline = Deadline::after(std::atof(s));
-        deadline_bounded = true;
-    }
-    if (const char *s = flagValue(argc, argv, "--cell-deadline"))
-        options.cell_deadline_ms = std::atof(s);
-
-    // Isolation: crash containment behind forked worker processes.
-    if (const char *s = isolateFlag(argc, argv)) {
-        if (std::strcmp(s, "process") == 0)
-            options.isolate = core::IsolateMode::kProcess;
-        else if (std::strcmp(s, "thread") != 0)
-            return loadFailure(Status(
-                ErrorCode::kInvalidArgument,
-                std::string("unknown --isolate mode '") + s +
-                    "' (expected thread or process)"));
-    }
-    if (const char *s = flagValue(argc, argv, "--cell-retries"))
-        options.cell_retries = std::atoi(s);
-
     // Cooperative shutdown: completed cells stay in the report (and
     // journal); unstarted ones are recorded as cancelled.
     options.cancel = &g_interrupted;
@@ -582,65 +535,44 @@ cmdSweep(int argc, char **argv)
     // deadline too — a sweep bound means the whole command.
     ex_options.miner.deadline = options.deadline;
     ex_options.merge.deadline = options.deadline;
-    if (Status s = parseMinerEngine(argc, argv, &ex_options.miner);
-        !s.ok())
-        return loadFailure(std::move(s));
     core::Explorer ex(model::defaultTech(), ex_options);
     const auto apps_list = apps::allApps();
-    const auto outcome = core::runSweep(apps_list, ex,
-                                        model::defaultTech(),
-                                        options);
+    core::SweepOutcome outcome = core::runSweep(
+        apps_list, ex, model::defaultTech(), options);
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
+    const service::SweepReply reply =
+        service::sweepReplyFor(outcome, options);
 
     // Batch and service-client sweeps print through the same
     // renderer, so their stdout is byte-identical by construction.
-    std::fputs(service::renderSweepText(outcome.entries,
-                                        outcome.report)
+    std::fputs(service::renderSweepText(reply.entries, reply.report)
                    .c_str(),
                stdout);
     if (hasFlag(argc, argv, "--diagnostics")) {
-        if (!outcome.report.diagnostics.empty())
-            std::fputs(
-                outcome.report.diagnostics.toString().c_str(),
-                stderr);
+        if (!reply.report.diagnostics.empty())
+            std::fputs(reply.report.diagnostics.toString().c_str(),
+                       stderr);
         std::fprintf(stderr, "runtime: %s\n",
                      outcome.stats.toString().c_str());
         // Per-cell stage-time breakdown (filled while --trace is on).
-        const std::string stage_table =
-            outcome.report.stageTimeTable();
+        const std::string stage_table = reply.report.stageTimeTable();
         if (!stage_table.empty()) {
             std::fputs("stage times (ms, from spans):\n", stderr);
             std::fputs(stage_table.c_str(), stderr);
         }
     }
 
-    // An interrupted sweep reports what completed, then exits with
-    // the documented cancellation code.
-    if (g_interrupted.load())
-        return exitCodeFor(ErrorCode::kCancelled);
     // A journal that could not keep its durability promise (disk
     // full mid-run) makes the printed report valid but the on-disk
     // checkpoint a lie; fail loudly so nobody --resumes against it.
-    if (!outcome.durability.ok()) {
+    // Only an interrupt outranks it.
+    if (!reply.cancelled && !outcome.durability.ok()) {
         std::fprintf(stderr, "apexc: %s\n",
                      outcome.durability.toString().c_str());
         return exitCodeFor(outcome.durability.code());
     }
-    // A bounded sweep that evaluated nothing because its deadline
-    // (possibly already expired at launch, e.g. --deadline 0) beat
-    // every cell exits with the timeout code — not with whichever
-    // failure happened to be recorded first.
-    if (outcome.report.evaluated == 0 && deadline_bounded &&
-        options.deadline.expired())
-        return exitCodeFor(ErrorCode::kTimeout);
-    // The sweep itself succeeds as long as something was evaluated;
-    // a sweep where nothing ran reports its first failure's code.
-    if (outcome.report.evaluated == 0 &&
-        !outcome.report.failures.empty())
-        return exitCodeFor(
-            outcome.report.failures.front().status.code());
-    return 0;
+    return service::sweepExitCode(reply);
 }
 
 /** Report a service-side failure and map it to an exit code. */
@@ -660,8 +592,8 @@ bool writeArtifact(const char *path, const std::string &json);
 
 /**
  * Write the end-to-end trace of one client request: the client's own
- * spans plus the daemon's slice for @p trace_id (null @p client, or a
- * v2 daemon, degrades to the client lane alone).  Daemon spans split
+ * spans plus the daemon's slice for @p trace_id (a null @p client
+ * degrades to the client lane alone).  Daemon spans split
  * into an "apexd" lane (io + executor threads) and an "apexd workers"
  * lane (pool worker lanes), so the merged file shows the request
  * crossing all three processes under one trace id.
@@ -761,22 +693,103 @@ connectDaemon(int argc, char **argv, service::Client *client)
 }
 
 /**
- * `apexc client <sweep|info|metrics>` — run the request against a
- * running apexd.  The sweep path reuses the batch flag names; the
+ * `apexc client sweep` — the batch sweep flags (parsed by the same
+ * sweepRequest()/sweepOptionsFor() pair), run by a running apexd
+ * through the self-healing client (service::runSweepResilient).  The
  * daemon owns the execution resources (--jobs here would be
- * meaningless), and stdout carries exactly the bytes batch mode
- * would print.
+ * meaningless); stdout and the exit code are exactly what batch mode
+ * would produce.
  *
- * --retries N opts the sweep path into the self-healing client
- * (service::runSweepResilient): connect failures, load-shedding
- * rejects and a daemon dying mid-sweep are absorbed by up to N
- * reconnect + resubmit rounds with exponential backoff
- * (--retry-base-ms, doubled per round, jittered, stretched to the
- * daemon's retry_after hint).  Resubmission is idempotent — the
- * daemon coalesces on the sweep fingerprint and journals per
- * fingerprint — so the report is byte-identical however many
- * attempts it took.
+ * --retries N (default 0) allows up to N reconnect + resubmit rounds
+ * after connect failures, load-shedding rejects or a daemon dying
+ * mid-sweep, with exponential backoff (--retry-base-ms, doubled per
+ * round, jittered, stretched to the daemon's retry_after hint).
+ * Resubmission is idempotent — the daemon coalesces on the sweep
+ * fingerprint and journals per fingerprint — so the report is
+ * byte-identical however many attempts it took.
  */
+int
+cmdClientSweep(int argc, char **argv)
+{
+    service::SweepRequest request = sweepRequest(argc, argv);
+    // A bad flag is a usage error before any daemon is dialed,
+    // exactly as in batch mode.
+    if (const auto checked = service::sweepOptionsFor(request); !checked)
+        return loadFailure(checked.status());
+    request.id = 1;
+    // Every client request gets a trace id, whether or not --trace
+    // was given: the daemon stamps it on the request's spans either
+    // way, so a trace can still be fetched after the fact.
+    request.trace_id = service::mintTraceId();
+    if (const char *s = flagValue(argc, argv, "--priority"))
+        request.priority = std::atoi(s);
+    request.want_progress = hasFlag(argc, argv, "--progress");
+
+    const char *path = flagValue(argc, argv, "--socket");
+    const char *port = flagValue(argc, argv, "--port");
+    if (path == nullptr && port == nullptr)
+        return serviceFailure(
+            Status(ErrorCode::kInvalidArgument,
+                   "client requires --socket PATH or --port N"));
+    service::RetryPolicy policy;
+    policy.max_attempts = 1;
+    if (const char *s = flagValue(argc, argv, "--retries"))
+        policy.max_attempts = std::atoi(s) + 1;
+    if (const char *s = flagValue(argc, argv, "--retry-base-ms"))
+        policy.base_ms = std::atof(s);
+
+    // Progress and the coalescing verdict go to stderr: stdout is
+    // reserved for the byte-identity contract with batch mode.
+    const auto on_progress = [](const service::SweepProgressFrame &p) {
+        std::fprintf(stderr, "progress %d/%d %s/%s\n", p.done,
+                     p.total, p.app.c_str(), p.variant.c_str());
+    };
+    // Client-local spans carry the same trace id as the daemon's, so
+    // the merged trace file reads as one request across processes.
+    telemetry::ScopedTraceId trace_scope;
+    trace_scope.set(request.trace_id);
+    service::SweepReply reply;
+    service::RetryStats stats;
+    Status s;
+    {
+        APEX_SPAN("client.sweep");
+        s = service::runSweepResilient(
+            path != nullptr ? path : "",
+            port != nullptr ? std::atoi(port) : 0, request, policy,
+            &reply, on_progress, &stats);
+    }
+    if (!s.ok())
+        return serviceFailure(s);
+    if (stats.coalesced)
+        std::fprintf(stderr,
+                     "apexc: coalesced with an identical in-flight "
+                     "sweep\n");
+    if (stats.attempts > 1)
+        std::fprintf(stderr,
+                     "apexc: sweep landed after %d attempts "
+                     "(%d rejects, %d disconnects)\n",
+                     stats.attempts, stats.rejects, stats.disconnects);
+    std::fputs(
+        service::renderSweepText(reply.entries, reply.report).c_str(),
+        stdout);
+    if (const char *trace_path = flagValue(argc, argv, "--trace")) {
+        // The sweep's connection is closed (and may have cycled);
+        // dial a fresh one for the trace slice and degrade to
+        // client-only if the daemon is gone again.
+        service::Client trace_client;
+        const bool connected =
+            connectDaemon(argc, argv, &trace_client).ok();
+        (void)writeMergedTrace(trace_path,
+                               connected ? &trace_client : nullptr,
+                               request.trace_id);
+        if (connected)
+            trace_client.goodbye();
+    }
+    return service::sweepExitCode(reply);
+}
+
+/** `apexc client <sweep|info|metrics|top>` — run the request against
+ * a running apexd. */
 int
 cmdClient(int argc, char **argv)
 {
@@ -789,17 +802,14 @@ cmdClient(int argc, char **argv)
         return 2;
     }
     const std::string what = argv[2];
-    // The resilient sweep path dials (and redials) for itself — a
-    // daemon that is still restarting must not fail the command at
-    // the first connect.
-    const bool resilient =
-        what == "sweep" &&
-        flagValue(argc, argv, "--retries") != nullptr;
+    // The sweep path dials (and redials) for itself — a daemon that
+    // is still restarting must not fail the command at the first
+    // connect.
+    if (what == "sweep")
+        return cmdClientSweep(argc, argv);
     service::Client client;
-    if (!resilient) {
-        if (Status s = connectDaemon(argc, argv, &client); !s.ok())
-            return serviceFailure(s);
-    }
+    if (Status s = connectDaemon(argc, argv, &client); !s.ok())
+        return serviceFailure(s);
 
     if (what == "info") {
         service::InfoReply info;
@@ -822,119 +832,11 @@ cmdClient(int argc, char **argv)
     }
     if (what == "top")
         return cmdClientTop(argc, argv, client);
-    if (what != "sweep") {
-        std::fprintf(stderr,
-                     "apexc client: unknown request '%s' (expected "
-                     "sweep, info, metrics or top)\n",
-                     what.c_str());
-        return 2;
-    }
-
-    service::SweepRequest request;
-    request.id = 1;
-    // Every client request gets a trace id, whether or not --trace
-    // was given: the daemon stamps it on the request's spans either
-    // way, so a trace can still be fetched after the fact.
-    request.trace_id = service::mintTraceId();
-    if (const char *s = flagValue(argc, argv, "--level"))
-        request.level = s;
-    if (const auto level = parseLevel(request.level); !level)
-        return loadFailure(level.status());
-    if (const char *s = isolateFlag(argc, argv))
-        request.isolate = s;
-    if (const char *s = flagValue(argc, argv, "--cell-retries"))
-        request.cell_retries = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--deadline"))
-        request.deadline_ms = std::atof(s);
-    if (const char *s = flagValue(argc, argv, "--cell-deadline"))
-        request.cell_deadline_ms = std::atof(s);
-    if (const char *s = flagValue(argc, argv, "--priority"))
-        request.priority = std::atoi(s);
-    request.want_progress = hasFlag(argc, argv, "--progress");
-
-    // Progress and the coalescing verdict go to stderr: stdout is
-    // reserved for the byte-identity contract with batch mode.
-    const auto on_progress = [](const service::SweepProgressFrame &p) {
-        std::fprintf(stderr, "progress %d/%d %s/%s\n", p.done,
-                     p.total, p.app.c_str(), p.variant.c_str());
-    };
-    service::SweepReply reply;
-
-    // Client-local spans carry the same trace id as the daemon's, so
-    // the merged trace file reads as one request across processes.
-    const char *trace_path = flagValue(argc, argv, "--trace");
-    telemetry::ScopedTraceId trace_scope;
-    trace_scope.set(request.trace_id);
-
-    if (resilient) {
-        service::RetryPolicy policy;
-        policy.max_attempts =
-            std::atoi(flagValue(argc, argv, "--retries")) + 1;
-        if (const char *s = flagValue(argc, argv, "--retry-base-ms"))
-            policy.base_ms = std::atof(s);
-        const char *path = flagValue(argc, argv, "--socket");
-        const char *port = flagValue(argc, argv, "--port");
-        if (path == nullptr && port == nullptr)
-            return serviceFailure(Status(
-                ErrorCode::kInvalidArgument,
-                "client requires --socket PATH or --port N"));
-        service::RetryStats stats;
-        Status s;
-        {
-            APEX_SPAN("client.sweep");
-            s = service::runSweepResilient(
-                path != nullptr ? path : "",
-                port != nullptr ? std::atoi(port) : 0, request,
-                policy, &reply, on_progress, &stats);
-        }
-        if (!s.ok())
-            return serviceFailure(s);
-        if (stats.attempts > 1)
-            std::fprintf(stderr,
-                         "apexc: sweep landed after %d attempts "
-                         "(%d rejects, %d disconnects)\n",
-                         stats.attempts, stats.rejects,
-                         stats.disconnects);
-        std::fputs(service::renderSweepText(reply.entries,
-                                            reply.report)
-                       .c_str(),
-                   stdout);
-        if (trace_path != nullptr) {
-            // The resilient path owns (and may have cycled) its
-            // connection; dial a fresh one for the trace slice and
-            // degrade to client-only if the daemon is gone again.
-            service::Client trace_client;
-            const bool connected =
-                connectDaemon(argc, argv, &trace_client).ok();
-            (void)writeMergedTrace(
-                trace_path, connected ? &trace_client : nullptr,
-                request.trace_id);
-            if (connected)
-                trace_client.goodbye();
-        }
-        return service::sweepExitCode(reply);
-    }
-
-    service::SweepAck ack;
-    Status s;
-    {
-        APEX_SPAN("client.sweep");
-        s = client.runSweep(request, &reply, on_progress, &ack);
-    }
-    if (!s.ok())
-        return serviceFailure(s);
-    if (ack.coalesced)
-        std::fprintf(stderr,
-                     "apexc: coalesced with an identical in-flight "
-                     "sweep\n");
-    std::fputs(
-        service::renderSweepText(reply.entries, reply.report).c_str(),
-        stdout);
-    if (trace_path != nullptr)
-        (void)writeMergedTrace(trace_path, &client,
-                               request.trace_id);
-    client.goodbye();
-    return service::sweepExitCode(reply);
+    std::fprintf(stderr,
+                 "apexc client: unknown request '%s' (expected "
+                 "sweep, info, metrics or top)\n",
+                 what.c_str());
+    return 2;
 }
 
 /** Dispatch to the requested subcommand (the body of main, split out

@@ -9,7 +9,6 @@
  *         [--metrics-out FILE [--metrics-interval MS]]
  *         [--log-out FILE] [--log-level debug|info|warn|error]
  *         [--statusz-interval-ms MS]
- *         [--admission-hold-ms MS]
  *   apexd --version
  *
  * The daemon loads the application set once, keeps the
@@ -35,8 +34,7 @@
  * --metrics-out FILE dumps the telemetry registry on exit;
  * --metrics-interval MS also rewrites it periodically (atomic
  * rename), so `apex.service.*` counters are observable while the
- * daemon runs.  --admission-hold-ms is a test knob that widens the
- * coalescing window deterministically; leave it 0 in production.
+ * daemon runs.
  *
  * Observability (DESIGN.md Sec. 7i): tracing is always on in the
  * daemon — every span carries its request's trace id, and `apexc
@@ -131,8 +129,6 @@ main(int argc, char **argv)
         options.session_cap = std::atoi(s);
     if (const char *s = flagValue(argc, argv, "--retry-after-ms"))
         options.retry_after_ms = std::atof(s);
-    if (const char *s = flagValue(argc, argv, "--admission-hold-ms"))
-        options.admission_hold_ms = std::atof(s);
     if (const char *s =
             flagValue(argc, argv, "--statusz-interval-ms"))
         options.statusz_interval_ms = std::atof(s);

@@ -121,10 +121,6 @@ sweepFingerprint(const std::vector<apps::AppInfo> &apps,
 {
     ir::Fnv64 f;
     f.mix(static_cast<std::uint64_t>(options.level));
-    f.mix(static_cast<std::uint64_t>(
-        (options.include_baseline ? 1 : 0) |
-        (options.include_subset ? 2 : 0) |
-        (options.include_specialized ? 4 : 0)));
     const EvalOptions &e = options.eval;
     f.mix(static_cast<std::uint64_t>(e.fabric_width));
     f.mix(static_cast<std::uint64_t>(e.fabric_height));
@@ -141,10 +137,7 @@ sweepFingerprint(const std::vector<apps::AppInfo> &apps,
     f.mix(static_cast<std::uint64_t>(x.miner.max_patterns_per_level));
     f.mix(static_cast<std::uint64_t>(x.miner.metric));
     // max_embeddings shapes results (truncated support lists), so it
-    // is part of the identity; miner.engine deliberately is NOT — the
-    // engines are byte-identical (enforced by the differential tests),
-    // so journals, caches and coalesced requests are shareable across
-    // them.
+    // is part of the identity.
     f.mix(static_cast<std::uint64_t>(x.miner.max_embeddings));
     f.mix(static_cast<std::uint64_t>(x.min_mis));
     f.mix(static_cast<std::uint64_t>(x.max_merged_subgraphs));
@@ -352,6 +345,32 @@ SweepRuntimeStats::toString() const
     return buf;
 }
 
+Result<EvalLevel>
+parseEvalLevel(const std::string &name)
+{
+    if (name == "map")
+        return EvalLevel::kPostMapping;
+    if (name == "pnr")
+        return EvalLevel::kPostPnr;
+    if (name == "pipe")
+        return EvalLevel::kPostPipelining;
+    return Status(ErrorCode::kInvalidArgument,
+                  "unknown --level '" + name +
+                      "' (expected map, pnr or pipe)");
+}
+
+Result<IsolateMode>
+parseIsolateMode(const std::string &name)
+{
+    if (name == "thread")
+        return IsolateMode::kInProcess;
+    if (name == "process")
+        return IsolateMode::kProcess;
+    return Status(ErrorCode::kInvalidArgument,
+                  "unknown --isolate mode '" + name +
+                      "' (expected thread or process)");
+}
+
 SweepOutcome
 runSweep(const std::vector<apps::AppInfo> &apps,
          const Explorer &explorer, const model::TechModel &tech,
@@ -538,26 +557,20 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                     counters.build_us.add(elapsedUs(t0));
                     return Status::okStatus();
                 }
-                if (options.include_baseline)
-                    setVariant(slot.cells[kBaseline],
-                               explorer.baselineVariant());
-                if (options.include_subset)
-                    setVariant(slot.cells[kSubset],
-                               explorer.subsetVariant(app));
-                if (options.include_specialized) {
-                    const int k =
-                        explorer.options().max_merged_subgraphs;
-                    auto v = explorer.trySpecializedVariant(app, k);
-                    if (v.ok()) {
-                        setVariant(slot.cells[kSpecialized],
-                                   std::move(v).value());
-                    } else {
-                        slot.spec_failed = true;
-                        slot.spec_name = "pe" +
-                                         std::to_string(k + 1) +
-                                         "_" + app.name;
-                        slot.spec_status = v.status();
-                    }
+                setVariant(slot.cells[kBaseline],
+                           explorer.baselineVariant());
+                setVariant(slot.cells[kSubset],
+                           explorer.subsetVariant(app));
+                const int k = explorer.options().max_merged_subgraphs;
+                auto v = explorer.trySpecializedVariant(app, k);
+                if (v.ok()) {
+                    setVariant(slot.cells[kSpecialized],
+                               std::move(v).value());
+                } else {
+                    slot.spec_failed = true;
+                    slot.spec_name =
+                        "pe" + std::to_string(k + 1) + "_" + app.name;
+                    slot.spec_status = v.status();
                 }
                 journalApp(journal, app_index, slot);
                 counters.build_us.add(elapsedUs(t0));

@@ -81,9 +81,6 @@ struct SweepProgress {
 struct SweepOptions {
     EvalLevel level = EvalLevel::kPostMapping;
     EvalOptions eval;
-    bool include_baseline = true;    ///< PE Base.
-    bool include_subset = true;      ///< PE 1 per app.
-    bool include_specialized = true; ///< PE k (k = max merged).
 
     /**
      * Worker lanes (threads + the participating caller).  1 runs the
@@ -197,6 +194,13 @@ struct SweepOutcome {
      */
     Status durability;
 };
+
+/** Parse an evaluation level name (map | pnr | pipe); any other name
+ * is kInvalidArgument, never a silent fallback. */
+Result<EvalLevel> parseEvalLevel(const std::string &name);
+
+/** Parse an isolation mode name (thread | process). */
+Result<IsolateMode> parseIsolateMode(const std::string &name);
 
 /**
  * Fingerprint of every input that shapes a sweep's work: the app set,

@@ -26,10 +26,9 @@
  * index asc) vertex order, the incumbent is replaced only on a strict
  * weight improvement, and the bound is admissible — so the returned
  * clique is a pure function of the input, byte-identical across
- * bound strengths, runs and lanes.  `maxWeightCliqueReference`
- * retains the same search on naive vector-of-vector structures (with
- * a selectable bound) for differential testing and node-count
- * comparisons; see tests/kernels_test.cpp.
+ * bound strengths, runs and lanes.  The historic vector-of-vector
+ * search is retained in tests/oracles as the differential-testing
+ * reference; see tests/kernels_test.cpp.
  */
 
 namespace apex::merging {
@@ -62,27 +61,6 @@ struct CliqueResult {
 CliqueResult maxWeightClique(const CliqueProblem &problem,
                              std::int64_t node_budget = 2'000'000,
                              const Deadline &deadline = {});
-
-/** Upper bound used by the reference solver. */
-enum class CliqueBound {
-    kWeightSum, ///< Sum of remaining candidate weights (historic).
-    kColoring,  ///< Greedy-colouring bound (matches maxWeightClique).
-};
-
-/**
- * Reference solver on naive data structures (vector candidate lists,
- * per-node allocations), retained for differential tests and the
- * kernel benchmarks.  With CliqueBound::kColoring it must return
- * byte-identical results to maxWeightClique on every path, including
- * budget and deadline truncation; with kWeightSum it reproduces the
- * historic weak bound (same answers at ample budget, many more nodes).
- * No telemetry is recorded.
- */
-CliqueResult
-maxWeightCliqueReference(const CliqueProblem &problem,
-                         std::int64_t node_budget = 2'000'000,
-                         const Deadline &deadline = {},
-                         CliqueBound bound = CliqueBound::kColoring);
 
 } // namespace apex::merging
 

@@ -9,9 +9,9 @@
 
 /*
  * Label-indexed subgraph matcher.  The historic matcher
- * (isomorphism_reference.cpp) scanned every target node whenever a
- * pattern node had no mapped neighbour to derive candidates from;
- * candidate filtering dominates matching cost (FAST,
+ * (tests/oracles/isomorphism_reference.cpp) scanned every target
+ * node whenever a pattern node had no mapped neighbour to derive
+ * candidates from; candidate filtering dominates matching cost (FAST,
  * arXiv:2102.10768), so this version adds a per-target label index
  * (op -> candidate nodes, LUTs bucketed by truth table) plus an
  * operand-arity / core-fanout-degree prefilter.  Both only remove

@@ -47,18 +47,6 @@ std::vector<Embedding> findEmbeddings(const ir::Graph &pattern,
 bool hasEmbedding(const ir::Graph &pattern, const ir::Graph &target);
 
 /**
- * Retained reference matcher: the historic backtracking search whose
- * unconstrained pattern nodes scan the whole target graph.  Kept as
- * the differential-testing oracle for the label-indexed matcher —
- * findEmbeddings() must return a byte-identical embedding list
- * (order and `limit` truncation included).
- */
-std::vector<Embedding>
-findEmbeddingsReference(const ir::Graph &pattern,
-                        const ir::Graph &target,
-                        std::size_t limit = 0);
-
-/**
  * @return true when pattern node @p id is a free placeholder
  * (kInput / kInputBit).
  */

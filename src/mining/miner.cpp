@@ -16,10 +16,11 @@
  * The DFS-code mining engine (Pangolin-style; see DESIGN.md Sec. 7j).
  *
  * It walks the exact same level-synchronous frontier x extension
- * order as the reference engine (miner_reference.cpp) — same seed
- * order, same std::set<Extension> enumeration, same per-level cap and
- * first-discovery representatives — so its output is byte-identical,
- * but the two per-candidate hot spots are replaced:
+ * order as the reference engine (tests/oracles/miner_reference.cpp)
+ * — same seed order, same std::set<Extension> enumeration, same
+ * per-level cap and first-discovery representatives — so its output
+ * is byte-identical, but the two per-candidate hot spots are
+ * replaced:
  *
  *  - identity: the minimum DFS code of the candidate's core
  *    (mining/dfs_code.hpp) instead of the full-graph
@@ -400,9 +401,6 @@ extendEmbeddings(const Graph &app,
 std::vector<MinedPattern>
 FrequentSubgraphMiner::mine(const Graph &app, MineStats *stats) const
 {
-    if (options_.engine == MinerEngine::kReference)
-        return minePatternsReference(app, options_, stats);
-
     APEX_SPAN("mine");
     telemetry::StageTimer timer(
         telemetry::histogram("apex.mine.ms"));

@@ -20,23 +20,16 @@
  * exist in the application are generated, as in pattern-growth
  * miners).
  *
- * Two engines share that growth order (and produce byte-identical
- * results — enforced by the differential tests):
- *
- *  - kDfsCode (default, Pangolin-style): grown candidates are
- *    deduplicated by the minimum DFS code of their core
- *    (mining/dfs_code.hpp) and their embeddings are *extended* from
- *    the parent's materialized embedding list one edge at a time, so
- *    support needs no isomorphism re-matching.  The full-graph
- *    matcher only runs when an embedding list overflows
- *    max_embeddings (and for descendants of overflowed patterns),
- *    which keeps memory bounded and keeps the overflowed regime
- *    byte-identical to the reference.
- *  - kReference (miner_reference.cpp, the historic engine): dedup by
- *    the full `ir::canonicalCode` B&B search, occurrences recomputed
- *    with the exact isomorphism matcher per unique candidate.
- *
- * Either way reported frequencies are exact.
+ * Grown candidates are deduplicated by the minimum DFS code of their
+ * core (mining/dfs_code.hpp, Pangolin-style) and their embeddings are
+ * *extended* from the parent's materialized embedding list one edge
+ * at a time, so support needs no isomorphism re-matching.  The
+ * full-graph matcher only runs when an embedding list overflows
+ * max_embeddings (and for descendants of overflowed patterns), which
+ * keeps memory bounded.  Reported frequencies are exact.  The
+ * historic growth miner (tests/oracles) is the differential oracle:
+ * the pattern lists must stay byte-identical to it, overflowed
+ * regime included.
  *
  * Frequency of a pattern = number of *distinct node sets* over which
  * an embedding exists.  Overlap between those sets is the subject of
@@ -56,14 +49,6 @@ enum class SupportMetric {
     kMni,
 };
 
-/** Which mining engine executes mine(). */
-enum class MinerEngine {
-    /** DFS-code canonicality + incremental embedding lists. */
-    kDfsCode,
-    /** The historic growth miner — the differential oracle. */
-    kReference,
-};
-
 /** Mining parameters. */
 struct MinerOptions {
     int min_support = 2;       ///< Minimum frequency to keep growing.
@@ -81,11 +66,10 @@ struct MinerOptions {
      * whose embedding list overflows degrades to the full
      * isomorphism matcher truncated at this cap (counted in
      * MineStats::matcher_calls) instead of growing the list without
-     * bound — exactly the reference engine's behavior, so the two
-     * engines stay byte-identical even in the overflowed regime.
+     * bound — exactly the reference miner's behavior, so the two
+     * stay byte-identical even in the overflowed regime.
      */
     std::size_t max_embeddings = 20000;
-    MinerEngine engine = MinerEngine::kDfsCode;
     /**
      * Wall-clock bound for the whole mining run, checked at level
      * boundaries (each level multiplies the candidate count, so the
@@ -108,23 +92,23 @@ struct MinerOptions {
 
 /**
  * Counters of one mine() run.  Every field is deterministic for a
- * given (app, options, engine) triple at any job count — the engines
- * evaluate the same candidate set regardless of scheduling — except
- * that the reference engine's sequential path stops counting
- * candidates/duplicates at the per-level cap where its parallel path
- * counts the whole speculative batch.  capped_levels is identical
- * across engines, paths and job counts; the sweep's truncation
- * warning is built from it alone.
+ * given (app, options) pair at any job count: the miner evaluates the
+ * same candidate set regardless of scheduling.  The reference miner
+ * fills the same struct, except that its sequential path stops
+ * counting candidates/duplicates at the per-level cap where its
+ * parallel path counts the whole speculative batch.  capped_levels is
+ * identical across both miners, paths and job counts; the sweep's
+ * truncation warning is built from it alone.
  */
 struct MineStats {
     int levels = 0;             ///< Growth levels entered (level >= 2).
     long long candidates = 0;   ///< Grown candidate extensions.
     long long duplicates = 0;   ///< Killed as already-seen duplicates.
     long long patterns = 0;     ///< Frequent patterns returned.
-    /** Embeddings materialized by incremental extension (kDfsCode). */
+    /** Embeddings materialized by incremental extension. */
     long long embeddings = 0;
-    /** Full findEmbeddings() invocations (kDfsCode: overflow
-     * fallbacks only; kReference: one per evaluated candidate). */
+    /** Full findEmbeddings() invocations: overflow fallbacks only
+     * (the reference miner makes one per evaluated candidate). */
     long long matcher_calls = 0;
     /** Levels (1-based, matching "mining level N" deadline contexts)
      * whose frontier hit max_patterns_per_level. */
@@ -164,17 +148,6 @@ class FrequentSubgraphMiner {
   private:
     MinerOptions options_;
 };
-
-/**
- * The historic pattern-growth miner (miner_reference.cpp), kept
- * verbatim as the differential oracle for the DFS-code engine.
- * FrequentSubgraphMiner::mine dispatches here for
- * MinerEngine::kReference; benches and tests call it directly.
- */
-std::vector<MinedPattern>
-minePatternsReference(const ir::Graph &app,
-                      const MinerOptions &options,
-                      MineStats *stats = nullptr);
 
 /**
  * Compute mis_size for every pattern (Sec. 3.2) and order the list the

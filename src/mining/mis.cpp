@@ -10,12 +10,13 @@
 
 /*
  * Optimized MIS kernels.  Every function must return byte-identical
- * results to its counterpart in mis_reference.cpp (the differential
- * suite in tests/kernels_test.cpp enforces this): the overlap rows
- * hold exactly the reference's adjacency, greedy picks the (min live
- * degree, min index) vertex, and the exact search pivots on the (max
- * live degree, min index) vertex with strict-improvement incumbents —
- * all identical decision rules, only the data structures changed.
+ * results to its counterpart in tests/oracles/mis_reference.cpp (the
+ * differential suite in tests/kernels_test.cpp enforces this): the
+ * overlap rows hold exactly the reference's adjacency, greedy picks
+ * the (min live degree, min index) vertex, and the exact search
+ * pivots on the (max live degree, min index) vertex with
+ * strict-improvement incumbents — all identical decision rules, only
+ * the data structures changed.
  */
 namespace apex::mining {
 

@@ -34,9 +34,9 @@
  * row popcounts as degrees and a bucket-by-degree structure, and the
  * exact branch and bound runs on the same rows with cached live
  * degrees.  All of it is deterministic with ascending-index
- * tie-breaking; the historic implementations are retained as
- * `*Reference` for differential testing (tests/kernels_test.cpp) and
- * must stay byte-identical.
+ * tie-breaking; the historic implementations are retained in
+ * tests/oracles for differential testing (tests/kernels_test.cpp),
+ * and this solver must stay byte-identical to them.
  */
 
 namespace apex::mining {
@@ -68,19 +68,6 @@ maximalIndependentSet(const std::vector<std::vector<ir::NodeId>>
  */
 std::vector<std::vector<int>>
 overlapGraph(const std::vector<std::vector<ir::NodeId>> &occurrences);
-
-/** Historic all-pairs overlap construction (O(n^2) sorted-set
- * intersections), retained as the differential-test oracle. */
-std::vector<std::vector<int>>
-overlapGraphReference(
-    const std::vector<std::vector<ir::NodeId>> &occurrences);
-
-/** Historic solver (O(n) greedy scans, per-recursion degree
- * recomputation), retained as the differential-test oracle.  Must
- * return byte-identical results to maximalIndependentSet(). */
-MisResult
-maximalIndependentSetReference(
-    const std::vector<std::vector<ir::NodeId>> &occurrences);
 
 } // namespace apex::mining
 

@@ -105,7 +105,6 @@ Client::handshake()
         return Status(ErrorCode::kInternal,
                       "unexpected handshake reply '" + rec.type + "'");
     server_version_ = reply.server_version;
-    negotiated_protocol_ = reply.protocol;
     return Status::okStatus();
 }
 
@@ -145,11 +144,6 @@ Client::metrics(std::string *out)
 Status
 Client::trace(std::uint64_t trace_id, TraceReply *out)
 {
-    if (negotiated_protocol_ < 3)
-        return Status(ErrorCode::kInvalidArgument,
-                      "daemon negotiated protocol v" +
-                          std::to_string(negotiated_protocol_) +
-                          "; trace slices need v3");
     TraceRequest req;
     req.trace_id = trace_id;
     Status s = sendFrame(kFrameTrace, encodeTraceRequest(req));
@@ -169,11 +163,6 @@ Client::trace(std::uint64_t trace_id, TraceReply *out)
 Status
 Client::statusz(int max_samples, StatuszReply *out)
 {
-    if (negotiated_protocol_ < 3)
-        return Status(ErrorCode::kInvalidArgument,
-                      "daemon negotiated protocol v" +
-                          std::to_string(negotiated_protocol_) +
-                          "; statusz needs v3");
     StatuszRequest req;
     req.max_samples = max_samples;
     Status s = sendFrame(kFrameStatusz, encodeStatuszRequest(req));
@@ -360,10 +349,12 @@ runSweepResilient(
         last = unix_path.empty() ? client.connectTcp(tcp_port)
                                  : client.connect(unix_path);
         if (last.ok()) {
+            SweepAck ack;
             SweepReject rej;
-            last = client.runSweep(request, reply, on_progress,
-                                   nullptr, &rej);
+            last = client.runSweep(request, reply, on_progress, &ack,
+                                   &rej);
             if (last.ok()) {
+                st.coalesced = ack.coalesced;
                 client.goodbye();
                 return last;
             }

@@ -50,14 +50,11 @@ class Client {
      * request): the JSON document, verbatim. */
     Status metrics(std::string *out);
 
-    /** Daemon-side span slice of one request (`trace`, v3).  Fails
-     * fast with kInvalidArgument when the session negotiated v2 —
-     * the caller then merges an empty slice instead of stalling. */
+    /** Daemon-side span slice of one request (`trace`). */
     Status trace(std::uint64_t trace_id, TraceReply *out);
 
-    /** Snapshot ring of the daemon's vitals (`statusz`, v3;
-     * @p max_samples 0 = everything).  v2 sessions fail fast, as
-     * with trace(). */
+    /** Snapshot ring of the daemon's vitals (`statusz`;
+     * @p max_samples 0 = everything). */
     Status statusz(int max_samples, StatuszReply *out);
 
     /**
@@ -81,10 +78,6 @@ class Client {
     /** Server version string captured at the handshake. */
     const std::string &serverVersion() const { return server_version_; }
 
-    /** Protocol version the handshake negotiated (0 before
-     * connect()).  Callers gate v3-only features on this. */
-    int serverProtocol() const { return negotiated_protocol_; }
-
   private:
     Status handshake();
     /** Block until one frame arrives (kUnavailable on EOF). */
@@ -94,7 +87,6 @@ class Client {
     int fd_ = -1;
     runtime::FrameDecoder decoder_{kServiceMagic, kServiceWireVersion};
     std::string server_version_;
-    int negotiated_protocol_ = 0;
 };
 
 /** Reconnect/retry knobs of runSweepResilient(). */
@@ -121,6 +113,9 @@ struct RetryStats {
     int rejects = 0;      ///< Load-shedding rejects absorbed.
     int disconnects = 0;  ///< Connections lost (or never made).
     double slept_ms = 0;  ///< Total backoff budget consumed.
+    /** The landing attempt attached to an identical in-flight
+     * sweep (its ack's coalesced bit). */
+    bool coalesced = false;
 };
 
 /**

@@ -117,9 +117,6 @@ encodeSweepRequest(const SweepRequest &req)
     putStr(os, req.isolate);
     putDouble(os, req.deadline_ms);
     putDouble(os, req.cell_deadline_ms);
-    // v3 trailer; a v2 decoder stops before it (istream decoders
-    // ignore trailing bytes), so emitting it unconditionally is safe
-    // against old servers.
     os << req.trace_id << '\n';
     return os.str();
 }
@@ -134,16 +131,12 @@ decodeSweepRequest(const std::string &payload, SweepRequest *out)
         return false;
     is.get();
     out->want_progress = want_progress != 0;
+    unsigned long long trace = 0;
     if (!getStr(is, &out->level) || !getStr(is, &out->isolate) ||
         !getDouble(is, &out->deadline_ms) ||
-        !getDouble(is, &out->cell_deadline_ms))
+        !getDouble(is, &out->cell_deadline_ms) || !(is >> trace))
         return false;
-    // Permissive trailer: absent on v2 payloads, so EOF here means
-    // "no trace context", never a malformed frame.
-    out->trace_id = 0;
-    unsigned long long trace = 0;
-    if (is >> trace)
-        out->trace_id = trace;
+    out->trace_id = trace;
     return true;
 }
 
@@ -200,7 +193,7 @@ encodeProgress(const SweepProgressFrame &p)
     os << p.id << ' ' << p.done << ' ' << p.total << '\n';
     putStr(os, p.app);
     putStr(os, p.variant);
-    os << p.trace_id << '\n'; // v3 trailer (see encodeSweepRequest).
+    os << p.trace_id << '\n';
     return os.str();
 }
 
@@ -211,12 +204,11 @@ decodeProgress(const std::string &payload, SweepProgressFrame *out)
     if (!(is >> out->id >> out->done >> out->total))
         return false;
     is.get();
-    if (!getStr(is, &out->app) || !getStr(is, &out->variant))
-        return false;
-    out->trace_id = 0;
     unsigned long long trace = 0;
-    if (is >> trace) // Absent on v2 payloads: default, don't fail.
-        out->trace_id = trace;
+    if (!getStr(is, &out->app) || !getStr(is, &out->variant) ||
+        !(is >> trace))
+        return false;
+    out->trace_id = trace;
     return true;
 }
 
@@ -312,7 +304,7 @@ decodeSweepReply(const std::string &payload, SweepReply *out)
     return getDiagnostics(is, &r.diagnostics);
 }
 
-// --- trace (v3) ------------------------------------------------------
+// --- trace -----------------------------------------------------------
 
 std::uint64_t
 mintTraceId()
@@ -401,7 +393,7 @@ decodeTraceReply(const std::string &payload, TraceReply *out)
     return true;
 }
 
-// --- statusz (v3) ----------------------------------------------------
+// --- statusz ---------------------------------------------------------
 
 std::string
 encodeStatuszRequest(const StatuszRequest &req)
@@ -623,6 +615,44 @@ renderSweepText(const std::vector<core::SweepEntry> &entries,
     out += report.summary();
     out += '\n';
     return out;
+}
+
+// --- the shared sweep path -------------------------------------------
+
+Result<core::SweepOptions>
+sweepOptionsFor(const SweepRequest &request)
+{
+    const Result<core::EvalLevel> level =
+        core::parseEvalLevel(request.level);
+    if (!level)
+        return level.status();
+    const Result<core::IsolateMode> isolate =
+        core::parseIsolateMode(request.isolate);
+    if (!isolate)
+        return isolate.status();
+    core::SweepOptions opts;
+    opts.level = *level;
+    opts.isolate = *isolate;
+    opts.cell_retries = request.cell_retries;
+    opts.cell_deadline_ms = request.cell_deadline_ms;
+    if (request.deadline_ms >= 0)
+        opts.deadline = Deadline::after(request.deadline_ms);
+    opts.trace_id = request.trace_id;
+    return opts;
+}
+
+SweepReply
+sweepReplyFor(core::SweepOutcome &outcome,
+              const core::SweepOptions &options)
+{
+    SweepReply reply;
+    reply.deadline_bounded = !options.deadline.isInfinite();
+    reply.deadline_expired =
+        reply.deadline_bounded && options.deadline.expired();
+    reply.cancelled = options.cancel != nullptr && options.cancel->load();
+    reply.entries = std::move(outcome.entries);
+    reply.report = std::move(outcome.report);
+    return reply;
 }
 
 int

@@ -25,22 +25,17 @@
  *
  * Conversation shape (client drives):
  *
- *   hello           -> hello.ok | hello.err        (negotiation)
+ *   hello           -> hello.ok | hello.err        (version check)
  *   info            -> info.ok                     (build identity)
  *   metrics         -> metrics.ok                  (registry JSON)
  *   sweep           -> ack | reject,
  *                      then progress* (opt-in), then report
- *   trace           -> trace.ok                    (v3: span slice)
- *   statusz         -> statusz.ok                  (v3: live ring)
+ *   trace           -> trace.ok                    (span slice)
+ *   statusz         -> statusz.ok                  (live ring)
  *   bye             -> bye.ok, connection closes
  *
- * The hello handshake negotiates the protocol version: the server
- * accepts any client version in [kMinProtocolVersion,
- * kProtocolVersion] and the session speaks the client's version.
- * trace/statusz exist only on negotiated-v3 sessions; sweep and
- * progress frames grew a trailing trace_id that v2 decoders ignore
- * and v3 decoders default to 0 when absent, so both directions of a
- * one-version skew keep working.
+ * The hello handshake accepts exactly kProtocolVersion and refuses
+ * any other version by name, so every payload below has one schema.
  *
  * The correctness contract of the sweep path: renderSweepText() over
  * a decoded SweepReply produces byte-identical stdout to the batch
@@ -71,7 +66,6 @@ inline constexpr std::string_view kFrameProgress = "progress";
 inline constexpr std::string_view kFrameReport = "report";
 inline constexpr std::string_view kFrameBye = "bye";
 inline constexpr std::string_view kFrameByeOk = "bye.ok";
-// v3 conversations (sent only on negotiated-v3 sessions).
 inline constexpr std::string_view kFrameTrace = "trace";
 inline constexpr std::string_view kFrameTraceOk = "trace.ok";
 inline constexpr std::string_view kFrameStatusz = "statusz";
@@ -119,9 +113,11 @@ bool decodeInfoReply(const std::string &payload, InfoReply *out);
 
 /**
  * One sweep over the built-in application set — the CLI-level knobs
- * of `apexc sweep`, shipped to the daemon.  The daemon decides the
- * execution resources (its own job count and executors); runSweep's
- * determinism contract makes that invisible in the reply bytes.
+ * of `apexc sweep`.  Batch mode builds one from its flags too, and
+ * sweepOptionsFor() turns it into the core::SweepOptions both paths
+ * run.  The daemon decides the execution resources (its own job
+ * count and executors); runSweep's determinism contract makes that
+ * invisible in the reply bytes.
  */
 struct SweepRequest {
     std::uint64_t id = 0;       ///< Client-chosen request id, echoed
@@ -130,14 +126,12 @@ struct SweepRequest {
     std::string level = "map";  ///< map | pnr | pipe.
     std::string isolate = "thread"; ///< thread | process.
     int cell_retries = 2;
-    double deadline_ms = 0.0;      ///< <= 0: unbounded.
+    /** Sweep budget from the start of execution: < 0 unbounded,
+     * 0 already expired. */
+    double deadline_ms = -1.0;
     double cell_deadline_ms = 0.0; ///< <= 0: none.
     bool want_progress = false;    ///< Stream per-cell progress.
-    /** Request trace context (v3; 0 = none).  Encoded as a trailing
-     * field: a v2 decoder ignores it, a v3 decoder reading a v2
-     * payload defaults it to 0, so the field never breaks a
-     * one-version skew in either direction. */
-    std::uint64_t trace_id = 0;
+    std::uint64_t trace_id = 0;    ///< Request trace context (0: none).
 };
 
 std::string encodeSweepRequest(const SweepRequest &req);
@@ -180,9 +174,9 @@ struct SweepProgressFrame {
     int total = 0;
     std::string app;
     std::string variant;
-    /** The *subscriber's* trace context (v3; trailing, like
-     * SweepRequest::trace_id): coalesced subscribers of one shared
-     * sweep each receive their own trace_id back, not the primary's. */
+    /** The *subscriber's* trace context: coalesced subscribers of one
+     * shared sweep each receive their own trace_id back, not the
+     * primary's. */
     std::uint64_t trace_id = 0;
 };
 
@@ -190,9 +184,8 @@ std::string encodeProgress(const SweepProgressFrame &p);
 bool decodeProgress(const std::string &payload,
                     SweepProgressFrame *out);
 
-/** report payload: the complete sweep outcome.  deadline_bounded /
- * deadline_expired carry the server-side state the batch CLI reads
- * locally to pick its exit code. */
+/** report payload: the complete sweep outcome, plus the deadline and
+ * cancellation state sweepExitCode() reads. */
 struct SweepReply {
     std::uint64_t id = 0;
     bool deadline_bounded = false;
@@ -206,7 +199,7 @@ std::string encodeSweepReply(const SweepReply &rep);
 bool decodeSweepReply(const std::string &payload, SweepReply *out);
 
 // --------------------------------------------------------------------
-// Request trace slices (v3)
+// Request trace slices
 // --------------------------------------------------------------------
 
 /** Mint a process-unique request trace id (never 0): pid, a steady
@@ -238,7 +231,7 @@ std::string encodeTraceReply(const TraceReply &rep);
 bool decodeTraceReply(const std::string &payload, TraceReply *out);
 
 // --------------------------------------------------------------------
-// Live introspection (v3: the statusz ring)
+// Live introspection (the statusz ring)
 // --------------------------------------------------------------------
 
 /** One periodic sample of the daemon's vitals: instantaneous gauges
@@ -310,9 +303,28 @@ std::string renderStatuszText(const StatuszReply &rep);
 std::string renderSweepText(const std::vector<core::SweepEntry> &entries,
                             const ExplorationReport &report);
 
-/** Exit code `apexc sweep` maps @p rep to (mirrors the batch rules:
- * timeout when a bounded sweep starved, first failure's code when
- * nothing ran, cancelled when the daemon stopped mid-sweep). */
+// --------------------------------------------------------------------
+// The sweep path shared by apexd, `apexc sweep` and `apexc client sweep`
+// --------------------------------------------------------------------
+
+/**
+ * The core::SweepOptions @p request describes: level, isolation,
+ * retries and both deadlines (sans runtime resources).  The sweep
+ * deadline starts now, so apexd calls this when execution starts.
+ * An unknown level or isolate name is kInvalidArgument.
+ */
+Result<core::SweepOptions> sweepOptionsFor(const SweepRequest &request);
+
+/** Package a sweep that ran under @p options as its reply: the
+ * entries and report move out of @p outcome (its stats and
+ * durability stay), and the deadline and cancellation state are read
+ * off @p options. */
+SweepReply sweepReplyFor(core::SweepOutcome &outcome,
+                         const core::SweepOptions &options);
+
+/** Exit code `apexc sweep` and `apexc client sweep` map @p rep to:
+ * cancelled when the sweep was stopped, timeout when a bounded sweep
+ * starved, first failure's code when nothing ran. */
 int sweepExitCode(const SweepReply &rep);
 
 } // namespace apex::service

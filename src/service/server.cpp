@@ -15,7 +15,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "core/deadline.hpp"
 #include "core/explorer.hpp"
 #include "core/fault.hpp"
 #include "runtime/eventlog.hpp"
@@ -41,48 +40,6 @@ setNonBlocking(int fd)
     const int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags >= 0)
         (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-/** Parse a request's level name (validated at admission so a typo is
- * a reject frame, not a queued job that fails later). */
-bool
-parseLevelName(const std::string &name, core::EvalLevel *out)
-{
-    if (name == "map")
-        *out = core::EvalLevel::kPostMapping;
-    else if (name == "pnr")
-        *out = core::EvalLevel::kPostPnr;
-    else if (name == "pipe")
-        *out = core::EvalLevel::kPostPipelining;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseIsolateName(const std::string &name, core::IsolateMode *out)
-{
-    if (name == "thread")
-        *out = core::IsolateMode::kInProcess;
-    else if (name == "process")
-        *out = core::IsolateMode::kProcess;
-    else
-        return false;
-    return true;
-}
-
-/** SweepOptions a request maps to (sans runtime resources).  Shared
- * by the coalescing key and the executor so the fingerprint always
- * describes exactly the sweep that would run. */
-core::SweepOptions
-sweepOptionsFor(const SweepRequest &request)
-{
-    core::SweepOptions opts;
-    (void)parseLevelName(request.level, &opts.level);
-    (void)parseIsolateName(request.isolate, &opts.isolate);
-    opts.cell_retries = request.cell_retries;
-    opts.cell_deadline_ms = request.cell_deadline_ms;
-    return opts;
 }
 
 /** Accept-pause knobs: first exhaustion pauses the listeners briefly,
@@ -499,10 +456,7 @@ Server::dispatch(Session &session, const runtime::FramedRecord &rec)
             kFrameMetricsOk,
             telemetry::Registry::instance().jsonDump());
     }
-    // v3 conversations: a v2 session sending these is a protocol
-    // violation (it never negotiated them) and is dropped like any
-    // other unknown frame.
-    if (rec.type == kFrameTrace && session.protocolVersion() >= 3) {
+    if (rec.type == kFrameTrace) {
         TraceRequest req;
         if (!decodeTraceRequest(rec.payload, &req))
             return false;
@@ -526,7 +480,7 @@ Server::dispatch(Session &session, const runtime::FramedRecord &rec)
         reply.evicted = telemetry::evictedEvents();
         return session.send(kFrameTraceOk, encodeTraceReply(reply));
     }
-    if (rec.type == kFrameStatusz && session.protocolVersion() >= 3) {
+    if (rec.type == kFrameStatusz) {
         StatuszRequest req;
         if (!decodeStatuszRequest(rec.payload, &req))
             return false;
@@ -561,7 +515,7 @@ Server::coalescingKey(const SweepRequest &request) const
     const core::Explorer explorer(model::defaultTech());
     const std::uint64_t fp = core::sweepFingerprint(
         apps_, explorer, model::defaultTech(),
-        sweepOptionsFor(request));
+        sweepOptionsFor(request).value());
     char knobs[160];
     std::snprintf(knobs, sizeof knobs, "%016llx %s %s %d %a %a",
                   static_cast<unsigned long long>(fp),
@@ -582,15 +536,13 @@ Server::admitSweep(Session &session, const SweepRequest &request)
         trace_scope.set(request.trace_id);
     APEX_SPAN("service.admit");
 
-    core::EvalLevel level;
-    core::IsolateMode isolate;
-    if (!parseLevelName(request.level, &level) ||
-        !parseIsolateName(request.isolate, &isolate)) {
+    // Validated at admission so a typo is a reject frame, not a
+    // queued job that fails later.
+    if (const auto opts = sweepOptionsFor(request); !opts) {
         SweepReject rej;
         rej.id = request.id;
-        rej.code = ErrorCode::kInvalidArgument;
-        rej.reason = "unknown level '" + request.level +
-                     "' or isolate '" + request.isolate + "'";
+        rej.code = opts.status().code();
+        rej.reason = opts.status().message();
         (void)session.send(kFrameReject, encodeReject(rej));
         return;
     }
@@ -778,8 +730,10 @@ Server::executeJob(const std::shared_ptr<SweepJob> &job)
 {
     const SweepRequest &request = job->request;
     APEX_SPAN("service.execute");
-    core::SweepOptions opts = sweepOptionsFor(request);
-    opts.trace_id = request.trace_id;
+    // The budget starts when execution starts: queue wait is the
+    // price of admission, not of the sweep (matching the batch CLI,
+    // where the deadline clock starts after flag parsing).
+    core::SweepOptions opts = sweepOptionsFor(request).value();
     opts.jobs = options_.jobs;
     opts.cache = cache_.get();
     opts.cancel = &stop_;
@@ -798,12 +752,6 @@ Server::executeJob(const std::shared_ptr<SweepJob> &job)
             opts.resume = true;
         }
     }
-    // The budget starts when execution starts: queue wait is the
-    // price of admission, not of the sweep (matching the batch CLI,
-    // where the deadline clock starts after flag parsing).
-    const bool bounded = request.deadline_ms > 0;
-    if (bounded)
-        opts.deadline = Deadline::after(request.deadline_ms);
     opts.progress = [this, &job](const core::SweepProgress &p) {
         broadcastProgress(job, p);
     };
@@ -816,14 +764,7 @@ Server::executeJob(const std::shared_ptr<SweepJob> &job)
     const core::Explorer explorer(model::defaultTech(), ex_options);
     core::SweepOutcome outcome = core::runSweep(
         apps_, explorer, model::defaultTech(), opts);
-
-    SweepReply reply;
-    reply.deadline_bounded = bounded;
-    reply.deadline_expired = bounded && opts.deadline.expired();
-    reply.cancelled = stop_.load();
-    reply.entries = std::move(outcome.entries);
-    reply.report = std::move(outcome.report);
-    return reply;
+    return sweepReplyFor(outcome, opts);
 }
 
 void

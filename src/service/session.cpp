@@ -55,17 +55,14 @@ Session::dispatchDecoded(std::vector<runtime::FramedRecord> *out)
         if (r == runtime::DecodeResult::kCorrupt)
             return false; // No resync on a byte stream: drop.
         if (!ready_) {
-            // Handshake: the first frame must be a compatible hello.
-            // The session then speaks the *client's* version — an
-            // old client gets a v2 session (no trace ids, no
-            // trace/statusz); anything outside the supported window
-            // is refused naming both sides.
+            // Handshake: the first frame must be a hello speaking
+            // exactly this build's version; any other is refused
+            // naming both sides.
             HelloRequest hello;
             if (rec.type != kFrameHello ||
                 !decodeHello(rec.payload, &hello))
                 return false;
-            if (hello.protocol < kMinProtocolVersion ||
-                hello.protocol > kProtocolVersion) {
+            if (hello.protocol != kProtocolVersion) {
                 (void)send(kFrameHelloErr,
                            "protocol mismatch: client speaks v" +
                                std::to_string(hello.protocol) +
@@ -74,9 +71,8 @@ Session::dispatchDecoded(std::vector<runtime::FramedRecord> *out)
                                " (" + versionString() + ")");
                 return false;
             }
-            negotiated_protocol_ = hello.protocol;
             HelloReply reply;
-            reply.protocol = negotiated_protocol_;
+            reply.protocol = kProtocolVersion;
             reply.server_version = versionString();
             if (!send(kFrameHelloOk, encodeHelloReply(reply)))
                 return false;

@@ -45,12 +45,6 @@ class Session {
     std::uint64_t id() const { return id_; }
     bool ready() const { return ready_; }
 
-    /** Version this session speaks, fixed at the handshake: the
-     * client's hello.protocol when it falls inside
-     * [kMinProtocolVersion, kProtocolVersion].  v3-only requests
-     * (trace, statusz) are dispatched only on sessions >= 3. */
-    int protocolVersion() const { return negotiated_protocol_; }
-
     /**
      * Drain readable bytes and decode frames.  The hello handshake is
      * handled internally (replies sent, state advanced); frames
@@ -72,7 +66,6 @@ class Session {
     int fd_ = -1;
     std::uint64_t id_ = 0;
     bool ready_ = false;
-    int negotiated_protocol_ = 0; ///< 0 until the handshake lands.
     runtime::FrameDecoder decoder_;
 };
 

@@ -18,20 +18,15 @@
 
 namespace apex::service {
 
-/** Request/reply schema version spoken by this build (hello frames
- * carry it; the handshake negotiates down to the client's version
- * when it falls in [kMinProtocolVersion, kProtocolVersion], and
- * refuses anything else by name).
+/** Request/reply schema version spoken by this build.  Hello frames
+ * carry it, and the handshake refuses any other version by name:
+ * both sides of a connection speak exactly this version.
  * v2: reject frames carry a retry_after_ms load-shedding hint.
- * v3: hello negotiates {2,3}; sweep/progress frames carry a request
- *     trace_id; `trace` and `statusz` conversations added (both
- *     degrade gracefully against a negotiated-v2 peer). */
-inline constexpr int kProtocolVersion = 3;
-
-/** Oldest protocol version the server still accepts at hello.  A v2
- * client negotiates a v2 session: no trace ids on its frames, and no
- * trace/statusz requests (the server drops them as unknown). */
-inline constexpr int kMinProtocolVersion = 2;
+ * v3: sweep/progress frames carry a request trace_id; `trace` and
+ *     `statusz` conversations added.
+ * v4: SweepRequest::deadline_ms < 0 means unbounded and 0 means
+ *     already expired (v3 read <= 0 as unbounded). */
+inline constexpr int kProtocolVersion = 4;
 
 /** Short git commit this binary was built from ("unknown" when the
  * build ran outside a checkout). */

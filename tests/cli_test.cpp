@@ -1,12 +1,13 @@
 /**
  * End-to-end process tests of the apexc CLI: exit codes must match
  * exitCodeFor() for success, validation failures, the timeout path
- * and cooperative cancellation, and a SIGKILLed journaled sweep must
- * resume to byte-identical output.
+ * and cooperative cancellation, a SIGKILLed journaled sweep must
+ * resume to byte-identical output, and a client sweep through a live
+ * apexd must match batch mode.
  *
- * Each test shells out to the real binary (APEXC_PATH is injected by
- * CMake), so these cover the signal handlers and process teardown
- * that in-process tests cannot.
+ * Each test shells out to the real binaries (APEXC_PATH and
+ * APEXD_PATH are injected by CMake), so these cover the signal
+ * handlers and process teardown that in-process tests cannot.
  */
 #include <sys/wait.h>
 
@@ -66,6 +67,7 @@ slurp(const std::string &path)
 }
 
 const std::string apexc = APEXC_PATH;
+const std::string apexd = APEXD_PATH;
 
 TEST(Cli, SuccessExitsZero)
 {
@@ -222,6 +224,54 @@ TEST(Cli, VersionReportsBuildIdentityAndProtocol)
     const std::string text = slurp(out);
     EXPECT_EQ(text.find("apex "), 0u);
     EXPECT_NE(text.find("protocol v"), std::string::npos);
+}
+
+/** A background apexd serving a socket in @p dir; SIGTERMed (which
+ * removes its socket) when the scope ends. */
+class Daemon {
+  public:
+    explicit Daemon(const std::string &dir)
+        : socket_(dir + "/apexd.sock"), pid_(dir + "/apexd.pid")
+    {
+        run(apexd + " --socket " + socket_ + " > /dev/null 2>&1 & " +
+            "echo $! > " + pid_);
+        for (int i = 0; i < 100 && !fs::exists(socket_); ++i)
+            run("sleep 0.05");
+    }
+    ~Daemon()
+    {
+        run("kill -TERM $(cat " + pid_ + ") 2> /dev/null");
+        for (int i = 0; i < 100 && fs::exists(socket_); ++i)
+            run("sleep 0.05");
+    }
+    Daemon(const Daemon &) = delete;
+    Daemon &operator=(const Daemon &) = delete;
+    const std::string &socket() const { return socket_; }
+
+  private:
+    std::string socket_;
+    std::string pid_;
+};
+
+TEST(Cli, ClientSweepMatchesBatchOnExpiredDeadline)
+{
+    // --deadline 0 is "already expired" on both paths: through a
+    // live apexd the client prints batch's bytes and exits with the
+    // same timeout code.
+    ScratchDir dir("client_deadline_zero");
+    const Daemon daemon(dir.str());
+    ASSERT_TRUE(fs::exists(daemon.socket()));
+
+    const int want = exitCodeFor(ErrorCode::kTimeout);
+    const std::string batch = dir.str() + "/batch.out";
+    const std::string client = dir.str() + "/client.out";
+    EXPECT_EQ(run(apexc + " sweep --level map --deadline 0 > " + batch),
+              want);
+    EXPECT_EQ(run(apexc + " client sweep --level map --deadline 0" +
+                  " --socket " + daemon.socket() + " > " + client),
+              want);
+    EXPECT_NE(slurp(batch).find("0 evaluated"), std::string::npos);
+    EXPECT_EQ(slurp(batch), slurp(client));
 }
 
 TEST(Cli, ClientWithoutDaemonExitsUnavailable)

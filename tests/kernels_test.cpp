@@ -12,6 +12,7 @@
 #include "mining/isomorphism.hpp"
 #include "mining/miner.hpp"
 #include "mining/mis.hpp"
+#include "oracles/oracles.hpp"
 
 /*
  * Differential suite for the bitset combinatorial kernels: every

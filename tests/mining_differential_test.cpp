@@ -9,15 +9,16 @@
 #include "ir/builder.hpp"
 #include "ir/serialize.hpp"
 #include "mining/miner.hpp"
+#include "oracles/oracles.hpp"
 #include "runtime/thread_pool.hpp"
 
 /**
  * @file
- * Differential tests: the DFS-code engine (MinerEngine::kDfsCode) must
+ * Differential tests: the DFS-code miner (FrequentSubgraphMiner) must
  * produce byte-identical pattern lists to the historic engine kept in
- * miner_reference.cpp, on every paper application and on randomized
- * graphs, under both support metrics, at any job count, and in the
- * max_embeddings overflow regime.
+ * tests/oracles/miner_reference.cpp, on every paper application and
+ * on randomized graphs, under both support metrics, at any job count,
+ * and in the max_embeddings overflow regime.
  */
 
 namespace apex::mining {
@@ -49,16 +50,14 @@ expectIdentical(const std::vector<MinedPattern> &ref,
 
 /** Run both engines on @p app with @p opt and compare everything. */
 void
-runDifferential(const Graph &app, MinerOptions opt,
+runDifferential(const Graph &app, const MinerOptions &opt,
                 const std::string &context,
                 MineStats *ref_out = nullptr,
                 MineStats *dfs_out = nullptr)
 {
-    opt.engine = MinerEngine::kReference;
     MineStats ref_stats;
-    const auto ref = FrequentSubgraphMiner(opt).mine(app, &ref_stats);
+    const auto ref = minePatternsReference(app, opt, &ref_stats);
 
-    opt.engine = MinerEngine::kDfsCode;
     MineStats dfs_stats;
     const auto got = FrequentSubgraphMiner(opt).mine(app, &dfs_stats);
 
@@ -181,26 +180,25 @@ TEST(MiningDifferentialTest, JobsInvariance) {
 
 TEST(MiningDifferentialTest, ReferenceEngineJobsInvariance) {
     const apps::AppInfo app = apps::unsharp();
-    MinerOptions opt{.min_support = 3,
-                     .max_pattern_nodes = 4,
-                     .engine = MinerEngine::kReference};
-    const auto sequential = FrequentSubgraphMiner(opt).mine(app.graph);
+    MinerOptions opt{.min_support = 3, .max_pattern_nodes = 4};
+    const auto sequential = minePatternsReference(app.graph, opt);
     runtime::ThreadPool pool(3);
     opt.pool = &pool;
-    const auto parallel = FrequentSubgraphMiner(opt).mine(app.graph);
+    const auto parallel = minePatternsReference(app.graph, opt);
     expectIdentical(sequential, parallel, "reference jobs 3");
 }
 
 TEST(MiningDifferentialTest, DeadlineExpiryBothEngines) {
     const apps::AppInfo app = apps::gaussianBlur();
-    for (const MinerEngine engine :
-         {MinerEngine::kDfsCode, MinerEngine::kReference}) {
-        MinerOptions opt{.min_support = 2,
-                         .max_pattern_nodes = 4,
-                         .engine = engine,
-                         .deadline = Deadline::after(0)};
+    const MinerOptions opt{.min_support = 2,
+                           .max_pattern_nodes = 4,
+                           .deadline = Deadline::after(0)};
+    for (const bool reference : {false, true}) {
         try {
-            FrequentSubgraphMiner(opt).mine(app.graph);
+            if (reference)
+                minePatternsReference(app.graph, opt);
+            else
+                FrequentSubgraphMiner(opt).mine(app.graph);
             FAIL() << "expired deadline must throw";
         } catch (const ApexError &e) {
             EXPECT_EQ(e.status().code(), ErrorCode::kTimeout);
@@ -233,11 +231,9 @@ TEST(MiningDifferentialTest, MinSupportEdgeCases) {
     // Support of 1 keeps everything; a huge support keeps nothing.
     runDifferential(g, {.min_support = 1, .max_pattern_nodes = 3},
                     "support 1");
-    MinerOptions none{.min_support = 1000};
-    none.engine = MinerEngine::kDfsCode;
+    const MinerOptions none{.min_support = 1000};
     EXPECT_TRUE(FrequentSubgraphMiner(none).mine(g).empty());
-    none.engine = MinerEngine::kReference;
-    EXPECT_TRUE(FrequentSubgraphMiner(none).mine(g).empty());
+    EXPECT_TRUE(minePatternsReference(g, none).empty());
 }
 
 TEST(MiningDifferentialTest, FrontierTruncationDetectedIdentically) {

@@ -2,7 +2,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "merging/clique.hpp"
+#include "oracles/oracles.hpp"
 #include "merging/clique_detail.hpp"
 
 /**

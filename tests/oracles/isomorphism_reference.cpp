@@ -1,6 +1,6 @@
 #include <algorithm>
 
-#include "mining/isomorphism.hpp"
+#include "oracles/oracles.hpp"
 
 /**
  * @file

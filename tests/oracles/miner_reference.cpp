@@ -1,4 +1,4 @@
-#include "mining/miner.hpp"
+#include "oracles/oracles.hpp"
 
 #include <algorithm>
 #include <map>

@@ -1,6 +1,6 @@
 #include <algorithm>
 
-#include "mining/mis.hpp"
+#include "oracles/oracles.hpp"
 
 /**
  * @file

@@ -183,6 +183,15 @@ TEST(ServiceProtocol, SweepReplyRoundTripsEntriesAndFailures)
     EXPECT_EQ(sweepExitCode(back), sweepExitCode(rep));
 }
 
+/** @p payload without its last field (the trace id, "0\n"). */
+std::string
+withoutTraceId(std::string payload)
+{
+    EXPECT_EQ(payload.substr(payload.size() - 2), "0\n");
+    payload.erase(payload.size() - 2);
+    return payload;
+}
+
 TEST(ServiceProtocol, DecodersRejectGarbage)
 {
     HelloRequest hello;
@@ -191,6 +200,51 @@ TEST(ServiceProtocol, DecodersRejectGarbage)
     EXPECT_FALSE(decodeSweepRequest("", &sweep));
     SweepReply reply;
     EXPECT_FALSE(decodeSweepReply("3\nabc\n", &reply));
+    // The trace id is a field like any other: a payload missing it
+    // is malformed, not a request from an older peer.
+    EXPECT_FALSE(decodeSweepRequest(
+        withoutTraceId(encodeSweepRequest(SweepRequest{})), &sweep));
+    SweepProgressFrame progress;
+    EXPECT_FALSE(decodeProgress(
+        withoutTraceId(encodeProgress(SweepProgressFrame{})),
+        &progress));
+}
+
+TEST(ServiceProtocol, SweepOptionsForMapsEveryKnob)
+{
+    // A default-constructed request is unbounded.
+    const Result<core::SweepOptions> plain =
+        sweepOptionsFor(SweepRequest{});
+    ASSERT_TRUE(plain.ok());
+    EXPECT_TRUE(plain->deadline.isInfinite());
+    EXPECT_EQ(plain->level, core::EvalLevel::kPostMapping);
+    EXPECT_EQ(plain->isolate, core::IsolateMode::kInProcess);
+
+    // A zero budget is already expired, as `apexc sweep --deadline 0`.
+    SweepRequest req;
+    req.level = "pipe";
+    req.isolate = "process";
+    req.cell_retries = 4;
+    req.deadline_ms = 0.0;
+    req.cell_deadline_ms = 7.5;
+    req.trace_id = 99;
+    const Result<core::SweepOptions> opts = sweepOptionsFor(req);
+    ASSERT_TRUE(opts.ok());
+    EXPECT_FALSE(opts->deadline.isInfinite());
+    EXPECT_TRUE(opts->deadline.expired());
+    EXPECT_EQ(opts->level, core::EvalLevel::kPostPipelining);
+    EXPECT_EQ(opts->isolate, core::IsolateMode::kProcess);
+    EXPECT_EQ(opts->cell_retries, 4);
+    EXPECT_DOUBLE_EQ(opts->cell_deadline_ms, 7.5);
+    EXPECT_EQ(opts->trace_id, 99u);
+
+    req.level = "bogus";
+    EXPECT_EQ(sweepOptionsFor(req).status().code(),
+              ErrorCode::kInvalidArgument);
+    req.level = "map";
+    req.isolate = "bogus";
+    EXPECT_EQ(sweepOptionsFor(req).status().code(),
+              ErrorCode::kInvalidArgument);
 }
 
 TEST(ServiceProtocol, ForgedLengthsFailInsteadOfThrowing)
@@ -338,7 +392,7 @@ expiredSweepRequest()
     SweepRequest req;
     req.id = 1;
     req.level = "map";
-    req.deadline_ms = 0.000001;
+    req.deadline_ms = 0.0;
     return req;
 }
 
@@ -374,47 +428,51 @@ TEST(ServiceEndToEnd, HelloVersionMismatchIsRefusedByName)
     Server server(options);
     ASSERT_TRUE(server.start().ok());
 
-    // Hand-rolled connection: the Client class always speaks the
-    // right version, and the point is to speak the wrong one.
-    struct sockaddr_un addr;
-    std::memset(&addr, 0, sizeof addr);
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, options.unix_path.c_str(),
-                 sizeof addr.sun_path - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd,
-                        reinterpret_cast<struct sockaddr *>(&addr),
-                        sizeof addr),
-              0);
-    HelloRequest hello;
-    hello.protocol = kProtocolVersion + 1;
-    hello.client = "time traveller";
-    ASSERT_TRUE(runtime::writeFrame(fd, kServiceMagic,
-                                    kServiceWireVersion, kFrameHello,
-                                    encodeHello(hello))
-                    .ok());
-    runtime::FrameDecoder decoder(kServiceMagic, kServiceWireVersion);
-    runtime::FramedRecord rec;
-    runtime::DrainResult drained;
-    do {
-        // Single-read mode: the fd is blocking.
-        drained = runtime::drainFd(fd, decoder,
-                                   runtime::DrainMode::kSingleRead);
-    } while (decoder.next(&rec) != runtime::DecodeResult::kFrame &&
-             drained == runtime::DrainResult::kOpen);
-    EXPECT_EQ(rec.type, kFrameHelloErr);
-    EXPECT_NE(rec.payload.find("protocol mismatch"),
-              std::string::npos);
-    // Both versions are named, so the skew is diagnosable from
-    // either side of the connection.
-    EXPECT_NE(
-        rec.payload.find("v" + std::to_string(kProtocolVersion + 1)),
-        std::string::npos);
-    EXPECT_NE(
-        rec.payload.find("v" + std::to_string(kProtocolVersion)),
-        std::string::npos);
-    ::close(fd);
+    // Hand-rolled connections: the Client class always speaks the
+    // right version, and the point is to speak a wrong one — newer
+    // or older, there is no negotiation.
+    for (const int version : {kProtocolVersion + 1, kProtocolVersion - 1}) {
+        struct sockaddr_un addr;
+        std::memset(&addr, 0, sizeof addr);
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, options.unix_path.c_str(),
+                     sizeof addr.sun_path - 1);
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        ASSERT_EQ(::connect(fd,
+                            reinterpret_cast<struct sockaddr *>(&addr),
+                            sizeof addr),
+                  0);
+        HelloRequest hello;
+        hello.protocol = version;
+        hello.client = "time traveller";
+        ASSERT_TRUE(runtime::writeFrame(fd, kServiceMagic,
+                                        kServiceWireVersion, kFrameHello,
+                                        encodeHello(hello))
+                        .ok());
+        runtime::FrameDecoder decoder(kServiceMagic,
+                                      kServiceWireVersion);
+        runtime::FramedRecord rec;
+        runtime::DrainResult drained;
+        do {
+            // Single-read mode: the fd is blocking.
+            drained = runtime::drainFd(fd, decoder,
+                                       runtime::DrainMode::kSingleRead);
+        } while (decoder.next(&rec) != runtime::DecodeResult::kFrame &&
+                 drained == runtime::DrainResult::kOpen);
+        EXPECT_EQ(rec.type, kFrameHelloErr) << "v" << version;
+        EXPECT_NE(rec.payload.find("protocol mismatch"),
+                  std::string::npos);
+        // Both versions are named, so the skew is diagnosable from
+        // either side of the connection.
+        EXPECT_NE(rec.payload.find("client speaks v" +
+                                   std::to_string(version)),
+                  std::string::npos);
+        EXPECT_NE(rec.payload.find("server speaks v" +
+                                   std::to_string(kProtocolVersion)),
+                  std::string::npos);
+        ::close(fd);
+    }
     server.stop();
 }
 
@@ -447,7 +505,7 @@ TEST(ServiceEndToEnd, SweepReplyMatchesInProcessRunSweepBytes)
     // deadline produces no fresh cells, so no progress frames.
     core::SweepOptions opts;
     opts.level = core::EvalLevel::kPostMapping;
-    opts.deadline = Deadline::after(0.000001);
+    opts.deadline = Deadline::after(0);
     const core::Explorer explorer(model::defaultTech());
     const core::SweepOutcome oracle = core::runSweep(
         apps::allApps(), explorer, model::defaultTech(), opts);
@@ -1004,7 +1062,7 @@ TEST(ServiceEndToEnd, ResilientClientExhaustsRetriesWithHonestStatus)
 }
 
 // ---------------------------------------------------------------
-// Request-scoped observability (protocol v3)
+// Request-scoped observability
 // ---------------------------------------------------------------
 
 TEST(ServiceProtocol, MintTraceIdIsNonZeroAndDistinct)
@@ -1016,29 +1074,16 @@ TEST(ServiceProtocol, MintTraceIdIsNonZeroAndDistinct)
     EXPECT_NE(a, b);
 }
 
-TEST(ServiceProtocol, SweepRequestTraceIdRoundTripsAndToleratesV2)
+TEST(ServiceProtocol, SweepRequestTraceIdRoundTrips)
 {
     SweepRequest req = expiredSweepRequest();
     req.trace_id = 0xdeadbeefcafef00dull;
     SweepRequest back;
     ASSERT_TRUE(decodeSweepRequest(encodeSweepRequest(req), &back));
     EXPECT_EQ(back.trace_id, 0xdeadbeefcafef00dull);
-
-    // A v2 encoder never wrote the trailer; the v3 decoder must read
-    // such a payload with trace_id falling back to 0 (unscoped).
-    SweepRequest v2 = expiredSweepRequest();
-    std::string payload = encodeSweepRequest(v2);
-    ASSERT_TRUE(payload.size() >= 2 &&
-                payload.compare(payload.size() - 2, 2, "0\n") == 0);
-    payload.erase(payload.size() - 2);
-    SweepRequest old_back;
-    old_back.trace_id = 77; // Must be overwritten, not inherited.
-    ASSERT_TRUE(decodeSweepRequest(payload, &old_back));
-    EXPECT_EQ(old_back.trace_id, 0u);
-    EXPECT_DOUBLE_EQ(old_back.deadline_ms, v2.deadline_ms);
 }
 
-TEST(ServiceProtocol, ProgressFrameTraceIdRoundTripsAndToleratesV2)
+TEST(ServiceProtocol, ProgressFrameTraceIdRoundTrips)
 {
     SweepProgressFrame p;
     p.id = 11;
@@ -1050,17 +1095,7 @@ TEST(ServiceProtocol, ProgressFrameTraceIdRoundTripsAndToleratesV2)
     SweepProgressFrame back;
     ASSERT_TRUE(decodeProgress(encodeProgress(p), &back));
     EXPECT_EQ(back.trace_id, 12345u);
-
-    p.trace_id = 0;
-    std::string payload = encodeProgress(p);
-    ASSERT_TRUE(payload.size() >= 2 &&
-                payload.compare(payload.size() - 2, 2, "0\n") == 0);
-    payload.erase(payload.size() - 2);
-    SweepProgressFrame old_back;
-    old_back.trace_id = 9;
-    ASSERT_TRUE(decodeProgress(payload, &old_back));
-    EXPECT_EQ(old_back.trace_id, 0u);
-    EXPECT_EQ(old_back.variant, "pe_base");
+    EXPECT_EQ(back.variant, "pe_base");
 }
 
 TEST(ServiceProtocol, TraceConversationRoundTrips)
@@ -1176,74 +1211,6 @@ TEST(ServiceProtocol, StatuszConversationRoundTripsAndRenders)
               std::string::npos);
 }
 
-TEST(ServiceEndToEnd, V2ClientNegotiatesAndSweepsWithoutTraceIds)
-{
-    ServerOptions options;
-    options.unix_path = scratchSocket("v2compat");
-    Server server(options);
-    ASSERT_TRUE(server.start().ok());
-
-    // Hand-rolled v2 peer: the Client class always speaks v3, and
-    // the point of this regression test is version skew — an old
-    // client must still negotiate, sweep and get its report.
-    struct sockaddr_un addr;
-    std::memset(&addr, 0, sizeof addr);
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, options.unix_path.c_str(),
-                 sizeof addr.sun_path - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd,
-                        reinterpret_cast<struct sockaddr *>(&addr),
-                        sizeof addr),
-              0);
-    runtime::FrameDecoder decoder(kServiceMagic,
-                                  kServiceWireVersion);
-    const auto readFrame = [&](runtime::FramedRecord *rec) {
-        runtime::DrainResult drained = runtime::DrainResult::kOpen;
-        while (decoder.next(rec) != runtime::DecodeResult::kFrame) {
-            if (drained != runtime::DrainResult::kOpen)
-                return false;
-            drained = runtime::drainFd(
-                fd, decoder, runtime::DrainMode::kSingleRead);
-        }
-        return true;
-    };
-
-    HelloRequest hello;
-    hello.protocol = kMinProtocolVersion; // v2.
-    hello.client = "legacy client";
-    ASSERT_TRUE(runtime::writeFrame(fd, kServiceMagic,
-                                    kServiceWireVersion, kFrameHello,
-                                    encodeHello(hello))
-                    .ok());
-    runtime::FramedRecord rec;
-    ASSERT_TRUE(readFrame(&rec));
-    ASSERT_EQ(rec.type, kFrameHelloOk);
-    HelloReply hello_reply;
-    ASSERT_TRUE(decodeHelloReply(rec.payload, &hello_reply));
-    // The session speaks the *client's* version, not the server's.
-    EXPECT_EQ(hello_reply.protocol, kMinProtocolVersion);
-
-    // A genuine v2 sweep payload: no trace-id trailer.
-    std::string payload = encodeSweepRequest(expiredSweepRequest());
-    ASSERT_TRUE(payload.compare(payload.size() - 2, 2, "0\n") == 0);
-    payload.erase(payload.size() - 2);
-    ASSERT_TRUE(runtime::writeFrame(fd, kServiceMagic,
-                                    kServiceWireVersion, kFrameSweep,
-                                    payload)
-                    .ok());
-    ASSERT_TRUE(readFrame(&rec));
-    ASSERT_EQ(rec.type, kFrameAck);
-    ASSERT_TRUE(readFrame(&rec));
-    ASSERT_EQ(rec.type, kFrameReport);
-    SweepReply reply;
-    ASSERT_TRUE(decodeSweepReply(rec.payload, &reply));
-    EXPECT_TRUE(reply.deadline_expired);
-    ::close(fd);
-    server.stop();
-}
-
 TEST(ServiceEndToEnd, TraceSliceCarriesTheRequestsSpans)
 {
     telemetry::resetTracingForTesting();
@@ -1256,7 +1223,6 @@ TEST(ServiceEndToEnd, TraceSliceCarriesTheRequestsSpans)
 
     Client client;
     ASSERT_TRUE(client.connect(options.unix_path).ok());
-    EXPECT_EQ(client.serverProtocol(), kProtocolVersion);
     SweepRequest req = expiredSweepRequest();
     req.trace_id = mintTraceId();
     SweepReply reply;
