@@ -505,8 +505,9 @@ cmdSweep(int argc, char **argv)
         return loadFailure(parsed.status());
     core::SweepOptions options = std::move(parsed).value();
 
-    // One pool serves both the sweep's task graph and the miner's
-    // candidate expansion, so nested parallelism shares the lanes.
+    // One pool serves both the sweep's build/evaluation tasks and the
+    // miner's candidate expansion, so nested parallelism shares the
+    // lanes.
     const auto pool = makePool(requestedJobs(argc, argv));
     const auto cache = makeCache(argc, argv);
     options.pool = pool.get();

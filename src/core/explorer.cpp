@@ -95,12 +95,6 @@ Explorer::tryTopPatterns(const Graph &app, int k,
     return result;
 }
 
-std::vector<Graph>
-Explorer::topPatterns(const Graph &app, int k) const
-{
-    return tryTopPatterns(app, k).valueOr({});
-}
-
 PeVariant
 Explorer::baselineVariant() const
 {
@@ -204,43 +198,25 @@ Explorer::tryDomainVariant(const std::vector<apps::AppInfo>
     std::vector<std::vector<Graph>> per_app_patterns(
         domain_apps.size());
     std::vector<mining::MineStats> per_app_stats(domain_apps.size());
-    const bool parallel = options_.pool != nullptr &&
-                          options_.pool->parallelism() > 1;
-    if (parallel) {
-        // Fan the per-app mining out; each iteration writes only its
-        // own slot.  The first failure *in app order* is reported, as
-        // in the sequential walk (later apps' work is speculative).
-        std::vector<Status> statuses(domain_apps.size());
-        runtime::parallelFor(
-            options_.pool, static_cast<int>(domain_apps.size()),
-            [&](int i) {
-                auto patterns =
-                    tryTopPatterns(domain_apps[i].graph, per_app,
-                                   &per_app_stats[i]);
-                if (patterns.ok())
-                    per_app_patterns[i] =
-                        std::move(patterns).value();
-                else
-                    statuses[i] = patterns.status();
-            });
-        for (std::size_t i = 0; i < domain_apps.size(); ++i) {
-            if (!statuses[i].ok())
-                return std::move(statuses[i])
-                    .withContext("building domain variant '" + name +
-                                 "' (app '" + domain_apps[i].name +
-                                 "')");
-        }
-    } else {
-        for (std::size_t i = 0; i < domain_apps.size(); ++i) {
-            auto patterns =
-                tryTopPatterns(domain_apps[i].graph, per_app,
-                               &per_app_stats[i]);
-            if (!patterns.ok())
-                return patterns.status().withContext(
-                    "building domain variant '" + name + "' (app '" +
-                    domain_apps[i].name + "')");
-            per_app_patterns[i] = std::move(patterns).value();
-        }
+    // Fan the per-app mining out (a plain in-order loop without a
+    // pool); each iteration writes only its own slot.  The first
+    // failure *in app order* is reported.
+    std::vector<Status> statuses(domain_apps.size());
+    runtime::parallelFor(
+        options_.pool, static_cast<int>(domain_apps.size()),
+        [&](int i) {
+            auto patterns = tryTopPatterns(domain_apps[i].graph, per_app,
+                                           &per_app_stats[i]);
+            if (patterns.ok())
+                per_app_patterns[i] = std::move(patterns).value();
+            else
+                statuses[i] = patterns.status();
+        });
+    for (std::size_t i = 0; i < domain_apps.size(); ++i) {
+        if (!statuses[i].ok())
+            return std::move(statuses[i])
+                .withContext("building domain variant '" + name +
+                             "' (app '" + domain_apps[i].name + "')");
     }
     for (const mining::MineStats &s : per_app_stats)
         v.mine_capped_levels +=

@@ -148,8 +148,6 @@ class Explorer {
 
   private:
     /** Top-k mergeable pattern graphs of an app, in MIS order. */
-    std::vector<ir::Graph> topPatterns(const ir::Graph &app,
-                                       int k) const;
     Result<std::vector<ir::Graph>>
     tryTopPatterns(const ir::Graph &app, int k,
                    mining::MineStats *stats = nullptr) const;

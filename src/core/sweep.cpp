@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include <sstream>
@@ -14,7 +19,6 @@
 #include "core/journal.hpp"
 #include "ir/signature.hpp"
 #include "ir/validate.hpp"
-#include "runtime/task_graph.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -48,15 +52,15 @@ recordFailure(ExplorationReport &report, const std::string &app,
     ++report.skipped;
 }
 
-/** Fixed identity of the (up to) three recipe cells per app, so the
- * task graph can be built before variant construction runs. */
+/** Fixed identity of the (up to) three recipe cells per app, so cell
+ * slots exist before variant construction runs. */
 enum RecipeCell { kBaseline = 0, kSubset = 1, kSpecialized = 2 };
 
 static_assert(kJournalCellsPerApp == 3,
               "journal cell layout mirrors the recipe cells");
 
 /** One (app, variant) evaluation slot; written only by its task (or
- * by the sequential journal-replay pass before the graph runs). */
+ * by the sequential journal-replay pass before the fan-out). */
 struct Cell {
     std::optional<PeVariant> variant; ///< Set by the build task.
     bool present = false; ///< The recipe produced this cell (variant
@@ -183,7 +187,23 @@ evaluateCellGuarded(const apps::AppInfo &app, const PeVariant &variant,
                     const EvalOptions &eval_opts,
                     const SweepOptions &options)
 {
-    EvalResult r;
+    const auto guarded = [&](const EvalOptions &opts) {
+        EvalResult r;
+        try {
+            r = evaluate(app, variant, options.level, tech, opts);
+        } catch (const ApexError &e) {
+            r.status = e.status().withContext(
+                "evaluating '" + app.name + "' on '" + variant.name +
+                "'");
+            r.error = r.status.toString();
+        } catch (const std::exception &e) {
+            r.status =
+                Status(ErrorCode::kInternal,
+                       std::string("unexpected exception: ") + e.what());
+            r.error = r.status.toString();
+        }
+        return r;
+    };
     const bool cell_bounded = options.cell_deadline_ms > 0;
     EvalOptions local = eval_opts;
     local.deadline =
@@ -192,41 +212,14 @@ evaluateCellGuarded(const apps::AppInfo &app, const PeVariant &variant,
                   options.deadline,
                   Deadline::after(options.cell_deadline_ms))
             : options.deadline;
-    try {
-        r = evaluate(app, variant, options.level, tech, local);
-    } catch (const ApexError &e) {
-        r.status = e.status().withContext(
-            "evaluating '" + app.name + "' on '" + variant.name +
-            "'");
-        r.error = r.status.toString();
-    } catch (const std::exception &e) {
-        r.status =
-            Status(ErrorCode::kInternal,
-                   std::string("unexpected exception: ") + e.what());
-        r.error = r.status.toString();
-    }
+    EvalResult r = guarded(local);
     // Graceful degradation: the *cell* budget ran out but the sweep
     // still has time — salvage the cell with the cheap knobs instead
     // of failing.
     if (!r.success && r.status.code() == ErrorCode::kTimeout &&
         cell_bounded && !options.deadline.expired()) {
         EvalResult first = std::move(r);
-        r = EvalResult{};
-        try {
-            r = evaluate(app, variant, options.level, tech,
-                         degradedOptions(eval_opts,
-                                         options.deadline));
-        } catch (const ApexError &e) {
-            r.status = e.status().withContext(
-                "evaluating '" + app.name + "' on '" + variant.name +
-                "'");
-            r.error = r.status.toString();
-        } catch (const std::exception &e) {
-            r.status = Status(
-                ErrorCode::kInternal,
-                std::string("unexpected exception: ") + e.what());
-            r.error = r.status.toString();
-        }
+        r = guarded(degradedOptions(eval_opts, options.deadline));
         if (r.success)
             r.degraded = true;
         r.pnr_attempts += first.pnr_attempts;
@@ -242,6 +235,77 @@ evaluateCellGuarded(const apps::AppInfo &app, const PeVariant &variant,
     }
     return r;
 }
+
+/**
+ * The sweep's two-level fan-out on the work-stealing pool.  Without
+ * a pool (or with parallelism <= 1) spawn() runs the task inline, so
+ * a build that spawns its cells reproduces the sequential schedule.
+ * With one, tasks go to the pool and drain() helps until every task,
+ * including those spawned by other tasks, has finished.  The pool's
+ * workers do not catch exceptions, so spawn() does: the count still
+ * drops, and drain() rethrows the lowest-ordinal exception afterwards
+ * (parallelFor's contract).
+ */
+class FanOut {
+  public:
+    explicit FanOut(runtime::ThreadPool *pool)
+        : pool_(pool != nullptr && pool->parallelism() > 1 ? pool
+                                                           : nullptr)
+    {
+    }
+
+    // Pool tasks hold `this`.
+    FanOut(const FanOut &) = delete;
+    FanOut &operator=(const FanOut &) = delete;
+
+    template <typename Task>
+    void spawn(int ordinal, Task task)
+    {
+        if (pool_ == nullptr) {
+            guarded(ordinal, task);
+            return;
+        }
+        ++outstanding_;
+        pool_->submit([this, ordinal, task = std::move(task)] {
+            guarded(ordinal, task);
+            // Last touch of `this`: once the count reads zero the
+            // caller's drain() returns and destroys the fan-out.
+            --outstanding_;
+        });
+    }
+
+    void drain()
+    {
+        // Help instead of blocking; when nothing is runnable the
+        // remaining tasks are running on other lanes, so nap.
+        while (outstanding_ > 0)
+            if (!pool_->tryRunOne())
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (error_)
+            std::rethrow_exception(error_);
+    }
+
+  private:
+    template <typename Task>
+    void guarded(int ordinal, const Task &task)
+    {
+        try {
+            task();
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(error_mutex_);
+            if (ordinal < error_ordinal_) {
+                error_ordinal_ = ordinal;
+                error_ = std::current_exception();
+            }
+        }
+    }
+
+    runtime::ThreadPool *const pool_;
+    std::atomic<int> outstanding_{0};
+    std::mutex error_mutex_;
+    std::exception_ptr error_;
+    int error_ordinal_ = INT_MAX;
+};
 
 /** The process-wide `apex.sweep.*` counters SweepRuntimeStats reads.
  * runSweep snapshots them on entry and reports the delta, so the old
@@ -394,8 +458,8 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     }
 
     // Resolve the execution resources.  jobs == 1 (the default) means
-    // no pool at all: the task graph runs inline in insertion order,
-    // which is exactly the sequential driver's schedule (including
+    // no pool at all: every task runs inline as it is spawned, which
+    // is exactly the sequential driver's schedule (including
     // fault-injection call ordinals).
     runtime::ThreadPool *pool = options.pool;
     std::unique_ptr<runtime::ThreadPool> owned_pool;
@@ -507,127 +571,105 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     out.stats.cells_replayed = journal.replayedCells();
     counters.cells_replayed.add(journal.replayedCells());
 
-    // --- Fan out: one build task per app, one eval task per cell ---
+    // --- Fan out: each build hands its app's cells to the pool ------
     // Every task writes only its own slot; all ordering-sensitive
     // work (report assembly) happens sequentially afterwards.
-    runtime::TaskGraph graph(pool);
-    graph.setTraceId(options.trace_id);
-    for (std::size_t i = 0; i < apps.size(); ++i) {
+    const auto buildApp = [&](std::size_t i) {
         const apps::AppInfo &app = apps[i];
         AppSlot &slot = slots[i];
-        const int app_index = static_cast<int>(i);
-
-        const runtime::TaskId build = graph.add(
-            "build:" + app.name,
-            [&options, &explorer, &graph, &app, &slot, cancel,
-             &counters, &journal, app_index]() -> Status {
-                if (slot.skip_build)
-                    return Status::okStatus();
-                if (cancel != nullptr && cancel->load()) {
-                    graph.cancel();
-                    return Status::okStatus();
-                }
-                if (options.deadline.expired()) {
-                    slot.deadline_skipped = true;
-                    return Status::okStatus();
-                }
-                telemetry::ScopedCell cell_scope;
-                if (telemetry::tracingEnabled())
-                    cell_scope.set(app.name);
-                // Pool lanes do not inherit the caller's trace id;
-                // each task re-installs it for its own spans.
-                telemetry::ScopedTraceId trace_scope;
-                if (options.trace_id != 0)
-                    trace_scope.set(options.trace_id);
-                APEX_SPAN("build", {{"app", app.name}});
-                telemetry::StageTimer timer(
-                    telemetry::histogram("apex.build.ms"));
-                const Clock::time_point t0 = Clock::now();
-                counters.tasks.add(1);
-                slot.build_ran = true;
-
-                // Boundary validation: a corrupt application skips
-                // only itself, never the sweep.
-                if (Status s = ir::validate(app.graph); !s.ok()) {
-                    slot.validate_status =
-                        std::move(s).withContext(
-                            "validating application '" + app.name +
-                            "'");
-                    journalApp(journal, app_index, slot);
-                    counters.build_us.add(elapsedUs(t0));
-                    return Status::okStatus();
-                }
-                setVariant(slot.cells[kBaseline],
-                           explorer.baselineVariant());
-                setVariant(slot.cells[kSubset],
-                           explorer.subsetVariant(app));
-                const int k = explorer.options().max_merged_subgraphs;
-                auto v = explorer.trySpecializedVariant(app, k);
-                if (v.ok()) {
-                    setVariant(slot.cells[kSpecialized],
-                               std::move(v).value());
-                } else {
-                    slot.spec_failed = true;
-                    slot.spec_name =
-                        "pe" + std::to_string(k + 1) + "_" + app.name;
-                    slot.spec_status = v.status();
-                }
-                journalApp(journal, app_index, slot);
-                counters.build_us.add(elapsedUs(t0));
-                return Status::okStatus();
-            });
-
-        // Process isolation runs evaluations behind the worker pool
-        // *after* the builds; only the in-process mode fans them out
-        // as graph tasks here.
-        if (options.isolate != IsolateMode::kInProcess)
-            continue;
-        for (int j = 0; j < 3; ++j) {
-            Cell &cell = slot.cells[j];
-            graph.add(
-                "eval:" + app.name + "#" + std::to_string(j),
-                [&options, &graph, &app, &cell, cancel, &eval_opts,
-                 &tech, &counters, &journal, &reportProgress,
-                 app_index, j]() -> Status {
-                    if (cell.ran) // replayed from the journal
-                        return Status::okStatus();
-                    if (cancel != nullptr && cancel->load()) {
-                        graph.cancel();
-                        return Status::okStatus();
-                    }
-                    if (!cell.variant.has_value())
-                        return Status::okStatus();
-                    if (options.deadline.expired()) {
-                        cell.deadline_skipped = true;
-                        return Status::okStatus();
-                    }
-                    telemetry::ScopedTraceId trace_scope;
-                    if (options.trace_id != 0)
-                        trace_scope.set(options.trace_id);
-                    const Clock::time_point t0 = Clock::now();
-                    counters.tasks.add(1);
-                    cell.ran = true;
-                    cell.result = evaluateCellGuarded(
-                        app, *cell.variant, tech, eval_opts,
-                        options);
-                    EvalResult &r = cell.result;
-                    counters.eval_us.add(elapsedUs(t0));
-                    SweepJournal::CellRecord rec;
-                    rec.app = app_index;
-                    rec.cell = j;
-                    rec.variant = cell.name;
-                    rec.result = r;
-                    journal.appendCell(rec);
-                    reportProgress(app.name, cell.name);
-                    return Status::okStatus();
-                },
-                {build});
+        if (slot.skip_build)
+            return;
+        if (cancel != nullptr && cancel->load())
+            return;
+        if (options.deadline.expired()) {
+            slot.deadline_skipped = true;
+            return;
         }
+        telemetry::ScopedCell cell_scope;
+        if (telemetry::tracingEnabled())
+            cell_scope.set(app.name);
+        // Pool lanes do not inherit the caller's trace id; each task
+        // installs it for its own spans.
+        telemetry::ScopedTraceId trace_scope;
+        if (options.trace_id != 0)
+            trace_scope.set(options.trace_id);
+        APEX_SPAN("build", {{"app", app.name}});
+        telemetry::StageTimer timer(
+            telemetry::histogram("apex.build.ms"));
+        const Clock::time_point t0 = Clock::now();
+        counters.tasks.add(1);
+        slot.build_ran = true;
+
+        // Boundary validation: a corrupt application skips only
+        // itself, never the sweep.
+        if (Status s = ir::validate(app.graph); !s.ok()) {
+            slot.validate_status = std::move(s).withContext(
+                "validating application '" + app.name + "'");
+            journalApp(journal, static_cast<int>(i), slot);
+            counters.build_us.add(elapsedUs(t0));
+            return;
+        }
+        setVariant(slot.cells[kBaseline], explorer.baselineVariant());
+        setVariant(slot.cells[kSubset], explorer.subsetVariant(app));
+        const int k = explorer.options().max_merged_subgraphs;
+        auto v = explorer.trySpecializedVariant(app, k);
+        if (v.ok()) {
+            setVariant(slot.cells[kSpecialized], std::move(v).value());
+        } else {
+            slot.spec_failed = true;
+            slot.spec_name = "pe" + std::to_string(k + 1) + "_" + app.name;
+            slot.spec_status = v.status();
+        }
+        journalApp(journal, static_cast<int>(i), slot);
+        counters.build_us.add(elapsedUs(t0));
+    };
+    const auto evalCell = [&](std::size_t i, int j) {
+        const apps::AppInfo &app = apps[i];
+        Cell &cell = slots[i].cells[j];
+        if (cell.ran) // replayed from the journal
+            return;
+        if (cancel != nullptr && cancel->load())
+            return;
+        if (!cell.variant.has_value())
+            return;
+        if (options.deadline.expired()) {
+            cell.deadline_skipped = true;
+            return;
+        }
+        telemetry::ScopedTraceId trace_scope;
+        if (options.trace_id != 0)
+            trace_scope.set(options.trace_id);
+        const Clock::time_point t0 = Clock::now();
+        counters.tasks.add(1);
+        cell.ran = true;
+        cell.result =
+            evaluateCellGuarded(app, *cell.variant, tech, eval_opts, options);
+        counters.eval_us.add(elapsedUs(t0));
+        SweepJournal::CellRecord rec;
+        rec.app = static_cast<int>(i);
+        rec.cell = j;
+        rec.variant = cell.name;
+        rec.result = cell.result;
+        journal.appendCell(rec);
+        reportProgress(app.name, cell.name);
+    };
+    // Ordinals follow the sequential schedule (build i, then cells
+    // i#0..i#2), which is also the order inline spawns run in.
+    FanOut fan_out(pool);
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+        const int ordinal = 4 * static_cast<int>(i);
+        fan_out.spawn(ordinal, [&, i, ordinal] {
+            buildApp(i);
+            // Process isolation evaluates behind the worker pool
+            // after the builds; only the in-process mode spawns cells.
+            if (options.isolate != IsolateMode::kInProcess)
+                return;
+            for (int j = 0; j < 3; ++j)
+                fan_out.spawn(ordinal + 1 + j,
+                              [&evalCell, i, j] { evalCell(i, j); });
+        });
     }
-    // Expected per-cell failures live in the slots, so a non-ok run()
-    // can only mean cancellation — which the assembly below reads off
-    // the ran/build_ran flags directly.
-    (void)graph.run();
+    fan_out.drain();
 
     // --- Process isolation: dispatch evaluations to forked workers --
     // Workers are forked *after* the builds, so fork-COW hands every

@@ -27,13 +27,14 @@
  * report under an "app/variant" scope so recovered retries stay
  * observable after the sweep.
  *
- * Parallel execution (jobs > 1) fans the sweep out as a task graph:
- * one variant-construction task per application, one evaluation task
- * per (app, variant) cell depending on it.  Every task writes only
- * its own preallocated slot and the report is assembled in a single
- * sequential pass afterwards in the same (app, variant) order the
- * sequential driver uses, so the outcome — entries, failures,
- * diagnostics, ordering — is byte-identical for any job count.
+ * Parallel execution (jobs > 1) fans the sweep out on the thread
+ * pool: one variant-construction task per application, which submits
+ * one evaluation task per (app, variant) cell once it has built the
+ * variants.  Every task writes only its own preallocated slot and
+ * the report is assembled in a single sequential pass afterwards in
+ * the same (app, variant) order the sequential driver uses, so the
+ * outcome — entries, failures, diagnostics, ordering — is
+ * byte-identical for any job count.
  *
  * Durability (see core/journal.hpp): with a journal_dir set, every
  * completed build and evaluation is checkpointed to a crash-safe
@@ -215,7 +216,10 @@ std::uint64_t sweepFingerprint(const std::vector<apps::AppInfo> &apps,
                                const model::TechModel &tech,
                                const SweepOptions &options);
 
-/** Evaluate @p apps across the variant recipe, surviving failures. */
+/** Evaluate @p apps across the variant recipe, surviving failures.
+ * Stage failures are statuses in the report; an exception escaping a
+ * task is rethrown once every task has finished (lowest task first,
+ * in the sequential schedule's order). */
 SweepOutcome runSweep(const std::vector<apps::AppInfo> &apps,
                       const Explorer &explorer,
                       const model::TechModel &tech,

@@ -51,7 +51,6 @@ class GraphBuilder {
     Value input(std::string name = {});
     Value inputBit(std::string name = {});
     Value constant(std::uint64_t value, std::string name = {});
-    Value constantBit(bool value, std::string name = {});
     Value output(Value v, std::string name = {});
     Value outputBit(Value v, std::string name = {});
 
@@ -87,10 +86,7 @@ class GraphBuilder {
     Value select(Value sel, Value a, Value b);
     /** 3-input 1-bit LUT with the given truth table. */
     Value lut(std::uint64_t table, Value a, Value b, Value c);
-    Value bitAnd(Value a, Value b) { return binary(Op::kBitAnd, a, b); }
     Value bitOr(Value a, Value b) { return binary(Op::kBitOr, a, b); }
-    Value bitXor(Value a, Value b) { return binary(Op::kBitXor, a, b); }
-    Value bitNot(Value a) { return unary(Op::kBitNot, a); }
 
     /** Multiply-accumulate tree: sum(in[i] * w[i]) (+ bias if valid). */
     Value macTree(const std::vector<Value> &ins,

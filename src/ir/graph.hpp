@@ -12,11 +12,12 @@
  * @file
  * Labeled dataflow graph: the application IR that APEX analyses.
  *
- * A Graph is a DAG of Nodes.  Each node carries an Op label, an ordered
- * list of operand edges (producer node id + destination port), an
- * optional integer parameter (constant value, LUT truth table, FIFO
- * depth) and a debug name.  Edges are stored on the consumer side;
- * fan-out lists can be derived on demand.
+ * A Graph is a directed graph of Nodes, acyclic except through
+ * registers.  Each node carries an Op label, an ordered list of
+ * operand edges (producer node id + destination port), an optional
+ * integer parameter (constant value, LUT truth table, FIFO depth) and
+ * a debug name.  Edges are stored on the consumer side; fan-out lists
+ * can be derived on demand.
  */
 
 namespace apex::ir {
@@ -45,12 +46,12 @@ struct Edge {
 };
 
 /**
- * A dataflow DAG of labeled operations.
+ * A dataflow graph of labeled operations.
  *
- * Invariants (checked by validate()):
+ * Invariants (checked by ir::validate(), ir/validate.hpp):
  *  - every operand id refers to an existing node;
  *  - operand counts match opArity();
- *  - the graph is acyclic;
+ *  - every cycle crosses a register (kReg);
  *  - operand value types match opOperandType().
  */
 class Graph {
@@ -72,14 +73,6 @@ class Graph {
     Node &node(NodeId id) { return nodes_[id]; }
 
     Op op(NodeId id) const { return nodes_[id].op; }
-
-    /**
-     * Check all structural invariants.
-     *
-     * @param error  Optional out-parameter describing the first violation.
-     * @return true when the graph is well formed.
-     */
-    bool validate(std::string *error = nullptr) const;
 
     /** @return node ids in a topological order (operands first). */
     std::vector<NodeId> topoOrder() const;

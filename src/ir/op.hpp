@@ -85,7 +85,6 @@ struct OpInfo {
     std::string_view name; ///< Lowercase mnemonic, e.g. "add".
     int arity;             ///< Number of data operands (-1: variadic).
     ValueType result;      ///< Result value type.
-    bool commutative;      ///< Operand order irrelevant.
     bool isCompute;        ///< Maps onto a PE functional unit.
     bool isStructural;     ///< IO / const / reg / mem plumbing.
 };
@@ -110,9 +109,6 @@ ValueType opResultType(Op op);
 
 /** @return the value type expected on operand @p port of @p op. */
 ValueType opOperandType(Op op, int port);
-
-/** @return true if swapping the two operands leaves the result unchanged. */
-bool opIsCommutative(Op op);
 
 /**
  * Evaluate a compute op on concrete operands.

@@ -253,15 +253,4 @@ parseGraph(const std::string &text)
     return g;
 }
 
-std::optional<Graph>
-deserialize(const std::string &text, std::string *error)
-{
-    Result<Graph> result = parseGraph(text);
-    if (result.ok())
-        return std::move(result).value();
-    if (error)
-        *error = result.status().message();
-    return std::nullopt;
-}
-
 } // namespace apex::ir

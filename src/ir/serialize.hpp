@@ -1,7 +1,6 @@
 #ifndef APEX_IR_SERIALIZE_H_
 #define APEX_IR_SERIALIZE_H_
 
-#include <optional>
 #include <string>
 
 #include "core/status.hpp"
@@ -34,8 +33,7 @@ namespace apex::ir {
 std::string serialize(const Graph &g);
 
 /**
- * Parse an apexir text document (primary, hostile-input-hardened
- * API).
+ * Parse an apexir text document (hostile-input hardened).
  *
  * Rejects, with line-tagged kParseError statuses: missing header,
  * non-dense or duplicate node ids, malformed / integer-overflowing
@@ -47,16 +45,6 @@ std::string serialize(const Graph &g);
  * @return the graph, or a kParseError / kInvalidIr status.
  */
 Result<Graph> parseGraph(const std::string &text);
-
-/**
- * Legacy wrapper around parseGraph().
- *
- * @param text   Document produced by serialize() (or hand-written).
- * @param error  Optional out-parameter with a line-tagged message.
- * @return the graph, or nullopt on malformed input.
- */
-std::optional<Graph> deserialize(const std::string &text,
-                                 std::string *error = nullptr);
 
 } // namespace apex::ir
 

@@ -92,18 +92,11 @@ wlColors(const Graph &g)
     return color;
 }
 
-/**
- * Shared engine of canonicalCode()/tryCanonicalCode().  Returns the
- * canonical code, or empty when @p deadline expired mid-search (with
- * @p timed_out set) — never a partial/non-minimal code.
- */
-std::string
-canonicalCodeBounded(const Graph &g, const Deadline &deadline,
-                     bool *timed_out)
-{
-    /** Poll the deadline once per this many rec() nodes. */
-    constexpr std::uint64_t kDeadlineMask = 0xFFF;
+} // namespace
 
+std::string
+canonicalCode(const Graph &g)
+{
     const std::size_t n = g.size();
     if (n == 0)
         return "{}";
@@ -191,17 +184,7 @@ canonicalCodeBounded(const Graph &g, const Deadline &deadline,
         return {Need::kDone, 0, kNoNode};
     };
 
-    std::uint64_t rec_calls = 0;
-    bool expired = false;
-
     std::function<void()> rec = [&]() {
-        if (expired)
-            return;
-        if ((++rec_calls & kDeadlineMask) == 0 &&
-            deadline.expired()) {
-            expired = true; // unwind the whole recursion
-            return;
-        }
         const std::size_t save_len = prefix.size();
         const std::size_t save_epos = epos;
         const int save_eop = eop;
@@ -260,32 +243,7 @@ canonicalCodeBounded(const Graph &g, const Deadline &deadline,
         lt = save_lt;
     };
     rec();
-    if (expired) {
-        *timed_out = true;
-        return {};
-    }
     return best;
-}
-
-} // namespace
-
-std::string
-canonicalCode(const Graph &g)
-{
-    bool timed_out = false;
-    return canonicalCodeBounded(g, Deadline::infinite(), &timed_out);
-}
-
-Result<std::string>
-tryCanonicalCode(const Graph &g, const Deadline &deadline)
-{
-    bool timed_out = false;
-    std::string code = canonicalCodeBounded(g, deadline, &timed_out);
-    if (timed_out)
-        return Status(ErrorCode::kTimeout,
-                      "deadline expired before canonicalizing a "
-                      "pattern");
-    return code;
 }
 
 std::uint64_t

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/deadline.hpp"
-#include "core/status.hpp"
 #include "ir/graph.hpp"
 
 /**
@@ -32,18 +30,6 @@ namespace apex::ir {
  * port-preserving edge structure), distinct otherwise.
  */
 std::string canonicalCode(const Graph &g);
-
-/**
- * Deadline-aware canonicalCode().  The permutation enumeration is
- * worst-case factorial in the largest WL color class, so miners run
- * it under a wall-clock bound: the code (identical to
- * canonicalCode(g)) when the search finishes in time, or a kTimeout
- * Status once @p deadline expires mid-search.  A partial code is
- * never returned — a non-minimal code would silently break
- * deduplication.
- */
-Result<std::string> tryCanonicalCode(const Graph &g,
-                                     const Deadline &deadline);
 
 /** @return a 64-bit hash of canonicalCode(g). */
 std::uint64_t structuralHash(const Graph &g);

@@ -64,9 +64,6 @@ struct MappedGraph {
 
     /** @return count of nodes with the given kind. */
     int count(MappedKind kind) const;
-
-    /** Total registers (kReg count + RF depths are reported apart). */
-    int registerCount() const { return count(MappedKind::kReg); }
 };
 
 } // namespace apex::mapper

@@ -29,9 +29,7 @@
  * explored smallest-token-first and a branch is abandoned the moment
  * its emitted prefix exceeds the incumbent, so for the label-rich
  * cores mining produces the search degenerates to a single
- * O(code-length) walk plus O(1) aborted probes.  isCanonical() is the
- * same search seeded with the candidate code as the incumbent and
- * aborts on the first strictly smaller completion.
+ * O(code-length) walk plus O(1) aborted probes.
  */
 
 namespace apex::mining::dfs {
@@ -59,11 +57,6 @@ CoreView coreView(const ir::Graph &pattern);
 
 /** Minimum DFS code of @p core (empty for an empty core). */
 Code minCode(const CoreView &core);
-
-/** True iff @p code is @p core's minimum DFS code.  Equivalent to
- * `code == minCode(core)` but aborts on the first smaller expansion
- * found, which is the O(code-length) fast path for rejects. */
-bool isCanonical(const CoreView &core, const Code &code);
 
 } // namespace apex::mining::dfs
 

@@ -43,9 +43,6 @@ std::vector<Embedding> findEmbeddings(const ir::Graph &pattern,
                                       const ir::Graph &target,
                                       std::size_t limit = 0);
 
-/** @return true when at least one embedding exists. */
-bool hasEmbedding(const ir::Graph &pattern, const ir::Graph &target);
-
 /**
  * @return true when pattern node @p id is a free placeholder
  * (kInput / kInputBit).

@@ -257,12 +257,6 @@ setLane(int lane)
     threadState().lane = lane;
 }
 
-int
-currentLane()
-{
-    return threadState().lane;
-}
-
 ScopedCell::~ScopedCell()
 {
     if (active_)

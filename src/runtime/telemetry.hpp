@@ -76,9 +76,6 @@ void setTracingEnabled(bool on);
  * the current lane so traces show pool utilization per lane. */
 void setLane(int lane);
 
-/** Lane of the calling thread (-1 outside pool workers). */
-int currentLane();
-
 /**
  * Scoped (app, variant) attribution: while alive, every span the
  * calling thread opens carries this cell identity, which is what the

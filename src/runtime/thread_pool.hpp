@@ -16,7 +16,7 @@
  *
  * A pool with parallelism P owns P-1 worker threads; the P-th lane is
  * the caller itself, which participates through tryRunOne() while it
- * waits (TaskGraph::wait, parallelFor).  Each worker owns a deque:
+ * waits (parallelFor, the sweep's fan-out).  Each worker owns a deque:
  * local work is popped LIFO (cache-hot), and an idle worker steals
  * FIFO from a victim chosen round-robin, so the oldest — typically
  * largest — subtrees migrate first.  Submissions from outside the

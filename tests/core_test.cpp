@@ -2,6 +2,7 @@
 
 #include "core/evaluate.hpp"
 #include "core/explorer.hpp"
+#include "ir/validate.hpp"
 #include "model/tech.hpp"
 
 namespace apex::core {
@@ -17,7 +18,8 @@ TEST(ExplorerTest, AnalyzeProducesViableRankedPatterns) {
     for (const auto &p : patterns) {
         EXPECT_GE(p.core_size, 2);
         EXPECT_GE(p.mis_size, ex.options().min_mis);
-        EXPECT_TRUE(p.pattern.validate());
+        EXPECT_TRUE(ir::validate(p.pattern).ok());
+        EXPECT_EQ(p.pattern.topoOrder().size(), p.pattern.size());
     }
     for (std::size_t i = 1; i < patterns.size(); ++i)
         EXPECT_GE(patterns[i - 1].mis_size, patterns[i].mis_size);

@@ -23,12 +23,9 @@
 #include "core/fault.hpp"
 #include "core/journal.hpp"
 #include "core/sweep.hpp"
-#include "ir/builder.hpp"
-#include "ir/signature.hpp"
 #include "merging/clique.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/record.hpp"
-#include "runtime/task_graph.hpp"
 #include "runtime/telemetry.hpp"
 
 namespace apex::core {
@@ -434,30 +431,6 @@ TEST(Deadline, CliqueSearchDegradesToGreedyOnExpiry)
     EXPECT_EQ(full.weight, 6.0);
 }
 
-TEST(Deadline, CanonicalCodeTimesOutWithoutPartialResult)
-{
-    // Eight interchangeable adds over the same inputs: a worst-case
-    // symmetric instance whose enumeration visits far more than one
-    // deadline-poll stride.
-    ir::GraphBuilder b;
-    const ir::Value x = b.input("x");
-    const ir::Value y = b.input("y");
-    for (int i = 0; i < 8; ++i)
-        b.output(b.add(x, y));
-    const ir::Graph g = b.take();
-
-    const auto timed =
-        ir::tryCanonicalCode(g, Deadline::after(-1.0));
-    ASSERT_FALSE(timed.ok());
-    EXPECT_EQ(timed.status().code(), ErrorCode::kTimeout);
-
-    // Unbounded, the same graph canonicalizes fine — and through both
-    // entry points identically.
-    const auto full = ir::tryCanonicalCode(g, Deadline::infinite());
-    ASSERT_TRUE(full.ok());
-    EXPECT_EQ(*full, ir::canonicalCode(g));
-}
-
 TEST(Deadline, MinerStopsAtLevelBoundary)
 {
     ExplorerOptions options;
@@ -467,21 +440,6 @@ TEST(Deadline, MinerStopsAtLevelBoundary)
         ex.tryAnalyze(apps::gaussianBlur(1).graph);
     ASSERT_FALSE(mined.ok());
     EXPECT_EQ(mined.status().code(), ErrorCode::kTimeout);
-}
-
-TEST(Deadline, TaskGraphSkipsUnstartedTasksAsTimeout)
-{
-    runtime::TaskGraph graph;
-    graph.setDeadline(Deadline::after(-1.0));
-    bool ran = false;
-    graph.add("work", [&] {
-        ran = true;
-        return Status::okStatus();
-    });
-    const Status s = graph.run();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(s.code(), ErrorCode::kTimeout);
-    EXPECT_EQ(graph.taskStatus(0).code(), ErrorCode::kTimeout);
 }
 
 TEST(Deadline, EvaluateReturnsTimeoutStatus)

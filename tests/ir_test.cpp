@@ -77,38 +77,12 @@ TEST(GraphTest, BuildAndValidate) {
     b.output(b.add(b.mul(x, y), b.constant(1)), "out");
     Graph g = b.take();
 
-    std::string error;
-    EXPECT_TRUE(g.validate(&error)) << error;
+    const Status s = validate(g);
+    EXPECT_TRUE(s.ok()) << s.message();
+    EXPECT_EQ(g.topoOrder().size(), g.size());
     EXPECT_EQ(g.size(), 6u);
     EXPECT_EQ(g.computeNodes().size(), 2u);
     EXPECT_EQ(g.opHistogram()[Op::kMul], 1);
-}
-
-TEST(GraphTest, ValidateRejectsArityMismatch) {
-    Graph g;
-    NodeId a = g.addNode(Op::kInput);
-    g.addNode(Op::kAdd, {a}); // add requires two operands
-    std::string error;
-    EXPECT_FALSE(g.validate(&error));
-    EXPECT_NE(error.find("operands"), std::string::npos);
-}
-
-TEST(GraphTest, ValidateRejectsTypeMismatch) {
-    Graph g;
-    NodeId a = g.addNode(Op::kInput);
-    NodeId b = g.addNode(Op::kInput);
-    NodeId cmp = g.addNode(Op::kEq, {a, b});
-    g.addNode(Op::kAdd, {cmp, a}); // bit into word port
-    EXPECT_FALSE(g.validate());
-}
-
-TEST(GraphTest, ValidateRejectsCycle) {
-    Graph g;
-    NodeId a = g.addNode(Op::kInput);
-    NodeId n1 = g.addNode(Op::kAdd, {a, a});
-    NodeId n2 = g.addNode(Op::kAdd, {n1, a});
-    g.setOperand(n1, 1, n2);
-    EXPECT_FALSE(g.validate());
 }
 
 TEST(GraphTest, TopoOrderRespectsDependencies) {
@@ -138,7 +112,8 @@ TEST(GraphTest, InducedSubgraphAddsInputs) {
 
     // Keep only the add node: its operands become fresh inputs.
     Graph sub = g.inducedSubgraph({a.id()});
-    EXPECT_TRUE(sub.validate());
+    EXPECT_TRUE(validate(sub).ok());
+    EXPECT_EQ(sub.topoOrder().size(), sub.size());
     EXPECT_EQ(sub.size(), 3u); // two inputs + add
     EXPECT_EQ(sub.nodesWithOp(Op::kAdd).size(), 1u);
     EXPECT_EQ(sub.nodesWithOp(Op::kInput).size(), 2u);
@@ -361,7 +336,21 @@ TEST(ValidateTest, RejectsArityMismatch) {
     Graph g;
     const NodeId in = g.addNode(Op::kInput);
     g.addNode(Op::kAdd, {in}); // add needs two operands
-    EXPECT_FALSE(validate(g).ok());
+    const Status s = validate(g);
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("operands"), std::string::npos);
+}
+
+TEST(ValidateTest, RejectsTypeMismatch) {
+    Graph g;
+    const NodeId a = g.addNode(Op::kInput);
+    const NodeId b = g.addNode(Op::kInput);
+    const NodeId cmp = g.addNode(Op::kEq, {a, b});
+    g.addNode(Op::kAdd, {cmp, a}); // bit into word port
+    const Status s = validate(g);
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), ErrorCode::kInvalidIr);
+    EXPECT_NE(s.message().find("type mismatch"), std::string::npos);
 }
 
 TEST(ValidateTest, AllowsRegisterBrokenFeedbackLoop) {

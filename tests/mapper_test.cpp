@@ -7,6 +7,7 @@
 #include "apps/apps.hpp"
 #include "ir/builder.hpp"
 #include "ir/interpreter.hpp"
+#include "ir/validate.hpp"
 #include "mapper/rewrite.hpp"
 #include "mapper/report.hpp"
 #include "mapper/select.hpp"
@@ -507,8 +508,9 @@ TEST(MappingFuzzTest, RandomDagsMapAndExecuteCorrectly) {
     int mapped_count = 0;
     for (int trial = 0; trial < 25; ++trial) {
         const Graph g = randomDag(rng, 3 + trial % 4, 3);
-        std::string verr;
-        ASSERT_TRUE(g.validate(&verr)) << verr;
+        const Status verr = ir::validate(g);
+        ASSERT_TRUE(verr.ok()) << verr.message();
+        ASSERT_EQ(g.topoOrder().size(), g.size());
 
         const auto sel = selector.map(g);
         // Outputs fed directly by constants are unmappable by

@@ -1,8 +1,7 @@
 /**
  * Tests for the parallel DSE runtime: the work-stealing thread pool,
- * the dependency-aware task graph, the content-addressed artifact
- * cache, and the determinism contract of the parallel sweep driver
- * (identical results for any job count).
+ * the content-addressed artifact cache, and the determinism contract
+ * of the parallel sweep driver (identical results for any job count).
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,7 +22,6 @@
 #include "core/sweep.hpp"
 #include "model/tech.hpp"
 #include "runtime/cache.hpp"
-#include "runtime/task_graph.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -95,112 +94,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
         runtime::parallelFor(&pool, 16, [&](int) { ++total; });
     });
     EXPECT_EQ(total.load(), 256);
-}
-
-// --- TaskGraph ---------------------------------------------------------
-
-TEST(TaskGraph, DiamondDependenciesRespectOrder)
-{
-    for (int lanes : {1, 8}) {
-        runtime::ThreadPool pool(lanes);
-        runtime::TaskGraph graph(&pool);
-        std::atomic<int> step{0};
-        int at_a = -1, at_b = -1, at_c = -1, at_d = -1;
-        const auto a = graph.add("a", [&] {
-            at_a = step++;
-            return Status::okStatus();
-        });
-        const auto b = graph.add(
-            "b",
-            [&] {
-                at_b = step++;
-                return Status::okStatus();
-            },
-            {a});
-        const auto c = graph.add(
-            "c",
-            [&] {
-                at_c = step++;
-                return Status::okStatus();
-            },
-            {a});
-        graph.add(
-            "d",
-            [&] {
-                at_d = step++;
-                return Status::okStatus();
-            },
-            {b, c});
-        EXPECT_TRUE(graph.run().ok()) << "lanes=" << lanes;
-        EXPECT_EQ(at_a, 0);
-        EXPECT_EQ(at_d, 3);
-        EXPECT_TRUE((at_b == 1 && at_c == 2) ||
-                    (at_b == 2 && at_c == 1));
-    }
-}
-
-TEST(TaskGraph, FanInWaitsForAllDependencies)
-{
-    runtime::ThreadPool pool(8);
-    runtime::TaskGraph graph(&pool);
-    constexpr int kProducers = 32;
-    std::atomic<int> produced{0};
-    std::vector<runtime::TaskId> deps;
-    for (int i = 0; i < kProducers; ++i)
-        deps.push_back(graph.add("p" + std::to_string(i), [&] {
-            ++produced;
-            return Status::okStatus();
-        }));
-    int seen_at_sink = -1;
-    graph.add(
-        "sink",
-        [&] {
-            seen_at_sink = produced.load();
-            return Status::okStatus();
-        },
-        deps);
-    EXPECT_TRUE(graph.run().ok());
-    EXPECT_EQ(seen_at_sink, kProducers);
-}
-
-TEST(TaskGraph, FailedDependencyCancelsDependents)
-{
-    runtime::TaskGraph graph; // inline mode
-    const auto a = graph.add("ok", [] { return Status::okStatus(); });
-    const auto b = graph.add(
-        "bad",
-        [] { return Status(ErrorCode::kPlaceFailed, "no seat"); },
-        {a});
-    bool c_ran = false;
-    const auto c = graph.add(
-        "downstream",
-        [&] {
-            c_ran = true;
-            return Status::okStatus();
-        },
-        {b});
-
-    const Status s = graph.run();
-    EXPECT_EQ(s.code(), ErrorCode::kPlaceFailed);
-    EXPECT_FALSE(c_ran);
-    EXPECT_TRUE(graph.taskStatus(a).ok());
-    EXPECT_EQ(graph.taskStatus(b).code(), ErrorCode::kPlaceFailed);
-    EXPECT_EQ(graph.taskStatus(c).code(), ErrorCode::kCancelled);
-    // Both failures end up in the diagnostics trail, in id order.
-    const auto &trail = graph.diagnostics().records();
-    ASSERT_EQ(trail.size(), 2u);
-    EXPECT_EQ(trail[0].scope, "bad");
-    EXPECT_EQ(trail[1].scope, "downstream");
-}
-
-TEST(TaskGraph, DependencyOnLaterTaskThrows)
-{
-    runtime::TaskGraph graph;
-    graph.add("a", [] { return Status::okStatus(); });
-    EXPECT_THROW(
-        graph.add(
-            "b", [] { return Status::okStatus(); }, {5}),
-        ApexError);
 }
 
 // --- ArtifactCache -----------------------------------------------------
@@ -351,6 +244,21 @@ TEST(ParallelSweep, JobCountDoesNotChangeResults)
     EXPECT_EQ(summarize(sequential), summarize(parallel));
     EXPECT_EQ(parallel.stats.jobs, 8);
     EXPECT_EQ(sequential.stats.tasks_run, parallel.stats.tasks_run);
+
+    // `apexc sweep --jobs 4`: one pool shared by the sweep and the
+    // miner, so mining's parallelFor nests inside build tasks.
+    runtime::ThreadPool pool(4);
+    core::ExplorerOptions shared_options;
+    shared_options.pool = &pool;
+    const core::Explorer shared_explorer(tech, shared_options);
+    core::SweepOptions shared;
+    shared.pool = &pool;
+    const auto nested =
+        core::runSweep(suite, shared_explorer, tech, shared);
+
+    EXPECT_EQ(summarize(sequential), summarize(nested));
+    EXPECT_EQ(nested.stats.jobs, 4);
+    EXPECT_EQ(sequential.stats.tasks_run, nested.stats.tasks_run);
 }
 
 TEST(ParallelSweep, CancellationSkipsCellsDeterministically)
@@ -368,6 +276,55 @@ TEST(ParallelSweep, CancellationSkipsCellsDeterministically)
     ASSERT_EQ(out.report.failures.size(), suite.size());
     for (const auto &f : out.report.failures)
         EXPECT_EQ(f.status.code(), ErrorCode::kCancelled);
+}
+
+TEST(ParallelSweep, CancelMidSweepDrains)
+{
+    const auto suite = smallSuite();
+    const model::TechModel tech = model::defaultTech();
+    const core::Explorer explorer(tech);
+
+    // Cancel as soon as the first cell completes: tasks already
+    // running finish, every later one sees the flag and returns.
+    std::atomic<bool> cancel{false};
+    core::SweepOptions options;
+    options.jobs = 4;
+    options.cancel = &cancel;
+    options.progress = [&cancel](const core::SweepProgress &) {
+        cancel.store(true);
+    };
+    const auto out = core::runSweep(suite, explorer, tech, options);
+
+    EXPECT_GE(out.report.evaluated, 1);
+    EXPECT_FALSE(out.report.failures.empty());
+    for (const auto &f : out.report.failures)
+        EXPECT_EQ(f.status.code(), ErrorCode::kCancelled)
+            << f.app << "/" << f.variant << ": " << f.status.toString();
+}
+
+TEST(ParallelSweep, TaskExceptionIsRethrownAfterDrain)
+{
+    const auto suite = smallSuite();
+    const model::TechModel tech = model::defaultTech();
+    const core::Explorer explorer(tech);
+
+    // A progress sink that throws escapes every evaluation task.  The
+    // count must still drain (no hang at jobs=4), every other cell
+    // still runs, and runSweep rethrows afterwards.
+    for (int jobs : {1, 4}) {
+        std::atomic<int> calls{0};
+        core::SweepOptions options;
+        options.jobs = jobs;
+        options.progress = [&calls](const core::SweepProgress &) {
+            ++calls;
+            throw std::runtime_error("progress sink failed");
+        };
+        EXPECT_THROW(core::runSweep(suite, explorer, tech, options),
+                     std::runtime_error)
+            << "jobs=" << jobs;
+        EXPECT_EQ(calls.load(), 3 * static_cast<int>(suite.size()))
+            << "jobs=" << jobs;
+    }
 }
 
 TEST(ParallelSweep, WarmCacheHitsEveryEvaluation)
