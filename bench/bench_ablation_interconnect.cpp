@@ -34,7 +34,7 @@ main()
     const auto placement = cgra::place(fabric, sel.mapped);
     if (!placement.success) {
         std::printf("  placement failed: %s\n",
-                    placement.error.c_str());
+                    placement.status.toString().c_str());
         return 1;
     }
 

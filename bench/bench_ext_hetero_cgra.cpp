@@ -41,7 +41,8 @@ main()
             continue;
         if (!rh.success) {
             std::printf("  %-10s hetero FAILED: %s\n",
-                        app.name.c_str(), rh.error.c_str());
+                        app.name.c_str(),
+                        rh.status.toString().c_str());
             continue;
         }
         std::printf("  %-10s %-12s %10d %14.0f %14.2f\n",

@@ -103,7 +103,7 @@ evalOrWarn(const apps::AppInfo &app, const core::PeVariant &variant,
     auto r = core::evaluate(app, variant, level, tech);
     if (!r.success) {
         std::printf("  [%s on %s FAILED: %s]\n", variant.name.c_str(),
-                    app.name.c_str(), r.error.c_str());
+                    app.name.c_str(), r.status.toString().c_str());
     }
     return r;
 }

@@ -20,9 +20,11 @@
  * src/service/server.hpp and DESIGN.md Sec. 7g).
  *
  * SIGTERM / SIGINT shut down gracefully: listeners close, queued
- * requests are abandoned, running sweeps cancel cooperatively (their
- * subscribers receive a cancelled report), and every thread is
- * joined before exit.
+ * requests are abandoned, running sweeps cancel cooperatively, and
+ * every thread is joined before exit.  Subscribers of unfinished
+ * sweeps see their connection close (kUnavailable) rather than a
+ * report; a --retries client reconnects, and a restarted daemon
+ * with the same --cache-dir resumes from the sweep's journal.
  *
  * Resource exhaustion (DESIGN.md Sec. 7h): --mem-budget BYTES sheds
  * new sweeps while undelivered reply bytes exceed the budget,

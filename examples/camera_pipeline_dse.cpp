@@ -48,7 +48,7 @@ main()
             app, v, core::EvalLevel::kPostPipelining, tech);
         if (!r.success) {
             std::printf("%-18s  FAILED: %s\n", v.name.c_str(),
-                        r.error.c_str());
+                        r.status.toString().c_str());
             continue;
         }
         std::printf("%-18s %6d %10.1f %12.0f %12.0f %12.2f %10.3f\n",

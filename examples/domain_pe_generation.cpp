@@ -37,7 +37,9 @@ main()
             app, pe_ip, core::EvalLevel::kPostMapping, tech);
         if (!rb.success || !ri.success) {
             std::printf("  %-10s FAILED (%s)\n", app.name.c_str(),
-                        (rb.success ? ri.error : rb.error).c_str());
+                        (rb.success ? ri.status : rb.status)
+                            .toString()
+                            .c_str());
             return;
         }
         std::printf("  %-10s%s base: %3d PEs %8.0f um^2 %7.2f pJ | "

@@ -42,10 +42,9 @@ struct PlacerOptions {
 /** Result of placement. */
 struct PlacementResult {
     bool success = false;
-    std::string error; ///< Legacy mirror of status (when failed).
-    /** Typed outcome: kBudgetExhausted when the fabric is too
-     * small (retrying another seed cannot help), kPlaceFailed
-     * otherwise. */
+    /** Typed outcome, non-ok exactly when !success: kBudgetExhausted
+     * when the fabric is too small (retrying another seed cannot
+     * help), kPlaceFailed otherwise. */
     Status status;
     /** Location per mapped node; kReg (and const-only) nodes get
      * {-1, -1} — they do not occupy tiles. */

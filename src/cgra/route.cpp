@@ -132,7 +132,6 @@ route(const Fabric &fabric, const PlacementResult &placement,
     } outcome_counters{result};
     if (Status fault = checkFault(FaultStage::kRoute); !fault.ok()) {
         result.status = std::move(fault);
-        result.error = result.status.toString();
         return result;
     }
     const int links = fabric.linkCount();
@@ -241,7 +240,6 @@ route(const Fabric &fabric, const PlacementResult &placement,
                 "rip-up iteration " + std::to_string(iter + 1));
             !s.ok()) {
             result.status = std::move(s);
-            result.error = result.status.message();
             return result;
         }
         result.iterations = iter + 1;
@@ -263,7 +261,6 @@ route(const Fabric &fabric, const PlacementResult &placement,
                    << "))";
                 result.status =
                     Status(ErrorCode::kRouteFailed, os.str());
-                result.error = result.status.message();
                 break;
             }
             for (int link : path)
@@ -295,7 +292,7 @@ route(const Fabric &fabric, const PlacementResult &placement,
         result.link_usage[l] = link_signals[l].count();
 
     if (!result.success) {
-        if (result.error.empty()) {
+        if (result.status.ok()) {
             int overused = 0, worst = 0;
             for (int l = 0; l < links; ++l) {
                 if (result.link_usage[l] > options.tracks) {
@@ -309,7 +306,6 @@ route(const Fabric &fabric, const PlacementResult &placement,
                << " links over capacity (worst " << worst << "/"
                << options.tracks << " tracks)";
             result.status = Status(ErrorCode::kRouteFailed, os.str());
-            result.error = os.str();
         }
         return result;
     }

@@ -43,8 +43,8 @@ struct RouterOptions {
 /** Result of routing. */
 struct RouteResult {
     bool success = false;
-    std::string error; ///< Legacy mirror of status (when failed).
-    /** Typed outcome (kRouteFailed on congestion / unroutable nets). */
+    /** Typed outcome, non-ok exactly when !success (kRouteFailed on
+     * congestion / unroutable nets, kTimeout on deadline expiry). */
     Status status;
     /** Per contracted edge: the links (Fabric::linkIndex) crossed. */
     std::vector<std::vector<int>> paths;

@@ -338,7 +338,6 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     if (Status fault = checkFault(FaultStage::kEvaluate);
         !fault.ok()) {
         r.status = std::move(fault).withContext(pair_context);
-        r.error = r.status.toString();
         r.diagnostics.error("evaluate", r.status);
         return r;
     }
@@ -347,7 +346,6 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     // corrupt graph must be rejected here, not crash the mapper.
     if (Status s = ir::validate(app.graph); !s.ok()) {
         r.status = std::move(s).withContext(pair_context);
-        r.error = r.status.toString();
         r.diagnostics.error("validate", r.status);
         return r;
     }
@@ -382,7 +380,6 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     if (Status s = options.deadline.check("instruction selection");
         !s.ok()) {
         r.status = std::move(s).withContext(pair_context);
-        r.error = r.status.toString();
         r.diagnostics.error("deadline", r.status);
         return r;
     }
@@ -392,11 +389,7 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     mapper::InstructionSelector selector(rules);
     mapper::SelectionResult sel = selector.map(app.graph);
     if (!sel.success) {
-        r.status = (sel.status.ok()
-                        ? Status(ErrorCode::kMappingFailed, sel.error)
-                        : sel.status)
-                       .withContext(pair_context);
-        r.error = "mapping failed: " + sel.error;
+        r.status = sel.status.withContext(pair_context);
         r.diagnostics.error("map", r.status);
         return r;
     }
@@ -514,11 +507,7 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
             ++r.pnr_attempts;
             placement = cgra::place(fabric, sel.mapped, popt);
             if (!placement.success) {
-                last_failure =
-                    placement.status.ok()
-                        ? Status(ErrorCode::kPlaceFailed,
-                                 placement.error)
-                        : placement.status;
+                last_failure = placement.status;
                 r.diagnostics.error("place", last_failure,
                                     r.pnr_attempts);
                 // No seed conjures missing tiles: grow instead.
@@ -550,11 +539,7 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
                     pnr_ok = true;
                     break;
                 }
-                last_failure =
-                    routing.status.ok()
-                        ? Status(ErrorCode::kRouteFailed,
-                                 routing.error)
-                        : routing.status;
+                last_failure = routing.status;
                 r.diagnostics.error("route", last_failure,
                                     r.pnr_attempts);
                 // A timed-out route will not improve with more
@@ -578,7 +563,6 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
         r.status = std::move(last_failure)
                        .withContext(os.str())
                        .withContext(pair_context);
-        r.error = "place-and-route failed: " + r.status.message();
         return r;
     }
     r.fabric_width = width;

@@ -38,9 +38,8 @@ enum class EvalLevel {
 /** Everything the benchmarks report. */
 struct EvalResult {
     bool success = false;
-    std::string error;   ///< Legacy mirror of status (when failed).
     /** Typed outcome with context chain (which app/variant, after how
-     * many attempts). */
+     * many attempts); non-ok exactly when !success. */
     Status status;
     /** Full trail of the run: every placement retry, routing-track
      * escalation and fabric growth, as info/error records. */

@@ -1,6 +1,5 @@
 #include "core/journal.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "core/encoding.hpp"
@@ -16,28 +15,13 @@ namespace {
 // core/encoding.hpp.
 using namespace enc;
 
-constexpr std::string_view kJournalMagic = "apexsweep";
-// Version 2: AppRecord cells carry mine_capped_levels.  A version
-// mismatch is a fingerprint mismatch: the old journal is ignored and
-// the sweep restarts from scratch (never mis-decoded).
-constexpr int kJournalVersion = 2;
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
 // --- record payloads -------------------------------------------------
 
 std::string
 encodeHeader(std::uint64_t fingerprint, std::size_t app_count)
 {
     std::ostringstream os;
-    os << "fp " << hex64(fingerprint) << "\napps " << app_count
+    os << "fp " << runtime::hex64(fingerprint) << "\napps " << app_count
        << '\n';
     return os.str();
 }
@@ -109,7 +93,6 @@ encodeCell(const SweepJournal::CellRecord &rec)
     os << (r.success ? 1 : 0) << ' ' << r.pnr_attempts << ' '
        << (r.degraded ? 1 : 0) << '\n';
     putStatus(os, r.status);
-    putStr(os, r.error);
     if (r.success)
         putStr(os, serializeEvalResult(r));
     putDiagnostics(os, r.diagnostics);
@@ -133,8 +116,6 @@ decodeCell(const std::string &payload, SweepJournal::CellRecord *out)
     is.get();
     r.degraded = degraded != 0;
     if (!getStatus(is, &r.status))
-        return false;
-    if (!getStr(is, &r.error))
         return false;
     if (success != 0) {
         std::string blob;

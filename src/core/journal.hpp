@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/evaluate.hpp"
@@ -42,6 +43,14 @@
  */
 
 namespace apex::core {
+
+/** Frame magic and schema version of the sweep journal.
+ * Version 2: AppRecord cells carry mine_capped_levels.
+ * Version 3: CellRecords drop the string mirror of the status.
+ * A version mismatch is a fingerprint mismatch: the old journal is
+ * ignored and the sweep restarts from scratch (never mis-decoded). */
+inline constexpr std::string_view kJournalMagic = "apexsweep";
+inline constexpr int kJournalVersion = 3;
 
 /** Recipe cells per app (mirrors sweep.cpp's RecipeCell). */
 inline constexpr int kJournalCellsPerApp = 3;

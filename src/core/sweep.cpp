@@ -195,12 +195,10 @@ evaluateCellGuarded(const apps::AppInfo &app, const PeVariant &variant,
             r.status = e.status().withContext(
                 "evaluating '" + app.name + "' on '" + variant.name +
                 "'");
-            r.error = r.status.toString();
         } catch (const std::exception &e) {
             r.status =
                 Status(ErrorCode::kInternal,
                        std::string("unexpected exception: ") + e.what());
-            r.error = r.status.toString();
         }
         return r;
     };
@@ -785,7 +783,6 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                                             : " attempts");
                     r.status = Status(ErrorCode::kWorkerCrashed,
                                       msg.str());
-                    r.error = r.status.toString();
                 }
                 cell.ran = true;
                 cell.result = rec.result;
@@ -932,12 +929,8 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                 out.entries.push_back(
                     {app.name, vname, std::move(r)});
             } else {
-                Status s = r.status.ok()
-                               ? Status(ErrorCode::kEvaluationFailed,
-                                        r.error)
-                               : r.status;
-                recordFailure(out.report, app.name, vname,
-                              std::move(s), r.pnr_attempts);
+                recordFailure(out.report, app.name, vname, r.status,
+                              r.pnr_attempts);
             }
         }
     }

@@ -246,12 +246,6 @@ canonicalCode(const Graph &g)
     return best;
 }
 
-std::uint64_t
-structuralHash(const Graph &g)
-{
-    return std::hash<std::string>{}(canonicalCode(g));
-}
-
 bool
 isomorphic(const Graph &a, const Graph &b)
 {

@@ -31,9 +31,6 @@ namespace apex::ir {
  */
 std::string canonicalCode(const Graph &g);
 
-/** @return a 64-bit hash of canonicalCode(g). */
-std::uint64_t structuralHash(const Graph &g);
-
 /** @return true when @p a and @p b are isomorphic as labeled DAGs. */
 bool isomorphic(const Graph &a, const Graph &b);
 

@@ -29,7 +29,11 @@ namespace apex::mapper {
 /** Result of mapping one application. */
 struct SelectionResult {
     bool success = false;
-    std::string error;       ///< Set when success is false.
+    /** A string copy of status, set when success is false.  The
+     * other result structs dropped this mirror; it stays here until
+     * the benchmark harness (perfbench/batch.cpp), which reads it,
+     * next changes. */
+    std::string error;
     Status status;           ///< Typed outcome (kMappingFailed).
     MappedGraph mapped;      ///< Valid when success.
     std::vector<int> rule_uses; ///< Per-rule application counts.

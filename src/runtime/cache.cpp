@@ -1,16 +1,19 @@
 #include "runtime/cache.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "core/fault.hpp"
 #include "runtime/eventlog.hpp"
-#include "runtime/record.hpp"
 #include "runtime/telemetry.hpp"
+#include "runtime/wire.hpp"
 
 namespace apex::runtime {
 
@@ -68,30 +71,6 @@ globalCacheStats()
     s.version_mismatches =
         static_cast<long>(c.version_mismatches.value());
     return s;
-}
-
-} // namespace
-
-std::uint64_t
-fnv1a64(std::string_view data, std::uint64_t seed)
-{
-    std::uint64_t h = seed;
-    for (const char c : data) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-namespace {
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
 }
 
 } // namespace
@@ -177,47 +156,39 @@ std::optional<std::string>
 ArtifactCache::getFromDisk(const std::string &key)
 {
     const std::string path = diskPathFor(key);
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return std::nullopt;
+    FrameDecoder decoder(kCacheMagic, kCacheVersion);
+    std::vector<FramedRecord> frames;
+    const bool clean = decodeFile(fd, decoder, &frames);
+    ::close(fd);
 
     auto drop = [&](telemetry::Counter &counter)
         -> std::optional<std::string> {
-        is.close();
         std::error_code ec;
         fs::remove(path, ec);
         counter.add(1);
         return std::nullopt;
     };
-
-    FramedRecord record;
-    switch (readFrame(is, kCacheMagic, kCacheVersion, &record)) {
-      case FrameStatus::kOk:
-        break;
-      case FrameStatus::kVersionMismatch:
-        // An intact entry from another schema version: count it apart
-        // from corruption so upgrades over an old dir are observable.
+    // An intact entry from another schema version: count it apart
+    // from corruption so upgrades over an old dir are observable.
+    if (decoder.versionMismatch())
         return drop(cacheCounters().version_mismatches);
-      default:
+    if (!clean || frames.size() != 1)
         return drop(cacheCounters().corrupt_dropped);
-    }
 
     // Payload layout: "key <len>\n<key bytes><value bytes>".  The
-    // embedded key disambiguates file-name hash collisions.
-    std::istringstream ps(record.payload);
-    std::string field;
-    std::size_t key_len = 0;
-    if (!(ps >> field >> key_len) || field != "key")
+    // embedded key disambiguates file-name hash collisions; it is
+    // compared in place against the requested one, so no length read
+    // from disk sizes anything.
+    const std::string_view payload = frames.front().payload;
+    const std::string header =
+        "key " + std::to_string(key.size()) + '\n';
+    if (!payload.starts_with(header) ||
+        !payload.substr(header.size()).starts_with(key))
         return drop(cacheCounters().corrupt_dropped);
-    ps.get(); // newline after the key header
-    std::string stored_key(key_len, '\0');
-    if (!ps.read(stored_key.data(),
-                 static_cast<std::streamsize>(key_len)) ||
-        stored_key != key)
-        return drop(cacheCounters().corrupt_dropped);
-    std::string value(record.payload.substr(
-        static_cast<std::size_t>(ps.tellg())));
-    return value;
+    return std::string(payload.substr(header.size() + key.size()));
 }
 
 void

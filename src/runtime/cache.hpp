@@ -2,7 +2,6 @@
 #define APEX_RUNTIME_CACHE_H_
 
 #include <chrono>
-#include <cstdint>
 #include <list>
 #include <map>
 #include <mutex>
@@ -22,14 +21,16 @@
  * Two tiers:
  *  - an in-memory LRU tier (bounded entry count, thread-safe);
  *  - an optional write-through on-disk tier (--cache-dir) so repeated
- *    sweeps across process runs become incremental.  Disk entries are
- *    framed records (runtime/record.hpp, shared with the sweep
- *    journal): the frame header records the schema version and an
- *    FNV-1a checksum, and the payload embeds the full key.  Any
- *    mismatch (truncation, bit rot, key collision on file name)
- *    deletes the file and counts as a miss, and an entry written by
- *    another schema version is dropped as a version mismatch — a
- *    stale or corrupt cache can cost time, never correctness.
+ *    sweeps across process runs become incremental.  Each disk entry
+ *    is one frame (runtime/wire.hpp, the format the sweep journal,
+ *    the worker pipes and the service sockets share), read back
+ *    through the same bounded FrameDecoder: the frame header records
+ *    the schema version and an FNV-1a checksum, and the payload
+ *    embeds the full key.  Any mismatch (truncation, bit rot, a
+ *    forged length, key collision on file name) deletes the file and
+ *    counts as a miss, and an entry written by another schema
+ *    version is dropped as a version mismatch — a stale or corrupt
+ *    cache can cost time, never correctness.
  *    A *write* failure (disk full, I/O error) latches the tier off:
  *    the cache continues memory-only with the
  *    `apex.cache.disk_disabled` gauge raised, and a periodic probe
@@ -136,10 +137,6 @@ class ArtifactCache {
     /** Monotonic deadline for the next recovery probe. */
     std::chrono::steady_clock::time_point next_probe_{};
 };
-
-/** FNV-1a 64-bit hash (shared by cache file naming and checksums). */
-std::uint64_t fnv1a64(std::string_view data,
-                      std::uint64_t seed = 14695981039346656037ull);
 
 } // namespace apex::runtime
 

@@ -22,7 +22,6 @@ struct Sink {
     std::uint64_t window_start_ns = 0;
     int window_lines = 0;
     long long window_suppressed = 0;
-    std::atomic<long long> suppressed_total{0};
     std::atomic<int> min_level{static_cast<int>(Level::kInfo)};
 };
 
@@ -133,7 +132,6 @@ writeBounded(Sink &s, const std::string &line)
                         : 1;
     if (s.window_lines >= cap) {
         ++s.window_suppressed;
-        s.suppressed_total.fetch_add(1, std::memory_order_relaxed);
         static telemetry::Counter &suppressed =
             telemetry::counter("apex.log.suppressed");
         suppressed.add(1);
@@ -252,12 +250,6 @@ emit(Level level, std::string_view component,
     }
     writeBounded(
         s, renderLine(level, component, message, trace_id));
-}
-
-long long
-suppressedLines()
-{
-    return sink().suppressed_total.load(std::memory_order_relaxed);
 }
 
 } // namespace apex::eventlog

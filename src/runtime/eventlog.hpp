@@ -23,11 +23,13 @@
  *    the call site (one comparison; no formatting).
  *  - **Rate-bounded**: at most `rate_max_per_window` lines per
  *    `rate_window_ms` window; overflow is counted (counter
- *    `apex.log.suppressed`) and summarized in one line when the
- *    window rolls, so a log storm costs bounded bytes and the loss
- *    is visible.  Call sites keep their own one-episode latches
- *    (queue saturation, cache disk tier) — the rate bound is the
- *    backstop, not the dedup mechanism.
+ *    `apex.log.suppressed`, the only tally of it) and summarized in
+ *    one line when the window rolls, so a log storm costs bounded
+ *    bytes and the loss is visible.  Call sites keep their own
+ *    one-episode latches (queue saturation, cache disk tier) — the
+ *    rate bound is the backstop, not the dedup mechanism.  A daemon
+ *    exhaustion episode's line is its only record, next to the
+ *    counter its call site bumps.
  *  - **Trace-correlated**: events carry the request trace id when the
  *    caller has one, so `grep trace_id daemon.log` follows a single
  *    request through admission, execution, and failure paths.
@@ -73,9 +75,6 @@ bool configured();
  * event to a request (0 = none). */
 void emit(Level level, std::string_view component,
           std::string_view message, std::uint64_t trace_id = 0);
-
-/** Lines suppressed by the rate bound since configure(). */
-long long suppressedLines();
 
 } // namespace apex::eventlog
 

@@ -1,6 +1,5 @@
 #include "runtime/record.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <thread>
@@ -9,7 +8,6 @@
 #include <unistd.h>
 
 #include "core/fault.hpp"
-#include "runtime/cache.hpp"
 #include "runtime/telemetry.hpp"
 
 namespace apex::runtime {
@@ -17,15 +15,6 @@ namespace apex::runtime {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 /** fsync @p path (best effort — crash-safety hardening must not turn
  * an otherwise-working log into an error). */
@@ -60,58 +49,6 @@ removeStaleTemporaries(const std::string &path)
 
 } // namespace
 
-std::string
-encodeFrame(std::string_view magic, int version, std::string_view type,
-            std::string_view payload)
-{
-    std::ostringstream os;
-    os << magic << ' ' << version << ' ' << type << " sum "
-       << hex64(fnv1a64(payload)) << " len " << payload.size() << '\n';
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
-    os << '\n';
-    return os.str();
-}
-
-FrameStatus
-readFrame(std::istream &is, std::string_view magic, int version,
-          FramedRecord *out)
-{
-    std::string file_magic;
-    if (!(is >> file_magic))
-        return is.eof() ? FrameStatus::kEof : FrameStatus::kCorrupt;
-    int file_version = 0;
-    std::string type, field;
-    std::uint64_t checksum = 0;
-    std::size_t payload_len = 0;
-    if (!(is >> file_version >> type))
-        return FrameStatus::kCorrupt;
-    if (file_magic != magic)
-        return FrameStatus::kCorrupt;
-    if (file_version != version)
-        return FrameStatus::kVersionMismatch;
-    if (!(is >> field) || field != "sum")
-        return FrameStatus::kCorrupt;
-    if (!(is >> std::hex >> checksum >> std::dec))
-        return FrameStatus::kCorrupt;
-    if (!(is >> field >> payload_len) || field != "len")
-        return FrameStatus::kCorrupt;
-    if (is.get() != '\n')
-        return FrameStatus::kCorrupt;
-    std::string payload(payload_len, '\0');
-    if (payload_len > 0 &&
-        !is.read(payload.data(),
-                 static_cast<std::streamsize>(payload_len)))
-        return FrameStatus::kCorrupt; // truncated payload
-    if (is.get() != '\n')
-        return FrameStatus::kCorrupt; // truncated trailer
-    if (fnv1a64(payload) != checksum)
-        return FrameStatus::kCorrupt; // bit rot / partial overwrite
-    out->type = std::move(type);
-    out->payload = std::move(payload);
-    return FrameStatus::kOk;
-}
-
 Status
 RecordLog::open(const std::string &path, std::string_view magic,
                 int version, bool replay)
@@ -140,37 +77,27 @@ RecordLog::open(const std::string &path, std::string_view magic,
 
     bool compact = false;
     if (replay) {
-        std::ifstream is(path_, std::ios::binary);
-        if (is) {
-            recovery_ = LogRecovery::kClean;
-            for (;;) {
-                FramedRecord record;
-                const FrameStatus fs =
-                    readFrame(is, magic_, version_, &record);
-                if (fs == FrameStatus::kOk) {
-                    records_.push_back(std::move(record));
-                    continue;
-                }
-                if (fs == FrameStatus::kEof)
-                    break;
+        const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+        if (fd >= 0) {
+            FrameDecoder decoder(magic_, version_);
+            const bool clean = decodeFile(fd, decoder, &records_);
+            ::close(fd);
+            if (!clean) {
                 // A mismatched version on the *first* frame means the
                 // whole log is another schema: restart it.  Anything
-                // else — corruption, or skew mid-file — is a damaged
-                // tail: keep the valid prefix, drop the rest.
-                if (fs == FrameStatus::kVersionMismatch &&
-                    records_.empty()) {
+                // else — corruption, a torn frame, a read error, or
+                // skew mid-file — is a damaged tail: keep the valid
+                // prefix, drop the rest.
+                compact = true;
+                if (decoder.versionMismatch() && records_.empty()) {
                     recovery_ = LogRecovery::kVersionMismatch;
                 } else {
                     recovery_ = LogRecovery::kTailDropped;
+                    telemetry::counter("apex.record.tail_drops").add(1);
                 }
-                compact = true;
-                break;
+            } else if (!records_.empty()) {
+                recovery_ = LogRecovery::kClean;
             }
-            if (records_.empty() &&
-                recovery_ == LogRecovery::kClean)
-                recovery_ = LogRecovery::kFresh;
-            if (recovery_ == LogRecovery::kTailDropped)
-                telemetry::counter("apex.record.tail_drops").add(1);
         }
     }
 

@@ -3,68 +3,31 @@
 
 #include <cstdint>
 #include <fstream>
-#include <istream>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/status.hpp"
+#include "runtime/wire.hpp"
 
 /**
  * @file
- * Framed, checksummed, versioned on-disk records — the durability
- * substrate shared by the artifact cache and the sweep journal.
+ * Crash-safe write-ahead log of frames — the durability substrate of
+ * the sweep journal.  The frame format and its decoder live in
+ * runtime/wire.hpp; this module only adds the log discipline.
  *
- * A frame is one self-describing unit:
- *
- *     <magic> <version> <type> sum <fnv1a64-hex> len <bytes>\n
- *     <payload>\n
- *
- * The header names the schema (magic + version) so a format change is
- * detected *before* the payload is interpreted — a stale file reads
- * as kVersionMismatch, never as silently-deserialized garbage — and
- * the checksum covers the payload so truncation and bit rot read as
- * kCorrupt.  Both outcomes are recoverable signals, not errors: the
- * cache treats them as misses, the journal replays the valid prefix.
- *
- * RecordLog builds an append-only write-ahead log out of frames: each
- * append writes one complete frame and flushes, so a crash (power
- * loss, kill -9) can only ever lose or mangle the *tail* frame, which
- * the checksum detects on the next open.  A recovered log is
- * compacted back to its valid prefix with write-then-rename, so
- * readers never observe a partial file.
+ * Each append writes one complete frame and flushes, so a crash
+ * (power loss, kill -9) can only ever lose or mangle the *tail*
+ * frame, which the decoder detects on the next open.  Replay keeps
+ * the frames decoded before the first damage (a bad checksum, a
+ * torn or oversized frame, a read error): a damaged tail is a
+ * recoverable signal, not an error.  A recovered log is compacted
+ * back to its valid prefix with write-then-rename, so readers never
+ * observe a partial file.
  */
 
 namespace apex::runtime {
-
-/** One decoded frame. */
-struct FramedRecord {
-    std::string type;    ///< Caller-defined record kind.
-    std::string payload; ///< Checksummed opaque bytes.
-};
-
-/** Outcome of decoding one frame. */
-enum class FrameStatus {
-    kOk,              ///< Frame decoded; checksum verified.
-    kEof,             ///< Clean end of stream (no partial frame).
-    kCorrupt,         ///< Malformed header, truncation or bad sum.
-    kVersionMismatch, ///< Right magic, different schema version.
-};
-
-/** Encode one frame (header + payload + trailing newline). */
-std::string encodeFrame(std::string_view magic, int version,
-                        std::string_view type,
-                        std::string_view payload);
-
-/**
- * Decode the next frame from @p is.  @p out is written only on kOk.
- * A frame whose magic matches but whose version differs reports
- * kVersionMismatch (schema skew); anything else unreadable reports
- * kCorrupt.
- */
-FrameStatus readFrame(std::istream &is, std::string_view magic,
-                      int version, FramedRecord *out);
 
 /** What open() found on disk. */
 enum class LogRecovery {
@@ -79,9 +42,8 @@ enum class LogRecovery {
  * happens once in open().  A write failure (disk full, I/O error)
  * deactivates the log — the file is truncated back to its last good
  * frame and the failure is latched in lastError() — and the *caller*
- * picks the policy: the cache disk tier degrades to memory-only, the
- * sweep journal fails the sweep loudly rather than silently running
- * undurable (DESIGN.md Sec. 7h).
+ * picks the policy: the sweep journal fails the sweep loudly rather
+ * than silently running undurable (DESIGN.md Sec. 7h).
  */
 class RecordLog {
   public:
@@ -92,9 +54,10 @@ class RecordLog {
     /**
      * Open @p path for appending.  With @p replay, existing frames of
      * the same magic/version are loaded into records() first and a
-     * corrupt tail is dropped (the file is compacted to the valid
-     * prefix via write-then-rename); without it, or on schema
-     * mismatch, the log is restarted empty.
+     * damaged tail is dropped (the file is compacted to the valid
+     * prefix via write-then-rename); without it, or when the first
+     * frame is of another schema version, the log is restarted
+     * empty.
      */
     Status open(const std::string &path, std::string_view magic,
                 int version, bool replay);
@@ -121,9 +84,7 @@ class RecordLog {
      */
     Status append(std::string_view type, std::string_view payload);
 
-    /** The error that deactivated the log (ok while healthy).  The
-     * caller decides the policy: the sweep journal fails the sweep
-     * loudly, the cache disk tier degrades to memory-only. */
+    /** The error that deactivated the log (ok while healthy). */
     Status lastError() const;
 
     const std::string &path() const { return path_; }

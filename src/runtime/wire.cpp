@@ -1,15 +1,12 @@
 #include "runtime/wire.hpp"
 
 #include <cerrno>
-#include <cstdint>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 
 #include <poll.h>
 #include <unistd.h>
-
-#include "runtime/cache.hpp"
 
 namespace apex::runtime {
 
@@ -20,6 +17,39 @@ namespace {
 constexpr std::size_t kMaxHeaderBytes = 256;
 
 } // namespace
+
+std::uint64_t
+fnv1a64(std::string_view data, std::uint64_t seed)
+{
+    std::uint64_t h = seed;
+    for (const char c : data) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+std::string
+encodeFrame(std::string_view magic, int version, std::string_view type,
+            std::string_view payload)
+{
+    std::ostringstream os;
+    os << magic << ' ' << version << ' ' << type << " sum "
+       << hex64(fnv1a64(payload)) << " len " << payload.size() << '\n';
+    os.write(payload.data(),
+             static_cast<std::streamsize>(payload.size()));
+    os << '\n';
+    return os.str();
+}
 
 void
 FrameDecoder::feed(const char *data, std::size_t n)
@@ -66,16 +96,20 @@ FrameDecoder::next(FramedRecord *out)
     int version = 0;
     std::uint64_t checksum = 0;
     std::size_t payload_len = 0;
-    if (!(header >> magic >> version >> type) || magic != magic_ ||
-        version != version_ || !(header >> field) || field != "sum" ||
-        !(header >> std::hex >> checksum >> std::dec) ||
-        !(header >> field >> payload_len) || field != "len") {
-        if (magic == magic_ && version != version_)
-            return poison("frame version mismatch: stream speaks v" +
-                          std::to_string(version) + ", decoder v" +
-                          std::to_string(version_));
+    if (!(header >> magic >> version) || magic != magic_)
         return poison("malformed frame header");
+    if (version != version_) {
+        // Checked before the rest of the header: a schema skew is
+        // named as such whatever the newer layout looks like.
+        version_mismatch_ = true;
+        return poison("frame version mismatch: stream speaks v" +
+                      std::to_string(version) + ", decoder v" +
+                      std::to_string(version_));
     }
+    if (!(header >> type >> field) || field != "sum" ||
+        !(header >> std::hex >> checksum >> std::dec) ||
+        !(header >> field >> payload_len) || field != "len")
+        return poison("malformed frame header");
     if (payload_len > max_payload_)
         return poison("frame payload of " +
                       std::to_string(payload_len) +
@@ -121,6 +155,22 @@ drainFd(int fd, FrameDecoder &decoder, DrainMode mode)
         if (static_cast<std::size_t>(n) < sizeof buf)
             return DrainResult::kOpen;
     }
+}
+
+bool
+decodeFile(int fd, FrameDecoder &decoder, std::vector<FramedRecord> *out)
+{
+    // One read per decode pass keeps the buffer at one frame plus a
+    // read's worth of bytes, however long the file.
+    FramedRecord record;
+    DrainResult drained;
+    do {
+        drained = drainFd(fd, decoder, DrainMode::kSingleRead);
+        while (decoder.next(&record) == DecodeResult::kFrame)
+            out->push_back(std::move(record));
+    } while (drained == DrainResult::kOpen && !decoder.corrupt());
+    return drained == DrainResult::kEof && !decoder.corrupt() &&
+           decoder.buffered() == 0;
 }
 
 Status

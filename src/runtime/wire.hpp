@@ -2,45 +2,69 @@
 #define APEX_RUNTIME_WIRE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/status.hpp"
-#include "runtime/record.hpp"
 
 /**
  * @file
- * Length-framed, checksummed byte-stream protocol — the wire layer of
- * the supervised worker pool (runtime/worker_pool.hpp) and the DSE
- * service daemon (src/service/).
+ * The frame format, and its one decoder.  Every byte stream this
+ * project persists or exchanges is a sequence of frames: the sweep
+ * journal and the disk cache (runtime/record.hpp, runtime/cache.hpp),
+ * the supervised worker pool's pipes (runtime/worker_pool.hpp) and
+ * the service daemon's sockets (src/service/).  A frame is one
+ * self-describing unit:
  *
- * Frames reuse the exact on-disk format of runtime/record.hpp
- * (`<magic> <version> <type> sum <fnv1a64-hex> len <N>\n<payload>\n`),
- * so the same header-before-payload discipline that protects the WAL
- * protects the pipes and sockets: a schema skew is detected before the
- * payload is interpreted, and a torn or bit-flipped payload reads as
- * corruption, never as a silently-wrong result.  The difference from a
- * file is that a pipe or socket delivers bytes incrementally, so
- * decoding needs an incremental front end: FrameDecoder buffers fed
- * bytes and distinguishes "frame complete", "need more bytes" and
- * "stream is poisoned".
+ *     <magic> <version> <type> sum <fnv1a64-hex> len <N>\n
+ *     <payload>\n
  *
- * Corruption on a byte stream is not recoverable the way a WAL tail
- * is: once framing is lost there is no resynchronization point, so a
- * corrupt decoder stays corrupt and the owner's only safe move is to
- * drop the peer (kill the worker, close the connection).  That is
- * exactly the supervision-tree contract — a garbled peer is
- * indistinguishable from a crashed one.
+ * The header names the schema (magic + version) so a format change is
+ * detected *before* the payload is interpreted — a stale file or a
+ * skewed peer reads as a version mismatch, never as silently-
+ * deserialized garbage — and the checksum covers the payload so
+ * truncation and bit rot read as corruption.
+ *
+ * FrameDecoder is the only reader.  It buffers fed bytes and
+ * distinguishes "frame complete", "need more bytes" and "stream is
+ * poisoned", so it serves a pipe that delivers bytes incrementally
+ * and a file (decodeFile) alike.  Once framing is lost there is no
+ * resynchronization point, so a corrupt decoder stays corrupt.  On a
+ * pipe or socket the owner's only safe move is then to drop the peer
+ * (kill the worker, close the connection) — a garbled peer is
+ * indistinguishable from a crashed one.  A file reader keeps the
+ * frames decoded before the damage: the journal replays that prefix,
+ * the cache counts the entry as a miss.
  *
  * Resource bounds: a decoder enforces an explicit maximum frame size
- * (max_payload at construction, kMaxFramePayloadBytes by default).  A
- * length field beyond the bound reads as corruption with a clean
- * reason — honoring it would let one flipped bit (or one hostile
- * client) make the receiving process buffer unbounded memory waiting
- * for bytes that will never arrive.
+ * (max_payload at construction, kMaxFramePayloadBytes by default) and
+ * a maximum header length.  A length field beyond the bound reads as
+ * corruption with a clean reason — honoring it would let one flipped
+ * bit, a corrupt file or a hostile client make the reader allocate or
+ * buffer unbounded memory for bytes that will never arrive.
  */
 
 namespace apex::runtime {
+
+/** One decoded frame. */
+struct FramedRecord {
+    std::string type;    ///< Caller-defined record kind.
+    std::string payload; ///< Checksummed opaque bytes.
+};
+
+/** FNV-1a 64-bit hash (frame checksums, cache file names, keys). */
+std::uint64_t fnv1a64(std::string_view data,
+                      std::uint64_t seed = 14695981039346656037ull);
+
+/** @p v as 16 lowercase hex digits (how checksums and keys print). */
+std::string hex64(std::uint64_t v);
+
+/** Encode one frame (header + payload + trailing newline). */
+std::string encodeFrame(std::string_view magic, int version,
+                        std::string_view type,
+                        std::string_view payload);
 
 /** Magic + schema version of worker-pool pipe frames. */
 inline constexpr std::string_view kWireMagic = "apexwire";
@@ -63,7 +87,10 @@ enum class DecodeResult {
  * with broken framing cannot be resynchronized — and corruptReason()
  * names what was wrong (bad header, oversized length, checksum
  * mismatch, ...) so the owner can report a useful error instead of a
- * bare "corrupt".
+ * bare "corrupt".  versionMismatch() tells a schema skew (right
+ * magic, other version) apart from damage, which the file readers
+ * need: a journal of another schema restarts, a damaged one keeps
+ * its prefix.
  */
 class FrameDecoder {
   public:
@@ -86,6 +113,10 @@ class FrameDecoder {
     /** Why the decoder latched corrupt ("" while healthy). */
     const std::string &corruptReason() const { return reason_; }
 
+    /** True when it latched corrupt on a frame of the right magic
+     * but another schema version. */
+    bool versionMismatch() const { return version_mismatch_; }
+
     /** Largest payload this decoder will accept. */
     std::size_t maxPayload() const { return max_payload_; }
 
@@ -101,6 +132,7 @@ class FrameDecoder {
     std::string buffer_;
     std::size_t pos_ = 0; ///< Consumed prefix of buffer_.
     bool corrupt_ = false;
+    bool version_mismatch_ = false;
     std::string reason_;
 };
 
@@ -132,9 +164,23 @@ enum class DrainMode {
  * a blocking fd that read may wait, so callers either poll() first
  * or intend to block for the next frame.  Shared by the worker-pool
  * supervisor, the service daemon's sessions and the service client.
+ * decodeFile() drives it over regular files.
  */
 DrainResult drainFd(int fd, FrameDecoder &decoder,
                     DrainMode mode = DrainMode::kUntilEagain);
+
+/**
+ * Decode a whole regular file: read @p fd to EOF through @p decoder,
+ * appending every frame to @p out, and stop at the first damage.
+ * True when the file is a clean sequence of frames (it ends on a
+ * frame boundary and every read succeeded).  Otherwise @p out holds
+ * the frames before the damage, and the decoder tells a schema skew
+ * (versionMismatch()) from corruption (corrupt()); neither is set for
+ * a torn tail or a read error.  How the sweep journal replays and how
+ * the cache reads a disk entry.
+ */
+bool decodeFile(int fd, FrameDecoder &decoder,
+                std::vector<FramedRecord> *out);
 
 /**
  * write() @p bytes to @p fd completely, retrying short writes and

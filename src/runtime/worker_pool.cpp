@@ -70,23 +70,6 @@ workerDeathCauseName(WorkerDeathCause cause)
     return "none";
 }
 
-WorkerDeathCause
-workerDeathCauseFromName(std::string_view name)
-{
-    if (name == "crash")
-        return WorkerDeathCause::kCrash;
-    if (name == "oom")
-        return WorkerDeathCause::kOom;
-    if (name == "hang")
-        return WorkerDeathCause::kHang;
-    return WorkerDeathCause::kNone;
-}
-
-/** One queued task and its bookkeeping. */
-struct WorkerPool::Pending {
-    std::size_t index = 0; ///< Into the caller's task list.
-};
-
 struct WorkerPool::Worker {
     pid_t pid = -1;
     int req_fd = -1;  ///< Supervisor writes task frames here.

@@ -77,9 +77,6 @@ enum class WorkerDeathCause {
 /** "crash", "oom", "hang" — stable names used in reports/journals. */
 std::string_view workerDeathCauseName(WorkerDeathCause cause);
 
-/** Inverse of workerDeathCauseName() (kNone for unknown). */
-WorkerDeathCause workerDeathCauseFromName(std::string_view name);
-
 /** What finally happened to one task. */
 enum class TaskFate {
     kDone,        ///< Handler response received.
@@ -157,7 +154,6 @@ class WorkerPool {
 
   private:
     struct Worker;
-    struct Pending;
 
     void spawnWorker(Worker &w);
     void stopWorker(Worker &w, bool kill_now);

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <thread>
 
-#include "runtime/cache.hpp"
 #include "runtime/telemetry.hpp"
 #include "service/version.hpp"
 

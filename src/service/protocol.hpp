@@ -14,8 +14,8 @@
  * @file
  * Wire protocol of the DSE service (see DESIGN.md Sec. 7g).
  *
- * Frames reuse the checksummed record format of runtime/record.hpp
- * with their own magic ("apexsvc") and framing version, decoded
+ * Frames use the checksummed frame format of runtime/wire.hpp with
+ * their own magic ("apexsvc") and framing version, decoded
  * incrementally by runtime::FrameDecoder; this header defines the
  * *payloads* — typed request/reply structs with encode/decode pairs
  * built on the shared primitives of core/encoding.hpp.  Every

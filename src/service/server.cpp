@@ -48,15 +48,6 @@ setNonBlocking(int fd)
 constexpr double kAcceptBackoffMinMs = 50.0;
 constexpr double kAcceptBackoffMaxMs = 2000.0;
 
-std::string
-hexKey(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
 /** Coalesced-trace aliases retained; past this the oldest is evicted
  * — an alias outliving two minutes of ring history is already a cold
  * trace nobody can usefully fetch. */
@@ -259,15 +250,6 @@ Server::logEpisode(const std::string &stage, const Status &status)
     // stderr when apexd ran without --log-out.
     eventlog::emit(eventlog::Level::kError, "service." + stage,
                    status.toString(), telemetry::currentTraceId());
-    std::lock_guard<std::mutex> lock(diag_mu_);
-    diag_.error(stage, status);
-}
-
-Diagnostics
-Server::diagnostics() const
-{
-    std::lock_guard<std::mutex> lock(diag_mu_);
-    return diag_;
 }
 
 void
@@ -744,7 +726,7 @@ Server::executeJob(const std::shared_ptr<SweepJob> &job)
     // pays only for the missing cells the second time.
     if (!options_.cache_dir.empty()) {
         const std::string dir =
-            options_.cache_dir + "/sweep-" + hexKey(job->key);
+            options_.cache_dir + "/sweep-" + runtime::hex64(job->key);
         std::error_code ec;
         std::filesystem::create_directories(dir, ec);
         if (!ec) {

@@ -48,8 +48,9 @@
  * executors never touch a socket — they enqueue outbound frames and
  * wake the io thread through a self-pipe.  stop() (SIGTERM path)
  * stops accepting, abandons the queue, cancels running sweeps
- * cooperatively (subscribers receive a cancelled report) and joins
- * every thread.
+ * cooperatively and joins every thread.  Reports of cancelled
+ * sweeps are dropped, not delivered: subscribers see the connection
+ * close (kUnavailable), which a retrying client reconnects on.
  *
  * Metrics: apex.service.accepted / rejected / coalesced counters,
  * apex.service.queue_depth gauge, apex.service.sweeps (sweeps
@@ -147,11 +148,6 @@ class Server {
     /** Bound TCP port (0 when no TCP listener). */
     int tcpPort() const { return tcp_port_; }
 
-    /** Structured log of resource-exhaustion episodes (accept
-     * failures, shedding): one record per episode, not per event.
-     * Snapshot; safe from any thread. */
-    Diagnostics diagnostics() const;
-
   private:
     struct Outbound {
         std::uint64_t session_id = 0;
@@ -164,7 +160,11 @@ class Server {
     void acceptPending(int listen_fd);
     /** True while accepts are paused after fd/memory exhaustion. */
     bool acceptPaused() const;
-    /** Record one exhaustion/shedding episode (bounded logging). */
+    /** Write one exhaustion/shedding episode to the event log as a
+     * `service.<stage>` line.  Callers latch, so an episode is one
+     * line however many events it spans; they also bump its counter
+     * (apex.service.saturation_episodes,
+     * apex.resource.accept_exhausted). */
     void logEpisode(const std::string &stage, const Status &status);
     /** Dispatch one post-handshake frame; false drops the session. */
     bool dispatch(Session &session, const runtime::FramedRecord &rec);
@@ -239,10 +239,6 @@ class Server {
     std::vector<Outbound> outbound_;
     /** Bytes sitting in outbound_ + being flushed (mem budget). */
     std::atomic<std::size_t> outbound_bytes_{0};
-
-    /** Exhaustion-episode log (guarded by diag_mu_). */
-    mutable std::mutex diag_mu_;
-    Diagnostics diag_;
 
     std::thread io_thread_;
     std::vector<std::thread> executors_;

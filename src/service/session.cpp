@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include "runtime/record.hpp"
 #include "service/version.hpp"
 
 namespace apex::service {

@@ -12,8 +12,8 @@
  * version — so a client/daemon skew fails with a message naming both
  * sides instead of a cryptic frame error mid-request.  The protocol
  * version is bumped on any wire-incompatible change to the payload
- * schemas in protocol.hpp; the framing layer (runtime/record.hpp)
- * has its own version, checked one layer below.
+ * schemas in protocol.hpp; the framing layer (runtime/wire.hpp) has
+ * its own version, checked one layer below.
  */
 
 namespace apex::service {

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "core/status.hpp"
+#include "frame_forge.hpp"
 
 namespace apex {
 namespace {
@@ -184,6 +185,50 @@ TEST(Cli, CrashedSweepResumesByteIdentical)
                   " --resume > " + resume_out),
               0);
     EXPECT_EQ(slurp(ref_out), slurp(resume_out));
+}
+
+TEST(Cli, ResumeOverAForgedJournalLengthIsByteIdentical)
+{
+    // A journal whose last frame claims a length no reader may honor
+    // (a corrupt disk, a hostile writer): --resume drops that frame
+    // as a damaged tail, re-evaluates its cell and prints exactly
+    // the uninterrupted report.
+    ScratchDir dir("forged_journal");
+    const std::string cache = dir.str() + "/cache";
+    const std::string ref_out = dir.str() + "/reference.out";
+    const std::string resume_out = dir.str() + "/resumed.out";
+    ASSERT_EQ(run(apexc + " sweep --level map --cache-dir " + cache +
+                  " > " + ref_out),
+              0);
+    test::forgeFrameLength(cache + "/sweep.journal", test::kLastFrame);
+    ASSERT_EQ(run(apexc + " sweep --level map --cache-dir " + cache +
+                  " --resume > " + resume_out),
+              0);
+    EXPECT_EQ(slurp(ref_out), slurp(resume_out));
+}
+
+TEST(Cli, ForgedCacheEntryLengthCostsTimeNotCorrectness)
+{
+    ScratchDir dir("forged_cache");
+    const std::string cache = dir.str() + "/cache";
+    const std::string ref_out = dir.str() + "/reference.out";
+    const std::string rerun_out = dir.str() + "/rerun.out";
+    ASSERT_EQ(run(apexc + " sweep --level map > " + ref_out), 0);
+    ASSERT_EQ(run(apexc + " sweep --level map --cache-dir " + cache +
+                  " > /dev/null"),
+              0);
+    std::string entry;
+    for (const auto &f : fs::directory_iterator(cache))
+        if (f.path().extension() == ".apexcache")
+            entry = f.path().string();
+    ASSERT_FALSE(entry.empty());
+    test::forgeFrameLength(entry, 0);
+    // The forged entry is a miss: its cell is recomputed, every
+    // other cell is served from disk, and the report is unchanged.
+    ASSERT_EQ(run(apexc + " sweep --level map --cache-dir " + cache +
+                  " > " + rerun_out),
+              0);
+    EXPECT_EQ(slurp(ref_out), slurp(rerun_out));
 }
 
 TEST(Cli, DiskFullJournalExitsResourceExhausted)

@@ -61,9 +61,9 @@ TEST(EvaluateTest, PostMappingCameraSpecializationShape) {
                               EvalLevel::kPostMapping, tech);
     const auto spec = evaluate(app, bestSpecializedVariant(app, ex, tech),
                                EvalLevel::kPostMapping, tech);
-    ASSERT_TRUE(base.success) << base.error;
-    ASSERT_TRUE(pe1.success) << pe1.error;
-    ASSERT_TRUE(spec.success) << spec.error;
+    ASSERT_TRUE(base.success) << base.status.toString();
+    ASSERT_TRUE(pe1.success) << pe1.status.toString();
+    ASSERT_TRUE(spec.success) << spec.status.toString();
 
     // PE 1: same PE count (same coverage), smaller area.
     EXPECT_EQ(pe1.pe_count, base.pe_count);
@@ -88,7 +88,7 @@ TEST(EvaluateTest, PostPnrAddsInterconnect) {
     const auto app = apps::gaussianBlur(2);
     const auto r = evaluate(app, ex.baselineVariant(),
                             EvalLevel::kPostPnr, tech);
-    ASSERT_TRUE(r.success) << r.error;
+    ASSERT_TRUE(r.success) << r.status.toString();
     EXPECT_GT(r.sb_area, 0.0);
     EXPECT_GT(r.cb_area, 0.0);
     EXPECT_GT(r.mem_area, 0.0);
@@ -106,8 +106,8 @@ TEST(EvaluateTest, PostPipeliningImprovesPerformance) {
                               EvalLevel::kPostPnr, tech);
     const auto piped = evaluate(app, spec_variant,
                                 EvalLevel::kPostPipelining, tech);
-    ASSERT_TRUE(pnr.success) << pnr.error;
-    ASSERT_TRUE(piped.success) << piped.error;
+    ASSERT_TRUE(pnr.success) << pnr.status.toString();
+    ASSERT_TRUE(piped.success) << piped.status.toString();
 
     // Fig. 16 shape: pipelining cuts the clock period (the merged
     // datapath is deep), at some register/RF cost.
@@ -129,8 +129,8 @@ TEST(EvaluateTest, DomainPeBeatsBaselineOnUnseenApps) {
                                EvalLevel::kPostMapping, tech);
     const auto ip = evaluate(unseen, pe_ip,
                              EvalLevel::kPostMapping, tech);
-    ASSERT_TRUE(base.success) << base.error;
-    ASSERT_TRUE(ip.success) << ip.error;
+    ASSERT_TRUE(base.success) << base.status.toString();
+    ASSERT_TRUE(ip.success) << ip.status.toString();
     EXPECT_LT(ip.pe_area, base.pe_area);
     EXPECT_LT(ip.pe_energy, base.pe_energy);
 }
@@ -145,8 +145,8 @@ TEST(EvaluateTest, MlPeOnMlApps) {
                                EvalLevel::kPostMapping, tech);
     const auto ml = evaluate(app, pe_ml, EvalLevel::kPostMapping,
                              tech);
-    ASSERT_TRUE(base.success) << base.error;
-    ASSERT_TRUE(ml.success) << ml.error;
+    ASSERT_TRUE(base.success) << base.status.toString();
+    ASSERT_TRUE(ml.success) << ml.status.toString();
     EXPECT_LT(ml.pe_count, base.pe_count);
     EXPECT_LT(ml.pe_area, base.pe_area);
 }
@@ -161,7 +161,7 @@ TEST(EvaluateTest, ReportsFailureForUndersizedFabric) {
     const auto r = evaluate(app, ex.baselineVariant(),
                             EvalLevel::kPostPnr, tech, options);
     EXPECT_FALSE(r.success);
-    EXPECT_FALSE(r.error.empty());
+    EXPECT_FALSE(r.status.ok());
 }
 
 TEST(EvaluateTest, AutoGrowRecoversFromSmallFabric) {
@@ -172,7 +172,7 @@ TEST(EvaluateTest, AutoGrowRecoversFromSmallFabric) {
     options.fabric_height = 2;
     const auto r = evaluate(app, ex.baselineVariant(),
                             EvalLevel::kPostPnr, tech, options);
-    ASSERT_TRUE(r.success) << r.error;
+    ASSERT_TRUE(r.success) << r.status.toString();
     EXPECT_GT(r.fabric_width * r.fabric_height, 8);
 }
 

@@ -1,16 +1,20 @@
 /**
  * Durability and pressure tests: the crash-safe sweep journal
  * (kill -9 mid-sweep, resume, byte-identical report), the framed
- * record log it is built on, the Deadline watchdog threaded through
- * the exponential stages, and graceful degradation when a cell's
- * budget runs out.
+ * record log it is built on and the frame decoder that reads it back
+ * (including seeded mutation of journal and cache bytes), the
+ * Deadline watchdog threaded through the exponential stages, and
+ * graceful degradation when a cell's budget runs out.
  */
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "runtime/cache.hpp"
 #include "runtime/record.hpp"
 #include "runtime/telemetry.hpp"
+#include "frame_forge.hpp"
 
 namespace apex::core {
 namespace {
@@ -51,6 +56,20 @@ class ScratchDir {
   private:
     fs::path path_;
 };
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(is)),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
 
 std::vector<apps::AppInfo>
 smallApps()
@@ -77,52 +96,71 @@ outcomeBytes(const SweepOutcome &outcome)
     return os.str();
 }
 
-// --- Frame codec -------------------------------------------------------
+// --- Frame decoder over file bytes -------------------------------------
+//
+// The journal and the cache read their files through the same
+// FrameDecoder as the pipes and sockets (WireDecoder.* in
+// worker_pool_test covers the stream side).  These cases pin what the
+// file readers rely on: a clean end, a named schema skew, and damage
+// that never reads as a frame.
 
-TEST(FrameCodec, RoundTripsBinaryPayload)
+TEST(FrameDecoder, RoundTripsBinaryPayloadToACleanEnd)
 {
     const std::string payload("bytes\nwith\nnewlines\0and nul", 27);
     const std::string frame =
         runtime::encodeFrame("apextest", 3, "blob", payload);
-    std::istringstream is(frame);
+    runtime::FrameDecoder decoder("apextest", 3);
+    decoder.feed(frame.data(), frame.size());
     runtime::FramedRecord rec;
-    ASSERT_EQ(runtime::readFrame(is, "apextest", 3, &rec),
-              runtime::FrameStatus::kOk);
+    ASSERT_EQ(decoder.next(&rec), runtime::DecodeResult::kFrame);
     EXPECT_EQ(rec.type, "blob");
     EXPECT_EQ(rec.payload, payload);
-    EXPECT_EQ(runtime::readFrame(is, "apextest", 3, &rec),
-              runtime::FrameStatus::kEof);
+    // Nothing buffered and nothing poisoned: a clean end of file.
+    EXPECT_EQ(decoder.next(&rec), runtime::DecodeResult::kNeedMore);
+    EXPECT_EQ(decoder.buffered(), 0u);
+    EXPECT_FALSE(decoder.corrupt());
 }
 
-TEST(FrameCodec, VersionSkewIsDetectedBeforePayload)
+TEST(FrameDecoder, VersionSkewIsDetectedBeforePayload)
 {
     const std::string frame =
         runtime::encodeFrame("apextest", 1, "blob", "old payload");
-    std::istringstream is(frame);
+    // The header line alone is enough to name the skew.
+    const std::string header = frame.substr(0, frame.find('\n') + 1);
+    runtime::FrameDecoder decoder("apextest", 2);
+    decoder.feed(header.data(), header.size());
     runtime::FramedRecord rec;
-    EXPECT_EQ(runtime::readFrame(is, "apextest", 2, &rec),
-              runtime::FrameStatus::kVersionMismatch);
+    EXPECT_EQ(decoder.next(&rec), runtime::DecodeResult::kCorrupt);
+    EXPECT_TRUE(decoder.versionMismatch());
+    EXPECT_NE(decoder.corruptReason().find("version mismatch"),
+              std::string::npos)
+        << decoder.corruptReason();
 }
 
-TEST(FrameCodec, TruncationAndBitRotAreCorrupt)
+TEST(FrameDecoder, TruncationAndBitRotAreNotFrames)
 {
     const std::string frame =
         runtime::encodeFrame("apextest", 3, "blob", "payload bytes");
     {
-        // A torn tail write: half the frame is missing.
-        std::istringstream is(frame.substr(0, frame.size() / 2));
+        // A torn tail write: half the frame stays buffered, which a
+        // file reader at EOF treats as a damaged tail.
+        runtime::FrameDecoder decoder("apextest", 3);
+        decoder.feed(frame.data(), frame.size() / 2);
         runtime::FramedRecord rec;
-        EXPECT_EQ(runtime::readFrame(is, "apextest", 3, &rec),
-                  runtime::FrameStatus::kCorrupt);
+        EXPECT_EQ(decoder.next(&rec),
+                  runtime::DecodeResult::kNeedMore);
+        EXPECT_GT(decoder.buffered(), 0u);
     }
     {
-        // One flipped payload byte: the checksum catches it.
+        // One flipped payload byte: the checksum catches it, and it
+        // is damage, not a schema skew.
         std::string rotted = frame;
         rotted[rotted.size() - 3] ^= 0x20;
-        std::istringstream is(rotted);
+        runtime::FrameDecoder decoder("apextest", 3);
+        decoder.feed(rotted.data(), rotted.size());
         runtime::FramedRecord rec;
-        EXPECT_EQ(runtime::readFrame(is, "apextest", 3, &rec),
-                  runtime::FrameStatus::kCorrupt);
+        EXPECT_EQ(decoder.next(&rec), runtime::DecodeResult::kCorrupt);
+        EXPECT_FALSE(decoder.versionMismatch());
     }
 }
 
@@ -218,6 +256,32 @@ TEST(RecordLog, MidFileCorruptionKeepsPrefixAndCountsTheDrop)
         drops_before + 1);
 }
 
+TEST(RecordLog, ForgedLengthDropsTheTailInsteadOfAllocating)
+{
+    // A length field no reader may honor — a corrupt disk or a
+    // hostile writer.  Replay must treat it as a damaged tail like
+    // any other, keep the prefix, and compact, not size a buffer by
+    // it.
+    ScratchDir dir("forgedlen");
+    const std::string path = dir.str() + "/log";
+    {
+        runtime::RecordLog log;
+        ASSERT_TRUE(log.open(path, "apextest", 1, true).ok());
+        ASSERT_TRUE(log.append("a", "first").ok());
+        ASSERT_TRUE(log.append("b", "second").ok());
+    }
+    test::forgeFrameLength(path, 1);
+    {
+        runtime::RecordLog log;
+        ASSERT_TRUE(log.open(path, "apextest", 1, true).ok());
+        EXPECT_EQ(log.recovery(), runtime::LogRecovery::kTailDropped);
+        ASSERT_EQ(log.records().size(), 1u);
+        EXPECT_EQ(log.records()[0].payload, "first");
+    }
+    EXPECT_EQ(readBytes(path),
+              runtime::encodeFrame("apextest", 1, "a", "first"));
+}
+
 TEST(RecordLog, HalfCompactedCrashStateRecovers)
 {
     // Simulate a crash *between* a compaction's tmp write and its
@@ -273,6 +337,143 @@ TEST(RecordLog, SchemaMismatchRestartsFresh)
     EXPECT_TRUE(log.records().empty());
 }
 
+// --- Seeded mutation of frame bytes ------------------------------------
+//
+// Every reader of frame bytes must survive arbitrary damage: no
+// throw, no allocation sized by a forged field, and never a payload
+// that was not written.  Seeded, so a failure names its seed and
+// replays exactly.
+
+/** One random damage to @p bytes: a flipped bit, a deleted or
+ * duplicated byte, a truncation, or a header number (version, sum,
+ * len) overwritten with a run of 1-20 digits. */
+void
+mutate(std::string &bytes, std::string_view magic, std::mt19937 &rng)
+{
+    const auto pick = [&rng](std::size_t n) {
+        return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    if (bytes.empty())
+        return;
+    switch (pick(5)) {
+      case 0:
+        bytes[pick(bytes.size())] ^= static_cast<char>(1u << pick(8));
+        return;
+      case 1:
+        bytes.erase(pick(bytes.size()), 1);
+        return;
+      case 2: {
+        const std::size_t at = pick(bytes.size());
+        bytes.insert(at, 1, bytes[at]);
+        return;
+      }
+      case 3:
+        bytes.resize(pick(bytes.size()));
+        return;
+      default:
+        break;
+    }
+    std::vector<std::size_t> fields;
+    for (const std::string &tag :
+         {std::string(magic) + ' ', std::string(" sum "),
+          std::string(" len ")}) {
+        for (std::size_t at = bytes.find(tag); at != std::string::npos;
+             at = bytes.find(tag, at + 1))
+            fields.push_back(at + tag.size());
+    }
+    if (fields.empty())
+        return;
+    const std::size_t start = fields[pick(fields.size())];
+    std::size_t end = start;
+    while (end < bytes.size() && bytes[end] != ' ' && bytes[end] != '\n')
+        ++end;
+    std::string digits(1 + pick(20), '0');
+    for (char &c : digits)
+        c = static_cast<char>('0' + pick(10));
+    bytes.replace(start, end - start, digits);
+}
+
+TEST(FrameMutation, DamageYieldsAPrefixOrAMissNeverOtherBytes)
+{
+    ScratchDir dir("mutation");
+    const std::vector<std::string> payloads = {
+        "first", "", std::string("bin\0\nary", 8),
+        std::string(300, 'x'), "len 5 sum 00\n", "last"};
+    const std::string journal = dir.str() + "/log";
+    {
+        runtime::RecordLog log;
+        ASSERT_TRUE(log.open(journal, "apextest", 1, false).ok());
+        for (const std::string &p : payloads)
+            ASSERT_TRUE(log.append("rec", p).ok());
+    }
+    const std::string journal_bytes = readBytes(journal);
+
+    const runtime::CacheOptions cache_options = {
+        .max_memory_entries = 0, .disk_dir = dir.str() + "/cache"};
+    const std::string key = "app/variant key";
+    const std::string value = "serialized\nresult bytes";
+    std::string entry_path;
+    {
+        runtime::ArtifactCache cache(cache_options);
+        cache.put(key, value);
+        entry_path = cache.diskPathFor(key);
+    }
+    const std::string entry_bytes = readBytes(entry_path);
+
+    const auto is_prefix =
+        [&payloads](const std::vector<runtime::FramedRecord> &got) {
+            if (got.size() > payloads.size())
+                return false;
+            for (std::size_t i = 0; i < got.size(); ++i)
+                if (got[i].payload != payloads[i])
+                    return false;
+            return true;
+        };
+
+    for (unsigned seed = 1; seed <= 500; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng(seed);
+        std::string bytes = journal_bytes;
+        std::string entry = entry_bytes;
+        for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n) {
+            mutate(bytes, "apextest", rng);
+            mutate(entry, "apexcache", rng);
+        }
+
+        // The journal's replay: the payload type is outside the
+        // checksum, so only payloads are compared.
+        writeBytes(journal, bytes);
+        runtime::RecordLog log;
+        Status opened;
+        EXPECT_NO_THROW(opened = log.open(journal, "apextest", 1, true));
+        EXPECT_TRUE(opened.ok()) << opened.toString();
+        EXPECT_TRUE(is_prefix(log.records()));
+
+        // The stream decoder, fed the same bytes in random chunks.
+        runtime::FrameDecoder decoder("apextest", 1);
+        std::vector<runtime::FramedRecord> got;
+        for (std::size_t at = 0; at < bytes.size() && !decoder.corrupt();) {
+            const std::size_t n =
+                std::min<std::size_t>(bytes.size() - at, 1 + rng() % 64);
+            decoder.feed(bytes.data() + at, n);
+            at += n;
+            runtime::FramedRecord rec;
+            while (decoder.next(&rec) == runtime::DecodeResult::kFrame)
+                got.push_back(std::move(rec));
+        }
+        EXPECT_TRUE(is_prefix(got));
+
+        // The cache's disk tier: the exact value or a miss.
+        writeBytes(entry_path, entry);
+        runtime::ArtifactCache cache(cache_options);
+        std::optional<std::string> hit;
+        EXPECT_NO_THROW(hit = cache.get(key));
+        if (hit.has_value()) {
+            EXPECT_EQ(*hit, value);
+        }
+    }
+}
+
 // --- SweepJournal ------------------------------------------------------
 
 TEST(SweepJournal, ReplaysAppAndCellRecords)
@@ -307,7 +508,6 @@ TEST(SweepJournal, ReplaysAppAndCellRecords)
         Status(ErrorCode::kRouteFailed, "congestion on track 3")
             .withContext("routing 'x'")
             .withContext("evaluating 'x' on 'pe1_x'");
-    bad_cell.result.error = bad_cell.result.status.toString();
     bad_cell.result.diagnostics.error("route",
                                       bad_cell.result.status, 4);
 
@@ -671,9 +871,13 @@ TEST(Durability, MidJournalCorruptionReEvaluatesOnlyLostCells)
                                  std::ios::out);
         std::string all((std::istreambuf_iterator<char>(f)),
                         std::istreambuf_iterator<char>());
+        const std::string cell_header = std::string(kJournalMagic) +
+                                        ' ' +
+                                        std::to_string(kJournalVersion) +
+                                        " cell sum";
         std::size_t at = 0;
         for (int i = 0; i < 3; ++i) {
-            at = all.find("apexsweep 2 cell sum", at + 1);
+            at = all.find(cell_header, at + 1);
             ASSERT_NE(at, std::string::npos) << "cell frame " << i;
         }
         const std::size_t header_end = all.find('\n', at);

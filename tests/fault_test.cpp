@@ -137,7 +137,7 @@ TEST_F(FaultTest, PlacementRetriesWithNewSeedAfterFailure) {
     FaultScope scope(FaultStage::kPlace, 1);
     const EvalResult r = evaluate(app, ex.baselineVariant(),
                                   EvalLevel::kPostPnr, tech, options);
-    ASSERT_TRUE(r.success) << r.error;
+    ASSERT_TRUE(r.success) << r.status.toString();
     EXPECT_EQ(r.pnr_attempts, 2);
 
     const auto trail = r.diagnostics.forStage("place");
@@ -158,7 +158,7 @@ TEST_F(FaultTest, RoutingRetriesWithMoreTracksAfterFailure) {
     FaultScope scope(FaultStage::kRoute, 1);
     const EvalResult r = evaluate(app, ex.baselineVariant(),
                                   EvalLevel::kPostPnr, tech, options);
-    ASSERT_TRUE(r.success) << r.error;
+    ASSERT_TRUE(r.success) << r.status.toString();
     EXPECT_EQ(r.pnr_attempts, 1); // placement never failed
 
     const auto trail = r.diagnostics.forStage("route");
@@ -186,7 +186,7 @@ TEST_F(FaultTest, ExhaustedRetriesReportTheFullTrail) {
     EXPECT_EQ(r.status.code(), ErrorCode::kPlaceFailed);
     EXPECT_EQ(r.pnr_attempts, 2);
     EXPECT_EQ(r.diagnostics.count(Severity::kError), 2);
-    EXPECT_FALSE(r.error.empty());
+    EXPECT_FALSE(r.status.ok());
 }
 
 TEST_F(FaultTest, EvaluateRejectsCorruptApplicationGraph) {

@@ -56,7 +56,7 @@ TEST(HeteroTest, BigLittleMapsAndSplitsWork) {
 
     const auto r = evaluateHetero(app, cgra,
                                   EvalLevel::kPostMapping, tech);
-    ASSERT_TRUE(r.success) << r.error;
+    ASSERT_TRUE(r.success) << r.status.toString();
     ASSERT_EQ(r.pe_count_by_type.size(), 2u);
     EXPECT_GT(r.pe_count_by_type[0], 0) << "MACs need the big PE";
     EXPECT_GT(r.pe_count_by_type[1], 0)
@@ -78,8 +78,8 @@ TEST(HeteroTest, HeteroBeatsHomogeneousOnArea) {
     const auto hetero = evaluateHetero(
         app, makeBigLittleCgra(pe_ip, "biglittle"),
         EvalLevel::kPostMapping, tech);
-    ASSERT_TRUE(homo.success) << homo.error;
-    ASSERT_TRUE(hetero.success) << hetero.error;
+    ASSERT_TRUE(homo.success) << homo.status.toString();
+    ASSERT_TRUE(hetero.success) << hetero.status.toString();
     EXPECT_LT(hetero.pe_area, homo.pe_area);
     EXPECT_LE(hetero.pe_energy, homo.pe_energy * 1.05);
 }
@@ -125,7 +125,7 @@ TEST(HeteroTest, PlacementRespectsTypePools) {
 
     const auto r = evaluateHetero(app, cgra, EvalLevel::kPostPnr,
                                   tech);
-    ASSERT_TRUE(r.success) << r.error;
+    ASSERT_TRUE(r.success) << r.status.toString();
     EXPECT_GT(r.cgra_area, r.pe_area);
     EXPECT_GT(r.cgra_energy, r.pe_energy);
     EXPECT_EQ(r.util.pes, r.pe_count);
@@ -145,7 +145,7 @@ TEST(HeteroTest, TypePoolCapacityIsEnforced) {
     const auto r = evaluateHetero(app, cgra, EvalLevel::kPostPnr,
                                   tech, options);
     EXPECT_FALSE(r.success);
-    EXPECT_NE(r.error.find("too small"), std::string::npos);
+    EXPECT_NE(r.status.message().find("too small"), std::string::npos);
 }
 
 } // namespace

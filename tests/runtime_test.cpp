@@ -24,6 +24,7 @@
 #include "runtime/cache.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
+#include "frame_forge.hpp"
 
 namespace {
 
@@ -161,6 +162,24 @@ TEST(ArtifactCache, CorruptDiskEntryIsDroppedNotServed)
     EXPECT_EQ(reader.stats().corrupt_dropped, 1);
     EXPECT_EQ(reader.stats().misses, 1);
     // The poisoned file was deleted, not left to fail forever.
+    EXPECT_FALSE(fs::exists(path));
+}
+
+TEST(ArtifactCache, ForgedLengthIsDroppedNotAllocated)
+{
+    // A length field no reader may honor: the entry is corruption
+    // like any other — a miss, deleted, counted — never an
+    // allocation of the forged size.
+    ScratchDir dir("forgedlen");
+    runtime::ArtifactCache writer({.disk_dir = dir.str()});
+    writer.put("key1", "payload one");
+    const std::string path = writer.diskPathFor("key1");
+    test::forgeFrameLength(path, 0);
+
+    runtime::ArtifactCache reader({.disk_dir = dir.str()});
+    EXPECT_FALSE(reader.get("key1").has_value());
+    EXPECT_EQ(reader.stats().corrupt_dropped, 1);
+    EXPECT_EQ(reader.stats().misses, 1);
     EXPECT_FALSE(fs::exists(path));
 }
 

@@ -4,8 +4,9 @@
  * socket — handshake and version skew, info/metrics requests, the
  * sweep byte-identity contract against an in-process runSweep,
  * request coalescing under concurrent identical clients, rejection
- * when the admission queue is full, and robustness against a client
- * that disconnects mid-stream.
+ * when the admission queue is full, robustness against a client that
+ * disconnects mid-stream, shutdown with a request in flight, and a
+ * damaged sweep journal under the daemon's cache dir.
  *
  * The telemetry registry is process-global and monotonic, so every
  * assertion on an apex.service.* counter takes a delta around the
@@ -17,6 +18,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +31,7 @@
 #include "core/explorer.hpp"
 #include "core/fault.hpp"
 #include "core/sweep.hpp"
+#include "runtime/eventlog.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/wire.hpp"
 #include "service/client.hpp"
@@ -35,6 +39,7 @@
 #include "service/queue.hpp"
 #include "service/server.hpp"
 #include "service/version.hpp"
+#include "frame_forge.hpp"
 
 namespace apex::service {
 namespace {
@@ -776,12 +781,6 @@ TEST(ServiceEndToEnd, QueueShedCarriesRetryAfterHintAndBoundsLog)
 
     EXPECT_GE(shed_queue.value() - shed0, 2);
     EXPECT_EQ(episodes.value() - episodes0, 1);
-    const Diagnostics diag = server.diagnostics();
-    int admission_records = 0;
-    for (const DiagnosticRecord &r : diag.records())
-        if (r.stage == "admission")
-            ++admission_records;
-    EXPECT_EQ(admission_records, 1);
 
     t1.join();
     t2.join();
@@ -881,6 +880,14 @@ TEST(ServiceEndToEnd, AcceptExhaustionPausesListenerAndRecovers)
         telemetry::counter("apex.resource.accept_exhausted");
     const long long exhausted0 = exhausted.value();
 
+    // The episode's one record is its event-log line.
+    const std::string log_path =
+        ::testing::TempDir() + "apex_service_emfile_events.jsonl";
+    std::filesystem::remove(log_path);
+    eventlog::Options log_options;
+    log_options.path = log_path;
+    ASSERT_TRUE(eventlog::configure(log_options));
+
     ServerOptions options;
     options.unix_path = scratchSocket("emfile");
     Server server(options);
@@ -904,13 +911,93 @@ TEST(ServiceEndToEnd, AcceptExhaustionPausesListenerAndRecovers)
         }
     }
     EXPECT_EQ(exhausted.value() - exhausted0, 2);
-    const Diagnostics diag = server.diagnostics();
-    int accept_records = 0;
-    for (const DiagnosticRecord &r : diag.records())
-        if (r.stage == "accept")
-            ++accept_records;
-    EXPECT_EQ(accept_records, 1); // One episode, one record.
     server.stop();
+    eventlog::shutdown();
+
+    std::ifstream log(log_path);
+    int accept_lines = 0;
+    for (std::string line; std::getline(log, line);)
+        if (line.find("\"component\":\"service.accept\"") !=
+            std::string::npos)
+            ++accept_lines;
+    EXPECT_EQ(accept_lines, 1); // One episode, one line.
+    std::filesystem::remove(log_path);
+}
+
+TEST(ServiceEndToEnd, StopClosesInFlightRequestsAsUnavailable)
+{
+    // stop() (apexd's SIGTERM path) cancels the running sweep, but
+    // its report is never delivered: the io thread is winding down.
+    // The client sees the connection close — kUnavailable, the code
+    // a --retries client reconnects on.
+    telemetry::Counter &accepted =
+        telemetry::counter("apex.service.accepted");
+    const long long accepted0 = accepted.value();
+
+    ServerOptions options;
+    options.unix_path = scratchSocket("stop");
+    options.admission_hold_ms = 400.0;
+    Server server(options);
+    ASSERT_TRUE(server.start().ok());
+
+    Client client;
+    ASSERT_TRUE(client.connect(options.unix_path).ok());
+    Status status;
+    std::thread requester([&client, &status] {
+        SweepReply reply;
+        status = client.runSweep(expiredSweepRequest(), &reply);
+    });
+    // Stop only once the job is admitted and held by the executor.
+    for (int i = 0; i < 500 && accepted.value() == accepted0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_GT(accepted.value(), accepted0);
+    server.stop();
+    requester.join();
+    EXPECT_EQ(status.code(), ErrorCode::kUnavailable)
+        << status.toString();
+}
+
+TEST(ServiceEndToEnd, ForgedJournalLengthIsADamagedTailNotACrash)
+{
+    // A sweep journal under the daemon's cache dir whose last frame
+    // claims a length no reader may honor: the next identical
+    // request replays the prefix, recomputes the rest, serves the
+    // same report, and the daemon stays up.
+    const std::string cache_dir =
+        ::testing::TempDir() + "apex_service_forged_journal";
+    std::filesystem::remove_all(cache_dir);
+    ServerOptions options;
+    options.unix_path = scratchSocket("forged_journal");
+    options.cache_dir = cache_dir;
+    Server server(options);
+    ASSERT_TRUE(server.start().ok());
+
+    Client client;
+    ASSERT_TRUE(client.connect(options.unix_path).ok());
+    SweepRequest req;
+    req.id = 1;
+    req.level = "map";
+    SweepReply first;
+    ASSERT_TRUE(client.runSweep(req, &first).ok());
+
+    std::string journal;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(cache_dir))
+        if (entry.path().filename().string().rfind("sweep-", 0) == 0)
+            journal = (entry.path() / "sweep.journal").string();
+    ASSERT_FALSE(journal.empty());
+    test::forgeFrameLength(journal, test::kLastFrame);
+
+    req.id = 2;
+    SweepReply second;
+    ASSERT_TRUE(client.runSweep(req, &second).ok());
+    EXPECT_EQ(renderSweepText(second.entries, second.report),
+              renderSweepText(first.entries, first.report));
+    InfoReply info;
+    EXPECT_TRUE(client.info(&info).ok());
+    client.goodbye();
+    server.stop();
+    std::filesystem::remove_all(cache_dir);
 }
 
 TEST(ServiceEndToEnd, ResilientClientAbsorbsShedAndHonorsHint)
