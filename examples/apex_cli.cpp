@@ -47,12 +47,14 @@
  * for each pipeline stage and writes a Chrome trace-event JSON file
  * (load it in chrome://tracing or Perfetto); --metrics-out FILE dumps
  * the unified metrics registry (apex.* counters, gauges, latency
- * histograms) as JSON.  Both files are written after the command
- * finishes, whatever its exit code; --metrics-interval MS
- * additionally rewrites the metrics file periodically while the
- * command runs (atomic rename, so a watcher never reads a torn
- * file).  Tracing off costs one branch per span site; metrics
- * counters are always live.
+ * histograms) as JSON.  Both files are written once, after the
+ * command finishes, whatever its exit code; --metrics-interval MS
+ * additionally republishes the metrics file while the command runs.
+ * Like `rtl` and `dump -o`, they are published by write-then-rename
+ * (a watcher never reads a torn file; a symlinked output keeps its
+ * link), and a file that cannot be written is named on stderr and
+ * turns a successful command's exit code into 2.  Tracing off costs
+ * one branch per span site; metrics counters are always live.
  *
  * Parallelism: --jobs N (or the APEX_JOBS environment variable) runs
  * analyze/explore/sweep on a work-stealing pool with N lanes; N = 0
@@ -121,6 +123,7 @@
 #include "pe/verilog_tb.hpp"
 #include "pipeline/pe_pipeline.hpp"
 #include "runtime/cache.hpp"
+#include "runtime/record.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/client.hpp"
@@ -185,6 +188,18 @@ loadFailure(const Status &status)
 {
     std::fprintf(stderr, "apexc: %s\n", status.toString().c_str());
     return exitCodeFor(status.code());
+}
+
+/** Publish one output file (RTL, an apexir dump, a telemetry
+ * artifact); a failure is reported on stderr, naming the path. */
+bool
+writeArtifact(const std::string &path, const std::string &bytes)
+{
+    const Status s =
+        runtime::publishFile(path, bytes, /*durable=*/false);
+    if (!s.ok())
+        std::fprintf(stderr, "apexc: %s\n", s.message().c_str());
+    return s.ok();
 }
 
 const char *
@@ -471,9 +486,11 @@ cmdRtl(int argc, char **argv, const std::string &source)
 
     const std::string v_path = out + "/" + variant.name + ".v";
     const std::string tb_path = out + "/" + variant.name + "_tb.v";
-    std::ofstream(v_path) << pe::emitVerilog(variant.spec);
-    std::ofstream(tb_path) << pe::emitTestbench(
-        variant.spec, pe::defaultConfig(variant.spec));
+    const std::string tb =
+        pe::emitTestbench(variant.spec, pe::defaultConfig(variant.spec));
+    if (!writeArtifact(v_path, pe::emitVerilog(variant.spec)) ||
+        !writeArtifact(tb_path, tb))
+        return exitCodeFor(ErrorCode::kInvalidArgument);
     std::printf("wrote %s and %s (%d pipeline stages)\n",
                 v_path.c_str(), tb_path.c_str(),
                 variant.spec.pipeline_stages);
@@ -489,7 +506,8 @@ cmdDump(int argc, char **argv, const std::string &source)
     const char *out_flag = flagValue(argc, argv, "-o");
     const std::string text = ir::serialize(app->graph);
     if (out_flag) {
-        std::ofstream(out_flag) << text;
+        if (!writeArtifact(out_flag, text))
+            return exitCodeFor(ErrorCode::kInvalidArgument);
         std::printf("wrote %s (%zu bytes)\n", out_flag, text.size());
     } else {
         std::fputs(text.c_str(), stdout);
@@ -584,12 +602,10 @@ serviceFailure(const Status &status)
     return exitCodeFor(status.code());
 }
 
-/** Set once `client sweep` has written its *merged* trace file, so
- * the end-of-main artifact writer does not overwrite it with the
- * client-local-only view. */
-bool g_merged_trace_written = false;
-
-bool writeArtifact(const char *path, const std::string &json);
+/** Whether `client sweep` published its *merged* trace file, set
+ * once it tried: the end-of-main artifact writer must not overwrite
+ * it with the client-local-only view, only report its outcome. */
+std::optional<bool> g_merged_trace;
 
 /**
  * Write the end-to-end trace of one client request: the client's own
@@ -599,7 +615,7 @@ bool writeArtifact(const char *path, const std::string &json);
  * lane (pool worker lanes), so the merged file shows the request
  * crossing all three processes under one trace id.
  */
-bool
+void
 writeMergedTrace(const char *path, service::Client *client,
                  std::uint64_t trace_id)
 {
@@ -633,9 +649,8 @@ writeMergedTrace(const char *path, service::Client *client,
                          s.toString().c_str());
         }
     }
-    g_merged_trace_written = true;
-    return writeArtifact(path,
-                         telemetry::chromeTraceJsonMerged(slices));
+    g_merged_trace =
+        writeArtifact(path, telemetry::chromeTraceJsonMerged(slices));
 }
 
 /** `apexc client top`: render the daemon's statusz ring, once or as
@@ -780,9 +795,9 @@ cmdClientSweep(int argc, char **argv)
         service::Client trace_client;
         const bool connected =
             connectDaemon(argc, argv, &trace_client).ok();
-        (void)writeMergedTrace(trace_path,
-                               connected ? &trace_client : nullptr,
-                               request.trace_id);
+        writeMergedTrace(trace_path,
+                         connected ? &trace_client : nullptr,
+                         request.trace_id);
         if (connected)
             trace_client.goodbye();
     }
@@ -882,21 +897,6 @@ runCommand(int argc, char **argv)
     return 2;
 }
 
-/** Write one telemetry artifact; a write failure is reported but
- * never overrides the command's own exit status. */
-bool
-writeArtifact(const char *path, const std::string &json)
-{
-    std::ofstream os(path, std::ios::binary);
-    os << json;
-    os.flush();
-    if (!os) {
-        std::fprintf(stderr, "apexc: cannot write '%s'\n", path);
-        return false;
-    }
-    return true;
-}
-
 /** Emit --trace / --metrics-out files (no-ops when not requested).
  * @return false when a requested artifact could not be written. */
 bool
@@ -906,13 +906,13 @@ writeTelemetryArtifacts(const char *trace_path,
     bool ok = true;
     // `client sweep --trace` writes a *merged* multi-process trace
     // itself; overwriting it here would lose the daemon lanes.
-    if (trace_path != nullptr && !g_merged_trace_written)
-        ok &= writeArtifact(trace_path,
-                            telemetry::chromeTraceJson());
+    if (g_merged_trace.has_value())
+        ok &= *g_merged_trace;
+    else if (trace_path != nullptr)
+        ok &= writeArtifact(trace_path, telemetry::chromeTraceJson());
     if (metrics_path != nullptr)
         ok &= writeArtifact(metrics_path,
-                            telemetry::Registry::instance()
-                                .jsonDump());
+                            telemetry::Registry::instance().jsonDump());
     return ok;
 }
 
@@ -931,7 +931,7 @@ main(int argc, char **argv)
             telemetry::setTracingEnabled(true);
         // --metrics-interval MS: rewrite the metrics file while the
         // command runs (long sweeps become observable in flight).
-        std::unique_ptr<telemetry::PeriodicMetricsWriter> periodic;
+        std::unique_ptr<runtime::PeriodicMetricsWriter> periodic;
         if (const char *s =
                 flagValue(argc, argv, "--metrics-interval")) {
             if (metrics_path == nullptr) {
@@ -941,11 +941,11 @@ main(int argc, char **argv)
                 return exitCodeFor(ErrorCode::kInvalidArgument);
             }
             periodic =
-                std::make_unique<telemetry::PeriodicMetricsWriter>(
+                std::make_unique<runtime::PeriodicMetricsWriter>(
                     metrics_path, std::atof(s));
         }
         const int rc = runCommand(argc, argv);
-        periodic.reset(); // Join the flusher (final flush included).
+        periodic.reset(); // Stop the flusher; the final dump is below.
         if (!writeTelemetryArtifacts(trace_path, metrics_path) &&
             rc == 0)
             return exitCodeFor(ErrorCode::kInvalidArgument);

@@ -33,10 +33,10 @@
  * that a self-healing client honors.  EMFILE/ENFILE on accept pauses
  * the listeners with exponential backoff instead of spinning.
  *
- * --metrics-out FILE dumps the telemetry registry on exit;
- * --metrics-interval MS also rewrites it periodically (atomic
- * rename), so `apex.service.*` counters are observable while the
- * daemon runs.
+ * --metrics-out FILE publishes the telemetry registry once after a
+ * clean shutdown (exit 2, naming the path, if that write fails);
+ * --metrics-interval MS also republishes it periodically, so
+ * `apex.service.*` counters are observable while the daemon runs.
  *
  * Observability (DESIGN.md Sec. 7i): tracing is always on in the
  * daemon — every span carries its request's trace id, and `apexc
@@ -51,12 +51,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 
 #include <poll.h>
 
 #include "runtime/eventlog.hpp"
+#include "runtime/record.hpp"
 #include "runtime/telemetry.hpp"
 #include "service/server.hpp"
 #include "service/version.hpp"
@@ -160,7 +160,7 @@ main(int argc, char **argv)
     telemetry::setTracingEnabled(true);
 
     const char *metrics_path = flagValue(argc, argv, "--metrics-out");
-    std::unique_ptr<telemetry::PeriodicMetricsWriter> periodic;
+    std::unique_ptr<runtime::PeriodicMetricsWriter> periodic;
     if (const char *s = flagValue(argc, argv, "--metrics-interval")) {
         if (metrics_path == nullptr) {
             std::fprintf(stderr,
@@ -168,7 +168,7 @@ main(int argc, char **argv)
                          "--metrics-out FILE\n");
             return 2;
         }
-        periodic = std::make_unique<telemetry::PeriodicMetricsWriter>(
+        periodic = std::make_unique<runtime::PeriodicMetricsWriter>(
             metrics_path, std::atof(s));
     }
 
@@ -176,7 +176,7 @@ main(int argc, char **argv)
     // work (app-set load, cache open) must still reach the graceful
     // path below — the loop checks the latch before napping, so a
     // signal during start() falls straight through to server.stop()
-    // and the metrics flush.
+    // and the final metrics dump.
     std::signal(SIGTERM, onShutdown);
     std::signal(SIGINT, onShutdown);
 
@@ -198,12 +198,15 @@ main(int argc, char **argv)
 
     std::fprintf(stderr, "apexd: shutting down\n");
     server.stop();
-    if (periodic != nullptr) {
-        periodic.reset(); // Destructor = final flush.
-    } else if (metrics_path != nullptr) {
-        std::ofstream os(metrics_path, std::ios::binary);
-        os << telemetry::Registry::instance().jsonDump();
-    }
+    periodic.reset(); // Stop the flusher; the final dump is below.
+    const Status dumped =
+        metrics_path == nullptr
+            ? Status::okStatus()
+            : runtime::publishFile(
+                  metrics_path, telemetry::Registry::instance().jsonDump(),
+                  /*durable=*/false);
+    if (!dumped.ok())
+        std::fprintf(stderr, "apexd: %s\n", dumped.message().c_str());
     eventlog::shutdown(); // Flush + close the log file.
-    return 0;
+    return dumped.ok() ? 0 : 2;
 }

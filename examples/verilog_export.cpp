@@ -7,8 +7,8 @@
  * Run:  ./build/examples/verilog_export
  */
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
 #include "cgra/bitstream.hpp"
 #include "core/evaluate.hpp"
@@ -16,6 +16,7 @@
 #include "pe/baseline.hpp"
 #include "pe/verilog.hpp"
 #include "pipeline/pe_pipeline.hpp"
+#include "runtime/record.hpp"
 
 int
 main()
@@ -29,10 +30,15 @@ main()
 
     auto write = [&](const std::filesystem::path &name,
                      const std::string &text) {
-        std::ofstream os(out_dir / name);
-        os << text;
-        std::printf("  wrote %s (%zu bytes)\n",
-                    (out_dir / name).string().c_str(), text.size());
+        const std::string path = (out_dir / name).string();
+        const Status s =
+            runtime::publishFile(path, text, /*durable=*/false);
+        if (!s.ok()) {
+            std::printf("%s\n", s.message().c_str());
+            std::exit(1);
+        }
+        std::printf("  wrote %s (%zu bytes)\n", path.c_str(),
+                    text.size());
     };
 
     // Baseline PE.

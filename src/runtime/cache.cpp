@@ -2,9 +2,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include <fcntl.h>
@@ -12,6 +9,7 @@
 
 #include "core/fault.hpp"
 #include "runtime/eventlog.hpp"
+#include "runtime/record.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/wire.hpp"
 
@@ -214,37 +212,14 @@ ArtifactCache::putToDisk(const std::string &key,
                     options_.disk_dir + "'");
         return;
     }
-    const std::string path = diskPathFor(key);
-    // Write-then-rename so readers never observe a partial entry; the
-    // tmp name is per-thread so concurrent writers cannot interleave.
-    std::ostringstream tid;
-    tid << std::this_thread::get_id();
-    const std::string tmp = path + ".tmp." + tid.str();
-    bool wrote = false;
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (os) {
-            std::ostringstream payload;
-            payload << "key " << key.size() << '\n' << key << value;
-            os << encodeFrame(kCacheMagic, kCacheVersion, "entry",
-                              payload.str());
-            os.flush();
-            wrote = static_cast<bool>(os);
-        }
-    }
-    std::error_code ec;
-    if (!wrote) {
-        fs::remove(tmp, ec);
-        disableDisk("cannot write cache entry '" + tmp +
-                    "' (disk full?)");
-        return;
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code rm_ec;
-        fs::remove(tmp, rm_ec);
-        disableDisk("cannot publish cache entry '" + path +
-                    "': " + ec.message());
+    const std::string payload =
+        "key " + std::to_string(key.size()) + '\n' + key + value;
+    if (Status s = publishFile(
+            diskPathFor(key),
+            encodeFrame(kCacheMagic, kCacheVersion, "entry", payload),
+            /*durable=*/false);
+        !s.ok()) {
+        disableDisk(s.message());
         return;
     }
     cacheCounters().disk_writes.add(1);
@@ -300,15 +275,8 @@ ArtifactCache::diskUsable()
     // signal; a statvfs free-block count can be stale under quota.
     const std::string probe =
         (fs::path(options_.disk_dir) / ".apexprobe").string();
-    bool ok = false;
-    {
-        std::ofstream os(probe, std::ios::binary | std::ios::trunc);
-        if (os) {
-            os << "apexprobe\n";
-            os.flush();
-            ok = static_cast<bool>(os);
-        }
-    }
+    const bool ok =
+        publishFile(probe, "apexprobe\n", /*durable=*/false).ok();
     std::error_code ec;
     fs::remove(probe, ec);
     if (!ok)

@@ -1,10 +1,13 @@
 #include "runtime/record.hpp"
 
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
-#include <thread>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "core/fault.hpp"
@@ -16,18 +19,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** fsync @p path (best effort — crash-safety hardening must not turn
- * an otherwise-working log into an error). */
-void
-syncPath(const std::string &path, bool directory)
+/** @p path with every symlink followed, dangling ones included. */
+std::string
+resolveLinks(fs::path path)
 {
-    const int fd =
-        ::open(path.c_str(),
-               directory ? (O_RDONLY | O_DIRECTORY) : O_RDONLY);
-    if (fd < 0)
-        return;
-    ::fsync(fd);
-    ::close(fd);
+    std::error_code ec;
+    for (int hop = 0; hop < 40 && fs::is_symlink(path, ec); ++hop)
+        path = path.parent_path() / fs::read_symlink(path, ec);
+    return path.string();
 }
 
 /** Remove stale compaction temporaries (`<log>.tmp.*`) left behind by
@@ -50,6 +49,107 @@ removeStaleTemporaries(const std::string &path)
 } // namespace
 
 Status
+publishFile(const std::string &path, std::string_view bytes,
+            bool durable)
+{
+    const auto fail = [&path](const char *what, const std::string &why) {
+        return Status(ErrorCode::kResourceExhausted,
+                      std::string("cannot ") + what + " '" + path +
+                          "': " + why);
+    };
+    // A FIFO or a device has nothing to replace atomically, and
+    // renaming over it would swap the node itself: write in place.
+    struct stat st;
+    const bool in_place = ::stat(path.c_str(), &st) == 0 &&
+                          !S_ISREG(st.st_mode) && !S_ISDIR(st.st_mode);
+    // Otherwise write-then-rename; the per-process, per-thread tmp
+    // name keeps concurrent writers of one target apart.
+    const std::string target = resolveLinks(path);
+    std::ostringstream name;
+    name << target << ".tmp." << ::getpid() << '.'
+         << std::this_thread::get_id();
+    const std::string tmp = in_place ? path : name.str();
+    const int fd =
+        ::open(tmp.c_str(),
+               in_place ? O_WRONLY | O_CLOEXEC
+                        : O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+               0666);
+    if (fd < 0)
+        return fail(in_place ? "open" : "create", std::strerror(errno));
+    Status s = writeAll(fd, bytes);
+    if (!s.ok())
+        s = fail("write", s.message());
+    else if (durable && !in_place)
+        (void)::fsync(fd); // The bytes reach the disk before the name.
+    if (::close(fd) != 0 && s.ok())
+        s = fail("write", std::strerror(errno));
+    if (in_place)
+        return s;
+    if (s.ok() && ::rename(tmp.c_str(), target.c_str()) != 0)
+        s = fail("replace", std::strerror(errno));
+    if (!s.ok()) {
+        ::unlink(tmp.c_str());
+        return s;
+    }
+    if (durable) {
+        // The rename lives in the directory, which has its own
+        // durability.  Both syncs are best effort: hardening must not
+        // turn an otherwise-working write into an error.
+        const std::string dir = fs::path(target).parent_path().string();
+        const int dfd =
+            ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+        if (dfd >= 0) {
+            ::fsync(dfd);
+            ::close(dfd);
+        }
+    }
+    return s;
+}
+
+PeriodicMetricsWriter::PeriodicMetricsWriter(std::string path,
+                                             double interval_ms)
+    : path_(std::move(path))
+{
+    const std::chrono::duration<double, std::milli> interval(
+        interval_ms > 0 ? interval_ms : 1000.0);
+    thread_ = std::thread([this, interval] {
+        std::unique_lock<std::mutex> lock(mu_);
+        while (!cv_.wait_for(lock, interval, [this] { return stop_; })) {
+            lock.unlock();
+            (void)flushNow();
+            lock.lock();
+        }
+    });
+}
+
+PeriodicMetricsWriter::~PeriodicMetricsWriter()
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+}
+
+bool
+PeriodicMetricsWriter::flushNow()
+{
+    // A failed flush leaves the previous good file in place, and the
+    // timer simply tries again next interval.
+    if (!checkFault(FaultStage::kDiskFull).ok() ||
+        !publishFile(path_, telemetry::Registry::instance().jsonDump(),
+                     /*durable=*/false)
+             .ok()) {
+        telemetry::counter("apex.resource.metrics_flush_failures")
+            .add(1);
+        return false;
+    }
+    flushes_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+}
+
+Status
 RecordLog::open(const std::string &path, std::string_view magic,
                 int version, bool replay)
 {
@@ -68,7 +168,7 @@ RecordLog::open(const std::string &path, std::string_view magic,
     {
         std::error_code ec;
         fs::create_directories(fs::path(path).parent_path(), ec);
-        // A failing mkdir surfaces as the ofstream failing below.
+        // A failing mkdir surfaces as the writes below failing.
     }
     // A crash between a compaction's tmp write and its rename leaves
     // an orphan tmp file; clear them before (not after) recovery so
@@ -102,46 +202,15 @@ RecordLog::open(const std::string &path, std::string_view magic,
     }
 
     if (compact || !replay) {
-        // Rewrite the valid prefix (possibly empty) atomically so a
-        // crash during recovery cannot make the log worse.
-        std::ostringstream tid;
-        tid << std::this_thread::get_id();
-        const std::string tmp = path_ + ".tmp." + tid.str();
-        {
-            std::ofstream os(tmp,
-                             std::ios::binary | std::ios::trunc);
-            if (!os)
-                return Status(ErrorCode::kResourceExhausted,
-                              "cannot write record log at '" + tmp +
-                                  "'");
-            for (const FramedRecord &r : records_) {
-                os << encodeFrame(magic_, version_, r.type,
-                                  r.payload);
-                if (!os)
-                    break; // One failing frame fails the compaction.
-            }
-            os.flush();
-            if (!os)
-                return Status(ErrorCode::kResourceExhausted,
-                              "short write compacting record log '" +
-                                  tmp + "' (disk full?)");
-        }
-        // Write-then-rename alone is not crash-safe: the tmp's bytes
-        // must be on disk before the rename points the log name at
-        // them, and the rename itself lives in the directory, which
-        // has its own durability.  fsync both (best effort).
-        syncPath(tmp, /*directory=*/false);
-        std::error_code ec;
-        fs::rename(tmp, path_, ec);
-        if (ec) {
-            fs::remove(tmp, ec);
-            return Status(ErrorCode::kResourceExhausted,
-                          "cannot replace record log '" + path_ +
-                              "': " + ec.message());
-        }
-        const fs::path parent = fs::path(path_).parent_path();
-        if (!parent.empty())
-            syncPath(parent.string(), /*directory=*/true);
+        // Rewrite the valid prefix (possibly empty) atomically and
+        // durably, so a crash during recovery cannot make the log
+        // worse.
+        std::string prefix;
+        for (const FramedRecord &r : records_)
+            prefix += encodeFrame(magic_, version_, r.type, r.payload);
+        if (Status s = publishFile(path_, prefix, /*durable=*/true);
+            !s.ok())
+            return s;
     }
 
     out_.open(path_, std::ios::binary | std::ios::app);

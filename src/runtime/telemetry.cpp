@@ -2,8 +2,6 @@
 
 #include <pthread.h>
 
-#include "core/fault.hpp"
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -873,72 +871,6 @@ Registry::resetForTesting()
             h->buckets_[b].store(0, std::memory_order_relaxed);
         h->count_.store(0, std::memory_order_relaxed);
         h->sum_bits_.store(0, std::memory_order_relaxed);
-    }
-}
-
-PeriodicMetricsWriter::PeriodicMetricsWriter(std::string path,
-                                             double interval_ms)
-    : path_(std::move(path)), interval_ms_(interval_ms)
-{
-    thread_ = std::thread([this] { threadMain(); });
-}
-
-PeriodicMetricsWriter::~PeriodicMetricsWriter()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    (void)flushNow();
-}
-
-bool
-PeriodicMetricsWriter::flushNow()
-{
-    // Write-to-temp + rename keeps every observed state of the file a
-    // complete dump; rename(2) is atomic within a filesystem.  Any
-    // failure leaves the previous good file untouched, counts
-    // apex.resource.metrics_flush_failures, and the periodic thread
-    // simply tries again next interval — metrics are an observability
-    // aid, never worth crashing the process over.
-    const std::string dump = Registry::instance().jsonDump();
-    const std::string tmp = path_ + ".tmp";
-    bool failed = !checkFault(FaultStage::kDiskFull).ok();
-    if (!failed) {
-        std::FILE *f = std::fopen(tmp.c_str(), "w");
-        if (f == nullptr) {
-            counter("apex.resource.metrics_flush_failures").add(1);
-            return false;
-        }
-        const bool wrote =
-            std::fwrite(dump.data(), 1, dump.size(), f) ==
-            dump.size();
-        failed = !wrote || std::fclose(f) != 0 ||
-                 std::rename(tmp.c_str(), path_.c_str()) != 0;
-    }
-    if (failed) {
-        std::remove(tmp.c_str());
-        counter("apex.resource.metrics_flush_failures").add(1);
-        return false;
-    }
-    flushes_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-void
-PeriodicMetricsWriter::threadMain()
-{
-    const auto interval = std::chrono::duration<double, std::milli>(
-        interval_ms_ > 0 ? interval_ms_ : 1000.0);
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-        if (cv_.wait_for(lock, interval, [this] { return stop_; }))
-            return; // Destructor performs the final flush.
-        lock.unlock();
-        (void)flushNow();
-        lock.lock();
     }
 }
 

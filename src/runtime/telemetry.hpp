@@ -2,14 +2,11 @@
 #define APEX_RUNTIME_TELEMETRY_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 /**
@@ -380,47 +377,6 @@ histogram(std::string_view name)
 {
     return Registry::instance().histogram(name);
 }
-
-/**
- * Background metrics flusher: every @p interval_ms it atomically
- * rewrites @p path with Registry::instance().jsonDump() — written to
- * `<path>.tmp` first, then renamed over the target — so an observer
- * tailing the file never reads a torn dump.  The destructor stops the
- * timer thread and performs one final flush, leaving the file at the
- * process's last state.  Long-running processes (the service daemon,
- * `--metrics-interval` CLI runs) use this to expose live metrics;
- * one-shot runs keep the write-once-at-exit path.
- */
-class PeriodicMetricsWriter {
-  public:
-    PeriodicMetricsWriter(std::string path, double interval_ms);
-    ~PeriodicMetricsWriter();
-
-    PeriodicMetricsWriter(const PeriodicMetricsWriter &) = delete;
-    PeriodicMetricsWriter &
-    operator=(const PeriodicMetricsWriter &) = delete;
-
-    /** Synchronous flush (the timer thread calls this too).  False
-     * when the dump could not be written. */
-    bool flushNow();
-
-    /** Successful flushes so far. */
-    long flushCount() const
-    {
-        return flushes_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void threadMain();
-
-    const std::string path_;
-    const double interval_ms_;
-    std::atomic<long> flushes_{0};
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool stop_ = false;
-    std::thread thread_;
-};
 
 /** RAII stage timer: observes elapsed milliseconds into a histogram
  * at scope exit.  Always on (metrics are not gated on tracing). */

@@ -199,9 +199,7 @@ writeAll(int fd, std::string_view bytes, int stall_timeout_ms)
                             std::to_string(stall_timeout_ms) + " ms");
                 continue;
             }
-            return Status(ErrorCode::kInternal,
-                          "pipe write failed: " +
-                              std::string(std::strerror(errno)));
+            return Status(ErrorCode::kInternal, std::strerror(errno));
         }
         off += static_cast<std::size_t>(n);
     }

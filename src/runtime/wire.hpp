@@ -184,8 +184,9 @@ bool decodeFile(int fd, FrameDecoder &decoder,
 
 /**
  * write() @p bytes to @p fd completely, retrying short writes and
- * EINTR.  The caller must ignore SIGPIPE; a closed peer reports a
- * Status instead of killing the process.
+ * EINTR; a failed write() reports its strerror() text.  The caller
+ * must ignore SIGPIPE; a closed peer reports a Status instead of
+ * killing the process.
  *
  * On a non-blocking fd a full kernel buffer waits for POLLOUT.
  * @p stall_timeout_ms bounds each such wait: if the peer accepts no

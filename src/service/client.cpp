@@ -27,6 +27,15 @@ unavailable(const std::string &what)
                   what + ": " + std::strerror(errno));
 }
 
+/** A reply of the wrong type, or one that does not decode. */
+Status
+unexpectedReply(std::string_view request, std::string_view reply_type)
+{
+    return Status(ErrorCode::kInternal,
+                  "unexpected " + std::string(request) + " reply '" +
+                      std::string(reply_type) + "'");
+}
+
 } // namespace
 
 Client::~Client()
@@ -108,36 +117,36 @@ Client::handshake()
 }
 
 Status
-Client::info(InfoReply *out)
+Client::call(std::string_view type, std::string_view payload,
+             std::string_view reply_type, std::string *reply_payload)
 {
-    Status s = sendFrame(kFrameInfo, "");
+    Status s = sendFrame(type, payload);
     if (!s.ok())
         return s;
     runtime::FramedRecord rec;
     s = readFrame(&rec);
     if (!s.ok())
         return s;
-    if (rec.type != kFrameInfoOk || !decodeInfoReply(rec.payload, out))
-        return Status(ErrorCode::kInternal,
-                      "unexpected info reply '" + rec.type + "'");
+    if (rec.type != reply_type)
+        return unexpectedReply(type, rec.type);
+    *reply_payload = std::move(rec.payload);
     return Status::okStatus();
+}
+
+Status
+Client::info(InfoReply *out)
+{
+    std::string reply;
+    Status s = call(kFrameInfo, "", kFrameInfoOk, &reply);
+    if (s.ok() && !decodeInfoReply(reply, out))
+        s = unexpectedReply(kFrameInfo, kFrameInfoOk);
+    return s;
 }
 
 Status
 Client::metrics(std::string *out)
 {
-    Status s = sendFrame(kFrameMetrics, "");
-    if (!s.ok())
-        return s;
-    runtime::FramedRecord rec;
-    s = readFrame(&rec);
-    if (!s.ok())
-        return s;
-    if (rec.type != kFrameMetricsOk)
-        return Status(ErrorCode::kInternal,
-                      "unexpected metrics reply '" + rec.type + "'");
-    *out = std::move(rec.payload);
-    return Status::okStatus();
+    return call(kFrameMetrics, "", kFrameMetricsOk, out);
 }
 
 Status
@@ -145,18 +154,12 @@ Client::trace(std::uint64_t trace_id, TraceReply *out)
 {
     TraceRequest req;
     req.trace_id = trace_id;
-    Status s = sendFrame(kFrameTrace, encodeTraceRequest(req));
-    if (!s.ok())
-        return s;
-    runtime::FramedRecord rec;
-    s = readFrame(&rec);
-    if (!s.ok())
-        return s;
-    if (rec.type != kFrameTraceOk ||
-        !decodeTraceReply(rec.payload, out))
-        return Status(ErrorCode::kInternal,
-                      "unexpected trace reply '" + rec.type + "'");
-    return Status::okStatus();
+    std::string reply;
+    Status s = call(kFrameTrace, encodeTraceRequest(req), kFrameTraceOk,
+                    &reply);
+    if (s.ok() && !decodeTraceReply(reply, out))
+        s = unexpectedReply(kFrameTrace, kFrameTraceOk);
+    return s;
 }
 
 Status
@@ -164,18 +167,12 @@ Client::statusz(int max_samples, StatuszReply *out)
 {
     StatuszRequest req;
     req.max_samples = max_samples;
-    Status s = sendFrame(kFrameStatusz, encodeStatuszRequest(req));
-    if (!s.ok())
-        return s;
-    runtime::FramedRecord rec;
-    s = readFrame(&rec);
-    if (!s.ok())
-        return s;
-    if (rec.type != kFrameStatuszOk ||
-        !decodeStatuszReply(rec.payload, out))
-        return Status(ErrorCode::kInternal,
-                      "unexpected statusz reply '" + rec.type + "'");
-    return Status::okStatus();
+    std::string reply;
+    Status s = call(kFrameStatusz, encodeStatuszRequest(req),
+                    kFrameStatuszOk, &reply);
+    if (s.ok() && !decodeStatuszReply(reply, out))
+        s = unexpectedReply(kFrameStatusz, kFrameStatuszOk);
+    return s;
 }
 
 Status

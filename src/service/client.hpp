@@ -80,6 +80,10 @@ class Client {
 
   private:
     Status handshake();
+    /** Send a @p type frame and read the one reply, which must be a
+     * @p reply_type frame; its payload lands in @p reply_payload. */
+    Status call(std::string_view type, std::string_view payload,
+                std::string_view reply_type, std::string *reply_payload);
     /** Block until one frame arrives (kUnavailable on EOF). */
     Status readFrame(runtime::FramedRecord *out);
     Status sendFrame(std::string_view type, std::string_view payload);

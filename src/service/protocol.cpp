@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -412,46 +413,6 @@ decodeStatuszRequest(const std::string &payload, StatuszRequest *out)
 
 namespace {
 
-void
-putSnapshot(std::ostream &os, const StatusSnapshot &s)
-{
-    os << s.sessions << ' ' << s.queue_depth << ' '
-       << s.active_sweeps << ' ' << s.inflight_bytes << '\n';
-    os << s.accepted << ' ' << s.rejected << ' ' << s.coalesced
-       << ' ' << s.sweeps << '\n';
-    os << s.cache_hits << ' ' << s.cache_misses << ' '
-       << s.worker_restarts << ' ' << s.trace_dropped << '\n';
-    os << s.mined_patterns << ' ' << s.mine_embeddings << ' '
-       << s.mine_pruned << '\n';
-    putDouble(os, s.ts_ms);
-    putDouble(os, s.request_p50_ms);
-    putDouble(os, s.request_p99_ms);
-}
-
-bool
-getSnapshot(std::istream &is, StatusSnapshot *out)
-{
-    if (!(is >> out->sessions >> out->queue_depth >>
-          out->active_sweeps >> out->inflight_bytes))
-        return false;
-    is.get();
-    if (!(is >> out->accepted >> out->rejected >> out->coalesced >>
-          out->sweeps))
-        return false;
-    is.get();
-    if (!(is >> out->cache_hits >> out->cache_misses >>
-          out->worker_restarts >> out->trace_dropped))
-        return false;
-    is.get();
-    if (!(is >> out->mined_patterns >> out->mine_embeddings >>
-          out->mine_pruned))
-        return false;
-    is.get();
-    return getDouble(is, &out->ts_ms) &&
-           getDouble(is, &out->request_p50_ms) &&
-           getDouble(is, &out->request_p99_ms);
-}
-
 std::string
 jsonNumber(double v)
 {
@@ -468,8 +429,11 @@ encodeStatuszReply(const StatuszReply &rep)
     std::ostringstream os;
     putDouble(os, rep.interval_ms);
     os << rep.samples.size() << '\n';
-    for (const StatusSnapshot &s : rep.samples)
-        putSnapshot(os, s);
+    for (const StatusSnapshot &s : rep.samples) {
+        putDouble(os, s.ts_ms);
+        for (const double v : s.values)
+            putDouble(os, v);
+    }
     return os.str();
 }
 
@@ -487,8 +451,11 @@ decodeStatuszReply(const std::string &payload, StatuszReply *out)
     // No reserve(n): wire-supplied count (see decodeSweepReply).
     for (std::size_t i = 0; i < n; ++i) {
         StatusSnapshot s;
-        if (!getSnapshot(is, &s))
+        if (!getDouble(is, &s.ts_ms))
             return false;
+        for (double &v : s.values)
+            if (!getDouble(is, &v))
+                return false;
         out->samples.push_back(s);
     }
     return true;
@@ -499,36 +466,16 @@ statuszJson(const StatuszReply &rep)
 {
     std::string out = "{\"apex_statusz\":1,\"interval_ms\":" +
                       jsonNumber(rep.interval_ms) + ",\"samples\":[";
-    bool first = true;
-    for (const StatusSnapshot &s : rep.samples) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += "{\"ts_ms\":" + jsonNumber(s.ts_ms) +
-               ",\"sessions\":" + std::to_string(s.sessions) +
-               ",\"queue_depth\":" + std::to_string(s.queue_depth) +
-               ",\"active_sweeps\":" +
-               std::to_string(s.active_sweeps) +
-               ",\"inflight_bytes\":" +
-               std::to_string(s.inflight_bytes) +
-               ",\"accepted\":" + std::to_string(s.accepted) +
-               ",\"rejected\":" + std::to_string(s.rejected) +
-               ",\"coalesced\":" + std::to_string(s.coalesced) +
-               ",\"sweeps\":" + std::to_string(s.sweeps) +
-               ",\"cache_hits\":" + std::to_string(s.cache_hits) +
-               ",\"cache_misses\":" + std::to_string(s.cache_misses) +
-               ",\"worker_restarts\":" +
-               std::to_string(s.worker_restarts) +
-               ",\"trace_dropped\":" +
-               std::to_string(s.trace_dropped) +
-               ",\"mined_patterns\":" +
-               std::to_string(s.mined_patterns) +
-               ",\"mine_embeddings\":" +
-               std::to_string(s.mine_embeddings) +
-               ",\"mine_pruned\":" + std::to_string(s.mine_pruned) +
-               ",\"request_p50_ms\":" + jsonNumber(s.request_p50_ms) +
-               ",\"request_p99_ms\":" + jsonNumber(s.request_p99_ms) +
-               "}";
+    for (std::size_t i = 0; i < rep.samples.size(); ++i) {
+        const StatusSnapshot &s = rep.samples[i];
+        out += (i == 0 ? "{\"ts_ms\":" : ",{\"ts_ms\":") +
+               jsonNumber(s.ts_ms);
+        for (std::size_t v = 0; v < s.values.size(); ++v)
+            out += ",\"" + std::string(kStatuszVitals[v].key) + "\":" +
+                   (kStatuszVitals[v].kind == VitalKind::kMs
+                        ? jsonNumber(s.values[v])
+                        : std::to_string(std::llround(s.values[v])));
+        out += '}';
     }
     out += "]}";
     return out;
@@ -542,55 +489,51 @@ renderStatuszText(const StatuszReply &rep)
     if (rep.samples.empty())
         return "apexd statusz: no samples yet\n";
     const StatusSnapshot &now = rep.samples.back();
-    const StatusSnapshot *prev = rep.samples.size() >= 2
-                                     ? &rep.samples[rep.samples.size() - 2]
-                                     : nullptr;
     std::snprintf(buf, sizeof buf,
                   "apexd statusz  %zu sample(s), interval %.0f ms\n",
                   rep.samples.size(), rep.interval_ms);
     out += buf;
     std::snprintf(buf, sizeof buf,
-                  "  sessions %d  queue %d  active %d  "
-                  "inflight_bytes %lld\n",
-                  now.sessions, now.queue_depth, now.active_sweeps,
-                  now.inflight_bytes);
+                  "  sessions %.0f  queue %.0f  active %.0f  "
+                  "inflight_bytes %.0f\n",
+                  now["sessions"], now["queue_depth"],
+                  now["active_sweeps"], now["inflight_bytes"]);
     out += buf;
-    const long long lookups = now.cache_hits + now.cache_misses;
+    const double lookups = now["cache_hits"] + now["cache_misses"];
     std::snprintf(buf, sizeof buf,
-                  "  cache hit rate %.1f%% (%lld/%lld)  "
-                  "worker restarts %lld  trace drops %lld\n",
-                  lookups > 0 ? 100.0 *
-                                    static_cast<double>(now.cache_hits) /
-                                    static_cast<double>(lookups)
+                  "  cache hit rate %.1f%% (%.0f/%.0f)  "
+                  "worker restarts %.0f  trace drops %.0f\n",
+                  lookups > 0 ? 100.0 * now["cache_hits"] / lookups
                               : 0.0,
-                  now.cache_hits, lookups, now.worker_restarts,
-                  now.trace_dropped);
+                  now["cache_hits"], lookups, now["worker_restarts"],
+                  now["trace_dropped"]);
     out += buf;
     std::snprintf(buf, sizeof buf,
-                  "  mining: patterns %lld  embeddings %lld  "
-                  "pruned %lld\n",
-                  now.mined_patterns, now.mine_embeddings,
-                  now.mine_pruned);
+                  "  mining: patterns %.0f  embeddings %.0f  "
+                  "pruned %.0f\n",
+                  now["mined_patterns"], now["mine_embeddings"],
+                  now["mine_pruned"]);
     out += buf;
     std::snprintf(buf, sizeof buf,
                   "  request p50/p99 %.1f/%.1f ms\n",
-                  now.request_p50_ms, now.request_p99_ms);
+                  now["request_p50_ms"], now["request_p99_ms"]);
     out += buf;
-    if (prev != nullptr) {
+    if (rep.samples.size() >= 2) {
+        const StatusSnapshot &prev = rep.samples[rep.samples.size() - 2];
         std::snprintf(buf, sizeof buf,
-                      "  last interval: accepted +%lld  rejected "
-                      "+%lld  coalesced +%lld  sweeps +%lld\n",
-                      now.accepted - prev->accepted,
-                      now.rejected - prev->rejected,
-                      now.coalesced - prev->coalesced,
-                      now.sweeps - prev->sweeps);
+                      "  last interval: accepted +%.0f  rejected "
+                      "+%.0f  coalesced +%.0f  sweeps +%.0f\n",
+                      now["accepted"] - prev["accepted"],
+                      now["rejected"] - prev["rejected"],
+                      now["coalesced"] - prev["coalesced"],
+                      now["sweeps"] - prev["sweeps"]);
         out += buf;
     }
     std::snprintf(buf, sizeof buf,
-                  "  totals: accepted %lld  rejected %lld  "
-                  "coalesced %lld  sweeps %lld\n",
-                  now.accepted, now.rejected, now.coalesced,
-                  now.sweeps);
+                  "  totals: accepted %.0f  rejected %.0f  "
+                  "coalesced %.0f  sweeps %.0f\n",
+                  now["accepted"], now["rejected"], now["coalesced"],
+                  now["sweeps"]);
     out += buf;
     return out;
 }

@@ -1,7 +1,10 @@
 #ifndef APEX_SERVICE_PROTOCOL_H_
 #define APEX_SERVICE_PROTOCOL_H_
 
+#include <array>
 #include <cstdint>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -234,32 +237,60 @@ bool decodeTraceReply(const std::string &payload, TraceReply *out);
 // Live introspection (the statusz ring)
 // --------------------------------------------------------------------
 
-/** One periodic sample of the daemon's vitals: instantaneous gauges
- * plus cumulative counters (clients difference consecutive samples
- * for rates).  p50/p99 are computed daemon-side from the
- * apex.service.request_ms histogram's bucket deltas over the
- * sampling interval (NaN-free: 0 when the interval saw no requests). */
+/** How a statusz vital is read from the registry and rendered. */
+enum class VitalKind { kCounter, kGauge, kMs };
+
+/** One daemon vital: its statusz key and the metric behind it. */
+struct StatuszVital {
+    std::string_view key;
+    std::string_view metric;
+    VitalKind kind; ///< Counts render as integers, kMs as floats.
+};
+
+/** The statusz vitals, in wire and JSON order.  The sampler publishes
+ * what only the io thread knows as gauges (sessions, sweeps in
+ * flight, undelivered reply bytes, the interval's request p50/p99),
+ * then reads every vital from the registry. */
+inline constexpr StatuszVital kStatuszVitals[] = {
+    {"sessions", "apex.service.sessions", VitalKind::kGauge},
+    {"queue_depth", "apex.service.queue_depth", VitalKind::kGauge},
+    {"active_sweeps", "apex.service.active_sweeps", VitalKind::kGauge},
+    {"inflight_bytes", "apex.service.inflight_bytes", VitalKind::kGauge},
+    {"accepted", "apex.service.accepted", VitalKind::kCounter},
+    {"rejected", "apex.service.rejected", VitalKind::kCounter},
+    {"coalesced", "apex.service.coalesced", VitalKind::kCounter},
+    {"sweeps", "apex.service.sweeps", VitalKind::kCounter},
+    {"cache_hits", "apex.cache.hits", VitalKind::kCounter},
+    {"cache_misses", "apex.cache.misses", VitalKind::kCounter},
+    {"worker_restarts", "apex.worker.restarts", VitalKind::kCounter},
+    {"trace_dropped", "apex.trace.dropped", VitalKind::kCounter},
+    {"mined_patterns", "apex.mine.patterns", VitalKind::kCounter},
+    {"mine_embeddings", "apex.mine.embeddings", VitalKind::kCounter},
+    {"mine_pruned", "apex.mine.pruned_noncanonical", VitalKind::kCounter},
+    {"request_p50_ms", "apex.service.request_p50_ms", VitalKind::kMs},
+    {"request_p99_ms", "apex.service.request_p99_ms", VitalKind::kMs},
+};
+
+/** One periodic sample of the daemon's vitals. */
 struct StatusSnapshot {
-    double ts_ms = 0.0;       ///< monotonicNanos()-based sample time.
-    int sessions = 0;         ///< Connected sessions.
-    int queue_depth = 0;      ///< Admission queue depth.
-    int active_sweeps = 0;    ///< Jobs admitted and not yet reported.
-    long long inflight_bytes = 0; ///< Undelivered reply bytes.
-    long long accepted = 0;   ///< Cumulative apex.service.accepted.
-    long long rejected = 0;   ///< Cumulative apex.service.rejected.
-    long long coalesced = 0;  ///< Cumulative apex.service.coalesced.
-    long long sweeps = 0;     ///< Cumulative apex.service.sweeps.
-    long long cache_hits = 0;   ///< Cumulative apex.cache.hits.
-    long long cache_misses = 0; ///< Cumulative apex.cache.misses.
-    long long worker_restarts = 0; ///< Cumulative apex.worker.restarts.
-    long long trace_dropped = 0;   ///< Cumulative apex.trace.dropped.
-    long long mined_patterns = 0;  ///< Cumulative apex.mine.patterns.
-    long long mine_embeddings = 0; ///< Cumulative apex.mine.embeddings.
-    /** Cumulative apex.mine.pruned_noncanonical: candidate growth
-     * branches killed by the DFS-code canonicality check. */
-    long long mine_pruned = 0;
-    double request_p50_ms = 0.0; ///< Interval p50 (bucket estimate).
-    double request_p99_ms = 0.0; ///< Interval p99 (bucket estimate).
+    double ts_ms = 0.0; ///< monotonicNanos()-based sample time.
+    /** One value per kStatuszVitals entry, in table order; a double
+     * holds every count below 2^53 exactly. */
+    std::array<double, std::size(kStatuszVitals)> values{};
+
+    /** The vital named @p key; std::out_of_range for a key the table
+     * does not list. */
+    double &operator[](std::string_view key) { return values[index(key)]; }
+    double operator[](std::string_view key) const { return values[index(key)]; }
+
+  private:
+    static std::size_t index(std::string_view key)
+    {
+        for (std::size_t i = 0; i < std::size(kStatuszVitals); ++i)
+            if (kStatuszVitals[i].key == key)
+                return i;
+        throw std::out_of_range("unknown statusz vital");
+    }
 };
 
 /** statusz payload: cap on returned samples (0 = everything the

@@ -796,36 +796,18 @@ Server::enqueueOutbound(std::uint64_t session_id,
 void
 Server::sampleStatusz()
 {
-    StatusSnapshot snap;
-    snap.ts_ms = telemetry::monotonicNanos() / 1e6;
-    snap.sessions = static_cast<int>(sessions_.size());
-    snap.queue_depth = static_cast<int>(
-        telemetry::gauge("apex.service.queue_depth").value());
+    // Publish what only the io thread knows, then read every vital
+    // back from the registry.
+    telemetry::gauge("apex.service.sessions")
+        .set(static_cast<double>(sessions_.size()));
     {
         std::lock_guard<std::mutex> lock(inflight_mu_);
-        snap.active_sweeps = static_cast<int>(inflight_.size());
+        telemetry::gauge("apex.service.active_sweeps")
+            .set(static_cast<double>(inflight_.size()));
     }
-    snap.inflight_bytes = static_cast<long long>(
-        outbound_bytes_.load(std::memory_order_relaxed));
-    snap.accepted =
-        telemetry::counter("apex.service.accepted").value();
-    snap.rejected =
-        telemetry::counter("apex.service.rejected").value();
-    snap.coalesced =
-        telemetry::counter("apex.service.coalesced").value();
-    snap.sweeps = telemetry::counter("apex.service.sweeps").value();
-    snap.cache_hits = telemetry::counter("apex.cache.hits").value();
-    snap.cache_misses =
-        telemetry::counter("apex.cache.misses").value();
-    snap.worker_restarts =
-        telemetry::counter("apex.worker.restarts").value();
-    snap.trace_dropped = telemetry::droppedEvents();
-    snap.mined_patterns =
-        telemetry::counter("apex.mine.patterns").value();
-    snap.mine_embeddings =
-        telemetry::counter("apex.mine.embeddings").value();
-    snap.mine_pruned =
-        telemetry::counter("apex.mine.pruned_noncanonical").value();
+    telemetry::gauge("apex.service.inflight_bytes")
+        .set(static_cast<double>(
+            outbound_bytes_.load(std::memory_order_relaxed)));
 
     // Per-interval latency quantiles from the request_ms histogram:
     // the delta against the previous sample isolates this interval's
@@ -833,18 +815,28 @@ Server::sampleStatusz()
     telemetry::Histogram &hist =
         telemetry::histogram("apex.service.request_ms");
     const std::vector<double> &bounds = hist.bounds();
-    std::vector<long long> counts(bounds.size() + 1, 0);
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        counts[i] = hist.bucketCount(i);
-    if (prev_request_buckets_.size() != counts.size())
-        prev_request_buckets_.assign(counts.size(), 0);
-    std::vector<long long> deltas(counts.size(), 0);
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        deltas[i] = counts[i] - prev_request_buckets_[i];
-    prev_request_buckets_ = counts;
-    snap.request_p50_ms = quantileFromDeltas(bounds, deltas, 0.50);
-    snap.request_p99_ms = quantileFromDeltas(bounds, deltas, 0.99);
+    prev_request_buckets_.resize(bounds.size() + 1, 0);
+    std::vector<long long> deltas(bounds.size() + 1, 0);
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+        const long long count = hist.bucketCount(i);
+        deltas[i] = count - prev_request_buckets_[i];
+        prev_request_buckets_[i] = count;
+    }
+    telemetry::gauge("apex.service.request_p50_ms")
+        .set(quantileFromDeltas(bounds, deltas, 0.50));
+    telemetry::gauge("apex.service.request_p99_ms")
+        .set(quantileFromDeltas(bounds, deltas, 0.99));
 
+    StatusSnapshot snap;
+    snap.ts_ms = telemetry::monotonicNanos() / 1e6;
+    for (std::size_t i = 0; i < snap.values.size(); ++i) {
+        const StatuszVital &vital = kStatuszVitals[i];
+        snap.values[i] =
+            vital.kind == VitalKind::kCounter
+                ? static_cast<double>(
+                      telemetry::counter(vital.metric).value())
+                : telemetry::gauge(vital.metric).value();
+    }
     statusz_ring_.push_back(snap);
     while (statusz_ring_.size() > options_.statusz_capacity &&
            !statusz_ring_.empty())

@@ -25,8 +25,10 @@ namespace apex::service {
  * v3: sweep/progress frames carry a request trace_id; `trace` and
  *     `statusz` conversations added.
  * v4: SweepRequest::deadline_ms < 0 means unbounded and 0 means
- *     already expired (v3 read <= 0 as unbounded). */
-inline constexpr int kProtocolVersion = 4;
+ *     already expired (v3 read <= 0 as unbounded).
+ * v5: a statusz.ok sample is its timestamp plus one hex-float value
+ *     per kStatuszVitals entry, in table order. */
+inline constexpr int kProtocolVersion = 5;
 
 /** Short git commit this binary was built from ("unknown" when the
  * build ran outside a checkout). */

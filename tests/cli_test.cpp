@@ -5,6 +5,10 @@
  * resume to byte-identical output, and a client sweep through a live
  * apexd must match batch mode.
  *
+ * Output files are published or reported: a file apexc or apexd
+ * cannot write exits 2 naming the path, and a symlinked output keeps
+ * its link.
+ *
  * Each test shells out to the real binaries (APEXC_PATH and
  * APEXD_PATH are injected by CMake), so these cover the signal
  * handlers and process teardown that in-process tests cannot.
@@ -17,6 +21,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -261,6 +267,119 @@ TEST(Cli, DiskFullJournalExitsResourceExhausted)
     EXPECT_EQ(slurp(ref_out), slurp(degraded_out));
 }
 
+// --- Output files: a write that failed is reported, never claimed ------
+
+/** True when a sibling of @p path is named `<file>.tmp*` — a publish
+ * left its temporary behind. */
+bool
+hasTmpSibling(const std::string &path)
+{
+    const fs::path p(path);
+    const std::string prefix = p.filename().string() + ".tmp";
+    for (const auto &entry : fs::directory_iterator(p.parent_path()))
+        if (entry.path().filename().string().rfind(prefix, 0) == 0)
+            return true;
+    return false;
+}
+
+/** The value of counter @p name in a metrics dump ("" when absent). */
+std::string
+counterValue(const std::string &dump, const std::string &name)
+{
+    const std::string key = "{\"name\":\"" + name + "\",\"value\":";
+    const std::size_t at = dump.find(key);
+    if (at == std::string::npos)
+        return "";
+    const std::size_t start = at + key.size();
+    return dump.substr(start, dump.find('}', start) - start);
+}
+
+TEST(Cli, UnwritableRtlAndDumpOutputsExitTwoWithoutClaimingThem)
+{
+    ScratchDir dir("unwritable_outputs");
+    const std::string missing = dir.str() + "/missing";
+    const std::string out = dir.str() + "/out";
+    const std::string err = dir.str() + "/err";
+    const int want = exitCodeFor(ErrorCode::kInvalidArgument);
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {" rtl camera -o " + missing, missing + "/pe_spec_camera.v"},
+        {" dump camera -o " + missing + "/x.apexir",
+         missing + "/x.apexir"},
+    };
+    for (const auto &[args, path] : cases) {
+        EXPECT_EQ(run(apexc + args + " > " + out + " 2> " + err), want)
+            << args;
+        EXPECT_EQ(slurp(out).find("wrote"), std::string::npos)
+            << args << ": " << slurp(out);
+        EXPECT_NE(slurp(err).find("'" + path + "'"), std::string::npos)
+            << args << ": " << slurp(err);
+        EXPECT_NE(slurp(err).find("No such file or directory"),
+                  std::string::npos)
+            << args << ": " << slurp(err);
+    }
+    EXPECT_FALSE(fs::exists(missing));
+}
+
+TEST(Cli, DaemonReportsAnUnwritableExitDump)
+{
+    // apexd publishes --metrics-out once after a clean shutdown; a
+    // dump it cannot write turns the exit code into 2 and is named
+    // on stderr.
+    ScratchDir dir("daemon_exit_dump");
+    const std::string socket = dir.str() + "/apexd.sock";
+    const std::string metrics = dir.str() + "/missing/m.json";
+    const std::string err = dir.str() + "/err";
+    const int code = run(
+        apexd + " --socket " + socket + " --metrics-out " + metrics +
+        " 2> " + err + " & pid=$!; i=0; while [ ! -S " + socket +
+        " ] && [ $i -lt 200 ]; do sleep 0.05; i=$((i+1)); done; "
+        "kill -TERM $pid; wait $pid");
+    EXPECT_EQ(code, 2) << slurp(err);
+    EXPECT_NE(slurp(err).find("'" + metrics + "'"), std::string::npos)
+        << slurp(err);
+    EXPECT_FALSE(fs::exists(metrics));
+}
+
+TEST(Cli, SymlinkedMetricsOutKeepsItsLinkWithAnInterval)
+{
+    ScratchDir dir("metrics_symlink");
+    const std::string real = dir.str() + "/real.json";
+    const std::string link = dir.str() + "/link.json";
+    std::ofstream(real) << "stale\n";
+    fs::create_symlink("real.json", link);
+    ASSERT_EQ(run(apexc + " apps --metrics-out " + link +
+                  " --metrics-interval 1000 > /dev/null"),
+              0);
+    EXPECT_TRUE(fs::is_symlink(link));
+    const std::string dump = slurp(real);
+    EXPECT_EQ(dump.find("{\"apex_metrics\":1,"), 0u) << dump;
+    EXPECT_EQ(dump.back(), '}') << dump;
+    EXPECT_FALSE(hasTmpSibling(real));
+}
+
+TEST(Cli, PeriodicMetricsSweepPublishesTheFinalDumpOnce)
+{
+    // A 5 ms timer republishes the dump all through the sweep; the
+    // file left behind is the end-of-run dump, complete, with no
+    // temporary beside it.
+    ScratchDir dir("periodic_metrics");
+    const std::string once = dir.str() + "/once.json";
+    const std::string periodic = dir.str() + "/m.json";
+    ASSERT_EQ(run(apexc + " sweep --level map --metrics-out " + once +
+                  " > /dev/null"),
+              0);
+    ASSERT_EQ(run(apexc + " sweep --level map --metrics-out " +
+                  periodic + " --metrics-interval 5 > /dev/null"),
+              0);
+    const std::string dump = slurp(periodic);
+    EXPECT_EQ(dump.find("{\"apex_metrics\":1,"), 0u) << dump;
+    EXPECT_EQ(dump.back(), '}') << dump;
+    EXPECT_FALSE(hasTmpSibling(periodic));
+    const std::string tasks = counterValue(slurp(once), "apex.sweep.tasks");
+    EXPECT_FALSE(tasks.empty());
+    EXPECT_EQ(counterValue(dump, "apex.sweep.tasks"), tasks);
+}
+
 TEST(Cli, VersionReportsBuildIdentityAndProtocol)
 {
     ScratchDir dir("version");
@@ -317,6 +436,26 @@ TEST(Cli, ClientSweepMatchesBatchOnExpiredDeadline)
               want);
     EXPECT_NE(slurp(batch).find("0 evaluated"), std::string::npos);
     EXPECT_EQ(slurp(batch), slurp(client));
+}
+
+TEST(Cli, ClientSweepReportsAnUnwritableMergedTrace)
+{
+    // The merged trace follows the output-file rule: a trace that
+    // cannot be written is named on stderr and turns the successful
+    // sweep's exit code into 2; the report still prints.
+    ScratchDir dir("client_trace_unwritable");
+    const Daemon daemon(dir.str());
+    ASSERT_TRUE(fs::exists(daemon.socket()));
+    const std::string trace = dir.str() + "/missing/trace.json";
+    const std::string out = dir.str() + "/client.out";
+    const std::string err = dir.str() + "/client.err";
+    EXPECT_EQ(run(apexc + " client sweep --level map --socket " +
+                  daemon.socket() + " --trace " + trace + " > " + out +
+                  " 2> " + err),
+              exitCodeFor(ErrorCode::kInvalidArgument));
+    EXPECT_NE(slurp(out).find("evaluated"), std::string::npos);
+    EXPECT_NE(slurp(err).find("'" + trace + "'"), std::string::npos)
+        << slurp(err);
 }
 
 TEST(Cli, ClientWithoutDaemonExitsUnavailable)

@@ -344,55 +344,6 @@ TEST(RecordLog, SchemaMismatchRestartsFresh)
 // that was not written.  Seeded, so a failure names its seed and
 // replays exactly.
 
-/** One random damage to @p bytes: a flipped bit, a deleted or
- * duplicated byte, a truncation, or a header number (version, sum,
- * len) overwritten with a run of 1-20 digits. */
-void
-mutate(std::string &bytes, std::string_view magic, std::mt19937 &rng)
-{
-    const auto pick = [&rng](std::size_t n) {
-        return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
-    };
-    if (bytes.empty())
-        return;
-    switch (pick(5)) {
-      case 0:
-        bytes[pick(bytes.size())] ^= static_cast<char>(1u << pick(8));
-        return;
-      case 1:
-        bytes.erase(pick(bytes.size()), 1);
-        return;
-      case 2: {
-        const std::size_t at = pick(bytes.size());
-        bytes.insert(at, 1, bytes[at]);
-        return;
-      }
-      case 3:
-        bytes.resize(pick(bytes.size()));
-        return;
-      default:
-        break;
-    }
-    std::vector<std::size_t> fields;
-    for (const std::string &tag :
-         {std::string(magic) + ' ', std::string(" sum "),
-          std::string(" len ")}) {
-        for (std::size_t at = bytes.find(tag); at != std::string::npos;
-             at = bytes.find(tag, at + 1))
-            fields.push_back(at + tag.size());
-    }
-    if (fields.empty())
-        return;
-    const std::size_t start = fields[pick(fields.size())];
-    std::size_t end = start;
-    while (end < bytes.size() && bytes[end] != ' ' && bytes[end] != '\n')
-        ++end;
-    std::string digits(1 + pick(20), '0');
-    for (char &c : digits)
-        c = static_cast<char>('0' + pick(10));
-    bytes.replace(start, end - start, digits);
-}
-
 TEST(FrameMutation, DamageYieldsAPrefixOrAMissNeverOtherBytes)
 {
     ScratchDir dir("mutation");
@@ -436,8 +387,10 @@ TEST(FrameMutation, DamageYieldsAPrefixOrAMissNeverOtherBytes)
         std::string bytes = journal_bytes;
         std::string entry = entry_bytes;
         for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n) {
-            mutate(bytes, "apextest", rng);
-            mutate(entry, "apexcache", rng);
+            test::mutate(bytes, test::frameNumbers(bytes, "apextest"),
+                         rng);
+            test::mutate(entry, test::frameNumbers(entry, "apexcache"),
+                         rng);
         }
 
         // The journal's replay: the payload type is outside the

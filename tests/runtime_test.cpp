@@ -1,27 +1,37 @@
 /**
  * Tests for the parallel DSE runtime: the work-stealing thread pool,
- * the content-addressed artifact cache, and the determinism contract
+ * the content-addressed artifact cache, the file publisher and the
+ * periodic metrics writer built on it, and the determinism contract
  * of the parallel sweep driver (identical results for any job count).
  */
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/apps.hpp"
 #include "core/evaluate.hpp"
 #include "core/explorer.hpp"
+#include "core/fault.hpp"
 #include "core/sweep.hpp"
 #include "model/tech.hpp"
 #include "runtime/cache.hpp"
+#include "runtime/record.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "frame_forge.hpp"
@@ -218,6 +228,206 @@ TEST(ArtifactCache, WrongKeyInFileIsACollisionNotAHit)
     fs::rename(cache.diskPathFor("key1"), other.diskPathFor("key2"));
     EXPECT_FALSE(other.get("key2").has_value());
     EXPECT_EQ(other.stats().corrupt_dropped, 1);
+}
+
+// --- publishFile + PeriodicMetricsWriter --------------------------------
+
+/** Slurp a file's bytes, or "" when it does not exist. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** True when a sibling of @p path is named `<file>.tmp*` — a publish
+ * left its temporary behind. */
+bool
+hasTmpSibling(const std::string &path)
+{
+    const fs::path p(path);
+    const std::string prefix = p.filename().string() + ".tmp";
+    std::error_code ec;
+    for (const auto &entry : fs::directory_iterator(p.parent_path(), ec))
+        if (entry.path().filename().string().rfind(prefix, 0) == 0)
+            return true;
+    return false;
+}
+
+TEST(PublishFile, ReplacesARegularFileWholesale)
+{
+    ScratchDir dir("publish_regular");
+    fs::create_directories(dir.str());
+    const std::string path = dir.str() + "/out.txt";
+    ASSERT_TRUE(runtime::publishFile(path, "old bytes, longer", false)
+                    .ok());
+    ASSERT_TRUE(runtime::publishFile(path, "new", true).ok());
+    EXPECT_EQ(slurp(path), "new");
+    EXPECT_FALSE(hasTmpSibling(path));
+}
+
+TEST(PublishFile, FailureNamesThePathAndLeavesNothingBehind)
+{
+    ScratchDir dir("publish_missing");
+    fs::create_directories(dir.str());
+    // publishFile creates no directories.
+    const std::string path = dir.str() + "/missing/out.txt";
+    const Status s = runtime::publishFile(path, "bytes", false);
+    EXPECT_EQ(s.code(), ErrorCode::kResourceExhausted);
+    EXPECT_NE(s.message().find(path), std::string::npos) << s.message();
+    EXPECT_NE(s.message().find("No such file or directory"),
+              std::string::npos)
+        << s.message();
+    EXPECT_FALSE(fs::exists(dir.str() + "/missing"));
+}
+
+TEST(PublishFile, SymlinkKeepsItsLinkAndItsTargetGetsTheBytes)
+{
+    ScratchDir dir("publish_symlink");
+    fs::create_directories(dir.str());
+    const std::string real = dir.str() + "/real.json";
+    const std::string link = dir.str() + "/link.json";
+    ASSERT_TRUE(runtime::publishFile(real, "old", false).ok());
+    fs::create_symlink("real.json", link);
+    ASSERT_TRUE(runtime::publishFile(link, "new", false).ok());
+    EXPECT_TRUE(fs::is_symlink(link));
+    EXPECT_EQ(slurp(real), "new");
+    EXPECT_FALSE(hasTmpSibling(real));
+    EXPECT_FALSE(hasTmpSibling(link));
+
+    // A dangling link is followed too: its target comes into being.
+    fs::remove(real);
+    ASSERT_TRUE(runtime::publishFile(link, "fresh", false).ok());
+    EXPECT_TRUE(fs::is_symlink(link));
+    EXPECT_EQ(slurp(real), "fresh");
+}
+
+TEST(PublishFile, FifoIsWrittenInPlaceAndStaysAFifo)
+{
+    ScratchDir dir("publish_fifo");
+    fs::create_directories(dir.str());
+    const std::string path = dir.str() + "/fifo";
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    // A read-write end held by the test keeps every open() below from
+    // blocking, so a publish that renamed over the FIFO fails the
+    // test (the reader sees EOF) instead of hanging it.
+    const int keep = ::open(path.c_str(), O_RDWR);
+    ASSERT_GE(keep, 0);
+    std::promise<void> opened;
+    std::string got;
+    std::thread reader([&] {
+        const int fd = ::open(path.c_str(), O_RDONLY);
+        opened.set_value();
+        char buf[256];
+        for (ssize_t n; fd >= 0 && (n = ::read(fd, buf, sizeof buf)) > 0;)
+            got.append(buf, static_cast<std::size_t>(n));
+        if (fd >= 0)
+            ::close(fd);
+    });
+    opened.get_future().wait();
+    const Status s = runtime::publishFile(path, "through the pipe", false);
+    ::close(keep);
+    reader.join();
+    EXPECT_TRUE(s.ok()) << s.toString();
+    EXPECT_EQ(got, "through the pipe");
+    EXPECT_TRUE(fs::is_fifo(path));
+    EXPECT_FALSE(hasTmpSibling(path));
+}
+
+TEST(PeriodicMetricsWriter, FlushesAtomically)
+{
+    ScratchDir dir("periodic_metrics");
+    fs::create_directories(dir.str());
+    const std::string path = dir.str() + "/metrics.json";
+    telemetry::Counter &c = telemetry::counter("test.periodic.flushes");
+    {
+        // A 5 ms timer races the explicit flushes below: each writer
+        // publishes through its own tmp file.
+        runtime::PeriodicMetricsWriter writer(path, 5.0);
+        c.add(1);
+        ASSERT_TRUE(writer.flushNow());
+        EXPECT_GE(writer.flushCount(), 1);
+    } // Joins the timer thread, so no publish is in flight below.
+    EXPECT_NE(slurp(path).find("test.periodic.flushes"),
+              std::string::npos);
+    // The temp file never survives a completed flush.
+    EXPECT_FALSE(hasTmpSibling(path));
+}
+
+TEST(PeriodicMetricsWriter, KeepsLastGoodFileAcrossFlushFailure)
+{
+    ScratchDir dir("metrics_flush_failure");
+    fs::create_directories(dir.str());
+    const std::string path = dir.str() + "/metrics.json";
+    telemetry::Counter &failures =
+        telemetry::counter("apex.resource.metrics_flush_failures");
+    const long long failures_before = failures.value();
+
+    runtime::PeriodicMetricsWriter writer(path, 1e9);
+    ASSERT_TRUE(writer.flushNow());
+    const long long flushes_before = writer.flushCount();
+    const std::string good = slurp(path);
+    ASSERT_FALSE(good.empty());
+
+    {
+        FaultScope fault(FaultStage::kDiskFull, 1);
+        EXPECT_FALSE(writer.flushNow());
+    }
+    // The failure is counted, the flush count is honest, and — the
+    // durability contract — the previous good file is untouched:
+    // observers keep reading the last complete snapshot.
+    EXPECT_EQ(failures.value(), failures_before + 1);
+    EXPECT_EQ(writer.flushCount(), flushes_before);
+    EXPECT_EQ(slurp(path), good);
+    EXPECT_FALSE(hasTmpSibling(path));
+
+    // When the disk recovers, the next flush succeeds on its own.
+    EXPECT_TRUE(writer.flushNow());
+    EXPECT_EQ(writer.flushCount(), flushes_before + 1);
+}
+
+TEST(PeriodicMetricsWriter, SurvivesUncreatableTmpFile)
+{
+    // The metrics "directory" is a regular file, so creating the tmp
+    // file fails with ENOTDIR (works even when running as root,
+    // unlike permission-based setups).
+    ScratchDir dir("metrics_blocker");
+    fs::create_directories(dir.str());
+    const std::string blocker = dir.str() + "/blocker";
+    {
+        std::ofstream os(blocker, std::ios::trunc);
+        os << "not a directory\n";
+    }
+    telemetry::Counter &failures =
+        telemetry::counter("apex.resource.metrics_flush_failures");
+    const long long failures_before = failures.value();
+    {
+        runtime::PeriodicMetricsWriter writer(blocker + "/metrics.json",
+                                              1e9);
+        EXPECT_FALSE(writer.flushNow());
+    }
+    EXPECT_GE(failures.value(), failures_before + 1);
+}
+
+TEST(PeriodicMetricsWriter, SurvivesRenameFailure)
+{
+    // The target path is an existing directory: the tmp file writes
+    // fine but the publishing rename fails.
+    ScratchDir dir("metrics_renameblock");
+    const std::string path = dir.str() + "/metrics.json";
+    fs::create_directories(path);
+    telemetry::Counter &failures =
+        telemetry::counter("apex.resource.metrics_flush_failures");
+    const long long failures_before = failures.value();
+    {
+        runtime::PeriodicMetricsWriter writer(path, 1e9);
+        EXPECT_FALSE(writer.flushNow());
+        // No orphaned tmp file is left behind on the rename path.
+        EXPECT_FALSE(hasTmpSibling(path));
+    }
+    EXPECT_GE(failures.value(), failures_before + 1);
 }
 
 // --- Parallel sweep: determinism + cancellation + caching --------------

@@ -20,6 +20,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,10 +29,13 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/apps.hpp"
 #include "core/encoding.hpp"
 #include "core/explorer.hpp"
 #include "core/fault.hpp"
+#include "core/journal.hpp"
 #include "core/sweep.hpp"
+#include "ir/serialize.hpp"
 #include "runtime/eventlog.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/wire.hpp"
@@ -1244,22 +1249,22 @@ TEST(ServiceProtocol, StatuszConversationRoundTripsAndRenders)
     reply.interval_ms = 250.0;
     StatusSnapshot snap;
     snap.ts_ms = 1000.5;
-    snap.sessions = 3;
-    snap.queue_depth = 2;
-    snap.active_sweeps = 1;
-    snap.inflight_bytes = 4096;
-    snap.accepted = 10;
-    snap.rejected = 1;
-    snap.coalesced = 4;
-    snap.sweeps = 6;
-    snap.cache_hits = 100;
-    snap.cache_misses = 20;
-    snap.worker_restarts = 2;
-    snap.trace_dropped = 9;
-    snap.request_p50_ms = 5.0;
-    snap.request_p99_ms = 50.0;
+    snap["sessions"] = 3;
+    snap["queue_depth"] = 2;
+    snap["active_sweeps"] = 1;
+    snap["inflight_bytes"] = 4096;
+    snap["accepted"] = 10;
+    snap["rejected"] = 1;
+    snap["coalesced"] = 4;
+    snap["sweeps"] = 6;
+    snap["cache_hits"] = 100;
+    snap["cache_misses"] = 20;
+    snap["worker_restarts"] = 2;
+    snap["trace_dropped"] = 9;
+    snap["request_p50_ms"] = 5.0;
+    snap["request_p99_ms"] = 50.0;
     reply.samples.push_back(snap);
-    snap.accepted = 12;
+    snap["accepted"] = 12;
     reply.samples.push_back(snap);
 
     StatuszReply back;
@@ -1268,21 +1273,22 @@ TEST(ServiceProtocol, StatuszConversationRoundTripsAndRenders)
     EXPECT_DOUBLE_EQ(back.interval_ms, 250.0);
     ASSERT_EQ(back.samples.size(), 2u);
     EXPECT_DOUBLE_EQ(back.samples[0].ts_ms, 1000.5);
-    EXPECT_EQ(back.samples[0].sessions, 3);
-    EXPECT_EQ(back.samples[0].queue_depth, 2);
-    EXPECT_EQ(back.samples[0].active_sweeps, 1);
-    EXPECT_EQ(back.samples[0].inflight_bytes, 4096);
-    EXPECT_EQ(back.samples[0].accepted, 10);
-    EXPECT_EQ(back.samples[0].rejected, 1);
-    EXPECT_EQ(back.samples[0].coalesced, 4);
-    EXPECT_EQ(back.samples[0].sweeps, 6);
-    EXPECT_EQ(back.samples[0].cache_hits, 100);
-    EXPECT_EQ(back.samples[0].cache_misses, 20);
-    EXPECT_EQ(back.samples[0].worker_restarts, 2);
-    EXPECT_EQ(back.samples[0].trace_dropped, 9);
-    EXPECT_DOUBLE_EQ(back.samples[0].request_p50_ms, 5.0);
-    EXPECT_DOUBLE_EQ(back.samples[0].request_p99_ms, 50.0);
-    EXPECT_EQ(back.samples[1].accepted, 12);
+    EXPECT_EQ(back.samples[0]["sessions"], 3);
+    EXPECT_EQ(back.samples[0]["queue_depth"], 2);
+    EXPECT_EQ(back.samples[0]["active_sweeps"], 1);
+    EXPECT_EQ(back.samples[0]["inflight_bytes"], 4096);
+    EXPECT_EQ(back.samples[0]["accepted"], 10);
+    EXPECT_EQ(back.samples[0]["rejected"], 1);
+    EXPECT_EQ(back.samples[0]["coalesced"], 4);
+    EXPECT_EQ(back.samples[0]["sweeps"], 6);
+    EXPECT_EQ(back.samples[0]["cache_hits"], 100);
+    EXPECT_EQ(back.samples[0]["cache_misses"], 20);
+    EXPECT_EQ(back.samples[0]["worker_restarts"], 2);
+    EXPECT_EQ(back.samples[0]["trace_dropped"], 9);
+    EXPECT_DOUBLE_EQ(back.samples[0]["request_p50_ms"], 5.0);
+    EXPECT_DOUBLE_EQ(back.samples[0]["request_p99_ms"], 50.0);
+    EXPECT_EQ(back.samples[1]["accepted"], 12);
+    EXPECT_THROW((void)snap["no_such_vital"], std::out_of_range);
 
     const std::string json = statuszJson(back);
     EXPECT_EQ(json.find("{\"apex_statusz\":1"), 0u);
@@ -1296,6 +1302,317 @@ TEST(ServiceProtocol, StatuszConversationRoundTripsAndRenders)
     StatuszReply empty;
     EXPECT_NE(renderStatuszText(empty).find("no samples"),
               std::string::npos);
+}
+
+TEST(ServiceProtocol, StatuszRenderingsArePinned)
+{
+    // Both renderings of one fixed two-sample reply, byte for byte
+    // (`apexc client top --json` is schema-checked by CI, the text is
+    // what operators read).  cache_hits sits above 2^31.
+    StatuszReply reply;
+    reply.interval_ms = 250.0;
+    StatusSnapshot a;
+    a.ts_ms = 1000.5;
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, double>>{
+             {"sessions", 3}, {"queue_depth", 2}, {"active_sweeps", 1},
+             {"inflight_bytes", 4096}, {"accepted", 10},
+             {"rejected", 1}, {"coalesced", 4}, {"sweeps", 6},
+             {"cache_hits", 3000000000.0}, {"cache_misses", 20},
+             {"worker_restarts", 2}, {"trace_dropped", 9},
+             {"mined_patterns", 123}, {"mine_embeddings", 4567},
+             {"mine_pruned", 89}, {"request_p50_ms", 5.0},
+             {"request_p99_ms", 50.25}})
+        a[key] = value;
+    StatusSnapshot b = a;
+    b.ts_ms = 1250.75;
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, double>>{
+             {"sessions", 4}, {"queue_depth", 0}, {"active_sweeps", 2},
+             {"inflight_bytes", 8192}, {"accepted", 12},
+             {"rejected", 2}, {"coalesced", 5}, {"sweeps", 8},
+             {"cache_hits", 3000000100.0}, {"cache_misses", 25},
+             {"request_p50_ms", 4.5}, {"request_p99_ms", 48.125}})
+        b[key] = value;
+    reply.samples = {a, b};
+    StatuszReply back;
+    ASSERT_TRUE(decodeStatuszReply(encodeStatuszReply(reply), &back));
+
+    EXPECT_EQ(
+        statuszJson(back),
+        "{\"apex_statusz\":1,\"interval_ms\":250,\"samples\":["
+        "{\"ts_ms\":1000.5,\"sessions\":3,\"queue_depth\":2,"
+        "\"active_sweeps\":1,\"inflight_bytes\":4096,\"accepted\":10,"
+        "\"rejected\":1,\"coalesced\":4,\"sweeps\":6,"
+        "\"cache_hits\":3000000000,\"cache_misses\":20,"
+        "\"worker_restarts\":2,\"trace_dropped\":9,"
+        "\"mined_patterns\":123,\"mine_embeddings\":4567,"
+        "\"mine_pruned\":89,\"request_p50_ms\":5,"
+        "\"request_p99_ms\":50.25},"
+        "{\"ts_ms\":1250.75,\"sessions\":4,\"queue_depth\":0,"
+        "\"active_sweeps\":2,\"inflight_bytes\":8192,\"accepted\":12,"
+        "\"rejected\":2,\"coalesced\":5,\"sweeps\":8,"
+        "\"cache_hits\":3000000100,\"cache_misses\":25,"
+        "\"worker_restarts\":2,\"trace_dropped\":9,"
+        "\"mined_patterns\":123,\"mine_embeddings\":4567,"
+        "\"mine_pruned\":89,\"request_p50_ms\":4.5,"
+        "\"request_p99_ms\":48.125}]}");
+    EXPECT_EQ(renderStatuszText(back),
+              "apexd statusz  2 sample(s), interval 250 ms\n"
+              "  sessions 4  queue 0  active 2  inflight_bytes 8192\n"
+              "  cache hit rate 100.0% (3000000100/3000000125)  "
+              "worker restarts 2  trace drops 9\n"
+              "  mining: patterns 123  embeddings 4567  pruned 89\n"
+              "  request p50/p99 4.5/48.1 ms\n"
+              "  last interval: accepted +2  rejected +1  "
+              "coalesced +1  sweeps +2\n"
+              "  totals: accepted 12  rejected 2  coalesced 5  "
+              "sweeps 8\n");
+}
+
+// ---------------------------------------------------------------
+// Seeded mutation of every payload decoder
+// ---------------------------------------------------------------
+//
+// Every decoder that reads bytes from disk or a socket must survive
+// arbitrary damage.  The frame layer (FrameMutation.* in
+// durability_test) checksums what it delivers; these are the
+// decoders behind it: the apexir text format, evaluation results,
+// journal cell records and every apexsvc payload.
+
+/**
+ * Decode seeded mutants of @p encoded (a flipped bit, a deleted or
+ * duplicated byte, a truncation, a number overwritten with 1-20
+ * digits; one to three each).  Nothing may throw, and an accepted
+ * mutant must reach a fixed point: its re-encoding decodes again and
+ * re-encodes to the same bytes.  @p inspect (may be null) runs on
+ * every decoded value.  Returns how many mutants were accepted.
+ */
+template <class T>
+int
+mutantsReachAFixedPoint(
+    const std::string &encoded,
+    const std::function<bool(const std::string &, T *)> &decode,
+    const std::function<std::string(const T &)> &encode,
+    const std::function<void(const T &)> &inspect = nullptr)
+{
+    int accepted = 0;
+    for (unsigned seed = 1; seed <= 3000; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng(seed);
+        std::string bytes = encoded;
+        for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n)
+            test::mutate(bytes, test::digitRuns(bytes), rng);
+        T first{};
+        bool ok = false;
+        EXPECT_NO_THROW(ok = decode(bytes, &first));
+        if (!ok)
+            continue;
+        ++accepted;
+        EXPECT_NO_THROW({
+            const std::string once = encode(first);
+            T second{};
+            EXPECT_TRUE(decode(once, &second)) << once;
+            EXPECT_EQ(encode(second), once);
+            if (inspect)
+                inspect(second);
+        });
+    }
+    return accepted;
+}
+
+/** Adapt a Result-returning parser to the decode shape. */
+template <class T>
+std::function<bool(const std::string &, T *)>
+fromResult(Result<T> (*parse)(const std::string &))
+{
+    return [parse](const std::string &text, T *out) {
+        Result<T> parsed = parse(text);
+        if (parsed.ok())
+            *out = std::move(parsed).value();
+        return parsed.ok();
+    };
+}
+
+/** An evaluation result with every section and a diagnostic trail. */
+core::EvalResult
+sampleEvalResult()
+{
+    core::EvalResult r;
+    r.success = true;
+    r.pnr_attempts = 3;
+    r.degraded = true;
+    r.pe_count = 42;
+    r.pe_area = 1234.5;
+    r.pe_energy = 6.789;
+    r.fabric_width = 32;
+    r.fabric_height = 16;
+    r.cgra_area = 98765.25;
+    r.cgra_energy = 12.5;
+    r.pipeline_stages = 2;
+    r.period_ns = 1.125;
+    r.runtime_ms = 0.75;
+    r.diagnostics.info("place", "seed 0xca11 failed; retrying", 1);
+    r.diagnostics.warning("route", "escalated to 6 tracks", 2);
+    return r;
+}
+
+TEST(PayloadMutation, EveryDecoderSurvivesAndReachesAFixedPoint)
+{
+    std::vector<std::pair<std::string, int>> accepted;
+    const auto check = [&accepted](const std::string &name, int n) {
+        accepted.emplace_back(name, n);
+    };
+
+    check("ir::parseGraph",
+          mutantsReachAFixedPoint<ir::Graph>(
+              ir::serialize(apps::gaussianBlur(2).graph),
+              fromResult(&ir::parseGraph),
+              [](const ir::Graph &g) { return ir::serialize(g); }));
+
+    check("core::parseEvalResult",
+          mutantsReachAFixedPoint<core::EvalResult>(
+              core::serializeEvalResult(sampleEvalResult()),
+              fromResult(&core::parseEvalResult),
+              &core::serializeEvalResult));
+
+    using CellRecord = core::SweepJournal::CellRecord;
+    CellRecord cell;
+    cell.app = 2;
+    cell.cell = 1;
+    cell.variant = "pe_spec";
+    cell.result.status = Status(ErrorCode::kTimeout, "cell deadline");
+    cell.result.diagnostics.error("map", cell.result.status, 1);
+    check("SweepJournal::decodeCellRecordPayload",
+          mutantsReachAFixedPoint<CellRecord>(
+              core::SweepJournal::encodeCellRecordPayload(cell),
+              &core::SweepJournal::decodeCellRecordPayload,
+              &core::SweepJournal::encodeCellRecordPayload));
+
+    HelloRequest hello;
+    hello.protocol = kProtocolVersion;
+    hello.client = "apexc";
+    check("decodeHello", mutantsReachAFixedPoint<HelloRequest>(
+                             encodeHello(hello), &decodeHello,
+                             &encodeHello));
+
+    InfoReply info;
+    info.protocol = kProtocolVersion;
+    info.version = "apex 0123abc (RelWithDebInfo) protocol v5";
+    info.commit = "0123abc";
+    info.flags = "RelWithDebInfo";
+    check("decodeInfoReply",
+          mutantsReachAFixedPoint<InfoReply>(
+              encodeInfoReply(info), &decodeInfoReply, &encodeInfoReply));
+
+    SweepRequest request;
+    request.id = 17;
+    request.priority = 3;
+    request.level = "pnr";
+    request.isolate = "process";
+    request.cell_retries = 4;
+    request.deadline_ms = 1234.5;
+    request.cell_deadline_ms = 0.25;
+    request.want_progress = true;
+    request.trace_id = 0xfeedbeef;
+    check("decodeSweepRequest",
+          mutantsReachAFixedPoint<SweepRequest>(
+              encodeSweepRequest(request), &decodeSweepRequest,
+              &encodeSweepRequest));
+
+    SweepAck ack;
+    ack.id = 9;
+    ack.coalesced = true;
+    check("decodeAck", mutantsReachAFixedPoint<SweepAck>(
+                           encodeAck(ack), &decodeAck, &encodeAck));
+
+    SweepReject reject;
+    reject.id = 10;
+    reject.reason = "admission queue full";
+    reject.retry_after_ms = 333.25;
+    check("decodeReject",
+          mutantsReachAFixedPoint<SweepReject>(
+              encodeReject(reject), &decodeReject, &encodeReject));
+
+    SweepProgressFrame progress;
+    progress.id = 11;
+    progress.done = 3;
+    progress.total = 27;
+    progress.app = "camera";
+    progress.variant = "pe_base";
+    progress.trace_id = 0x1234;
+    check("decodeProgress",
+          mutantsReachAFixedPoint<SweepProgressFrame>(
+              encodeProgress(progress), &decodeProgress,
+              &encodeProgress));
+
+    SweepReply report;
+    report.id = 77;
+    report.deadline_bounded = true;
+    core::SweepEntry entry;
+    entry.app = "harris";
+    entry.variant = "pe_base";
+    entry.result = sampleEvalResult();
+    report.entries.push_back(entry);
+    report.report.evaluated = 1;
+    report.report.skipped = 1;
+    StageFailure failure;
+    failure.app = "stereo";
+    failure.variant = "pe_spec";
+    failure.stage = "mapping";
+    failure.status = Status(ErrorCode::kTimeout, "deadline expired");
+    failure.attempts = 2;
+    report.report.failures.push_back(failure);
+    report.report.diagnostics.warning("sweep", "1 cell degraded", 0);
+    check("decodeSweepReply",
+          mutantsReachAFixedPoint<SweepReply>(
+              encodeSweepReply(report), &decodeSweepReply,
+              &encodeSweepReply, [](const SweepReply &r) {
+                  (void)renderSweepText(r.entries, r.report);
+                  (void)sweepExitCode(r);
+              }));
+
+    TraceReply trace;
+    trace.trace_id = 0x1234;
+    trace.dropped = 2;
+    trace.evicted = 5;
+    telemetry::SpanEvent ev;
+    ev.name = "service.execute";
+    ev.scope = "camera";
+    ev.args = "\"app\":\"camera\"";
+    ev.ts_us = 12.5;
+    ev.dur_us = 3.25;
+    ev.lane = 1;
+    ev.thread_ord = 4;
+    ev.depth = 2;
+    ev.trace_id = 0x1234;
+    trace.events = {ev, ev};
+    check("decodeTraceReply",
+          mutantsReachAFixedPoint<TraceReply>(
+              encodeTraceReply(trace), &decodeTraceReply,
+              &encodeTraceReply));
+
+    StatuszReply statusz;
+    statusz.interval_ms = 250.0;
+    StatusSnapshot snap;
+    snap.ts_ms = 1000.5;
+    for (std::size_t i = 0; i < snap.values.size(); ++i)
+        snap.values[i] = static_cast<double>(i * 7 + 1);
+    snap["cache_hits"] = 3000000000.0;
+    snap["request_p99_ms"] = 48.125;
+    statusz.samples = {snap, snap};
+    check("decodeStatuszReply",
+          mutantsReachAFixedPoint<StatuszReply>(
+              encodeStatuszReply(statusz), &decodeStatuszReply,
+              &encodeStatuszReply, [](const StatuszReply &r) {
+                  (void)statuszJson(r);
+                  (void)renderStatuszText(r);
+              }));
+
+    // Every decoder accepted some mutants, so the fixed-point half of
+    // the check ran for each of them.
+    for (const auto &[name, n] : accepted)
+        EXPECT_GT(n, 0) << name;
 }
 
 TEST(ServiceEndToEnd, TraceSliceCarriesTheRequestsSpans)
@@ -1426,9 +1743,9 @@ TEST(ServiceEndToEnd, StatuszRingSamplesDaemonVitals)
     // The ring is bounded by statusz_capacity, not by uptime.
     EXPECT_LE(statusz.samples.size(), 4u);
     const StatusSnapshot &last = statusz.samples.back();
-    EXPECT_GE(last.accepted, 1);
-    EXPECT_GE(last.sweeps, 1);
-    EXPECT_GE(last.sessions, 1);
+    EXPECT_GE(last["accepted"], 1);
+    EXPECT_GE(last["sweeps"], 1);
+    EXPECT_GE(last["sessions"], 1);
     // Timestamps are monotone across the ring.
     for (std::size_t i = 1; i < statusz.samples.size(); ++i)
         EXPECT_GE(statusz.samples[i].ts_ms,

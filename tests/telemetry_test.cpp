@@ -13,12 +13,10 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/fault.hpp"
 #include "runtime/eventlog.hpp"
 #include "runtime/telemetry.hpp"
 
@@ -274,117 +272,6 @@ TEST(Metrics, StageTimerObservesOnScopeExit)
         StageTimer timer(h);
     }
     EXPECT_EQ(h.count(), before + 1);
-}
-
-TEST(Metrics, PeriodicWriterFlushesAtomicallyAndOnShutdown)
-{
-    const std::string path =
-        testing::TempDir() + "apex_periodic_metrics.json";
-    Counter &c = counter("test.periodic.flushes");
-    {
-        PeriodicMetricsWriter writer(path, 5.0);
-        c.add(1);
-        ASSERT_TRUE(writer.flushNow());
-        EXPECT_GE(writer.flushCount(), 1);
-        c.add(1); // Mutation after the last explicit flush ...
-    } // ... is captured by the destructor's final flush.
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_NE(ss.str().find("test.periodic.flushes"),
-              std::string::npos);
-    // The temp file never survives a completed flush.
-    std::ifstream tmp(path + ".tmp");
-    EXPECT_FALSE(tmp.good());
-}
-
-/** Slurp a file's bytes, or "" when it does not exist. */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-TEST(Metrics, PeriodicWriterKeepsLastGoodFileAcrossFlushFailure)
-{
-    const std::string path =
-        testing::TempDir() + "apex_metrics_flush_failure.json";
-    std::filesystem::remove(path);
-    Counter &failures =
-        counter("apex.resource.metrics_flush_failures");
-    const long long failures_before = failures.value();
-
-    PeriodicMetricsWriter writer(path, 1e9);
-    ASSERT_TRUE(writer.flushNow());
-    const long long flushes_before = writer.flushCount();
-    const std::string good = slurp(path);
-    ASSERT_FALSE(good.empty());
-
-    {
-        apex::FaultScope fault(apex::FaultStage::kDiskFull, 1);
-        EXPECT_FALSE(writer.flushNow());
-    }
-    // The failure is counted, the flush count is honest, and — the
-    // durability contract — the previous good file is untouched:
-    // observers keep reading the last complete snapshot.
-    EXPECT_EQ(failures.value(), failures_before + 1);
-    EXPECT_EQ(writer.flushCount(), flushes_before);
-    EXPECT_EQ(slurp(path), good);
-    std::ifstream tmp(path + ".tmp");
-    EXPECT_FALSE(tmp.good());
-
-    // When the disk recovers, the next flush succeeds on its own.
-    EXPECT_TRUE(writer.flushNow());
-    EXPECT_EQ(writer.flushCount(), flushes_before + 1);
-}
-
-TEST(Metrics, PeriodicWriterSurvivesUncreatableTmpFile)
-{
-    // The metrics "directory" is a regular file, so creating the tmp
-    // file fails with ENOTDIR (works even when running as root,
-    // unlike permission-based setups).
-    const std::string blocker =
-        testing::TempDir() + "apex_metrics_blocker";
-    {
-        std::ofstream os(blocker, std::ios::trunc);
-        os << "not a directory\n";
-    }
-    Counter &failures =
-        counter("apex.resource.metrics_flush_failures");
-    const long long failures_before = failures.value();
-    {
-        PeriodicMetricsWriter writer(blocker + "/metrics.json", 1e9);
-        EXPECT_FALSE(writer.flushNow());
-        // The destructor's final flush fails too; it must not crash.
-    }
-    EXPECT_GE(failures.value(), failures_before + 2);
-    std::filesystem::remove(blocker);
-}
-
-TEST(Metrics, PeriodicWriterSurvivesRenameFailure)
-{
-    // The target path is an existing directory: the tmp file writes
-    // fine but the publishing rename fails.
-    const std::string path =
-        testing::TempDir() + "apex_metrics_renameblock";
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-    Counter &failures =
-        counter("apex.resource.metrics_flush_failures");
-    const long long failures_before = failures.value();
-    {
-        PeriodicMetricsWriter writer(path, 1e9);
-        EXPECT_FALSE(writer.flushNow());
-        // No orphaned tmp file is left behind on the rename path.
-        std::ifstream tmp(path + ".tmp");
-        EXPECT_FALSE(tmp.good());
-    }
-    EXPECT_GE(failures.value(), failures_before + 1);
-    std::filesystem::remove_all(path);
 }
 
 TEST(Metrics, SpanMacroLeavesRegistryAlone)
