@@ -23,7 +23,7 @@ main()
     for (const auto &app :
          {apps::cameraPipeline(), apps::harrisCorner(),
           apps::resnetLayer()}) {
-        auto patterns = ex.analyze(app.graph);
+        auto patterns = ex.analyze(app.graph).value();
         std::vector<ir::Graph> graphs;
         for (std::size_t i = 0;
              i < std::min<std::size_t>(4, patterns.size()); ++i)

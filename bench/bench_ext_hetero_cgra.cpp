@@ -6,7 +6,6 @@
  * domain PE with a minimal scalar PE absorbing the single-op work.
  */
 #include "bench/common.hpp"
-#include "core/hetero.hpp"
 
 int
 main()
@@ -18,9 +17,9 @@ main()
     bench::header("Extension: heterogeneous (big.LITTLE) CGRA");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml");
+        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
 
     std::printf("  %-10s %-12s %10s %14s %14s\n", "app", "fabric",
                 "#PE(b+l)", "PE area(um2)", "PE pJ/item");
@@ -34,9 +33,10 @@ main()
             app, base, core::EvalLevel::kPostMapping, tech);
         const auto rd = bench::evalOrWarn(
             app, domain, core::EvalLevel::kPostMapping, tech);
-        const auto rh = core::evaluateHetero(
+        std::vector<int> by_type;
+        const auto rh = core::evaluate(
             app, core::makeBigLittleCgra(domain, "biglittle"),
-            core::EvalLevel::kPostMapping, tech);
+            core::EvalLevel::kPostMapping, tech, {}, &by_type);
         if (!rb.success || !rd.success)
             continue;
         if (!rh.success) {
@@ -53,9 +53,8 @@ main()
                     rd.pe_area, rd.pe_energy);
         std::printf("  %-10s %-12s %6d+%-3d %14.0f %14.2f   "
                     "(area %+.1f%% vs homog-dom)\n",
-                    app.name.c_str(), "big.LITTLE",
-                    rh.pe_count_by_type[0], rh.pe_count_by_type[1],
-                    rh.pe_area, rh.pe_energy,
+                    app.name.c_str(), "big.LITTLE", by_type[0],
+                    by_type[1], rh.pe_area, rh.pe_energy,
                     bench::pct(rh.pe_area, rd.pe_area));
     }
     bench::note("the little PE absorbs single-op rewrite rules at a "

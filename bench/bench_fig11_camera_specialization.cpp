@@ -29,7 +29,7 @@ main()
     rows.push_back({"PE 1", ex.subsetVariant(app)});
     for (int k = 1; k <= 3; ++k) {
         rows.push_back({"PE " + std::to_string(k + 1),
-                        ex.specializedVariant(app, k)});
+                        ex.specializedVariant(app, k).value()});
     }
 
     double base_area = 0.0, base_energy = 0.0;

@@ -18,9 +18,9 @@ main()
     bench::header("Fig. 15: post-place-and-route comparison");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml");
+        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
 
     std::printf("  %-10s %-8s %10s %10s %10s %12s %12s %10s\n",
                 "app", "variant", "sbA(um2)", "cbA(um2)",
@@ -32,7 +32,7 @@ main()
             app.domain == apps::Domain::kImageProcessing;
         const core::PeVariant &domain = is_ip ? pe_ip : pe_ml;
         const core::PeVariant spec =
-            core::bestSpecializedVariant(app, ex, tech);
+            core::bestSpecializedVariant(app, ex, tech).value();
 
         const auto rb = bench::evalOrWarn(
             app, base, core::EvalLevel::kPostPnr, tech);

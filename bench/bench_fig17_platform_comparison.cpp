@@ -20,7 +20,7 @@ main()
     bench::header("Fig. 17: FPGA vs CGRA vs CGRA-IP vs ASIC");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
 
     std::printf("  %-10s %-10s %14s %14s\n", "app", "platform",
                 "energy(uJ)", "runtime(ms)");

@@ -90,7 +90,7 @@ BM_MergeDatapaths(benchmark::State &state)
 {
     core::Explorer ex;
     const auto app = apps::harrisCorner(1);
-    const auto patterns = ex.analyze(app.graph);
+    const auto patterns = ex.analyze(app.graph).value();
     std::vector<ir::Graph> graphs;
     for (std::size_t i = 0;
          i < std::min<std::size_t>(4, patterns.size()); ++i)
@@ -151,7 +151,9 @@ BM_FullFlowGaussian(benchmark::State &state)
 {
     core::Explorer ex;
     const auto app = apps::gaussianBlur(4);
-    const auto variant = ex.specVariant(app);
+    const auto variant =
+        ex.specializedVariant(app, ex.options().max_merged_subgraphs)
+            .value();
     const auto &tech = model::defaultTech();
     for (auto _ : state) {
         auto r = core::evaluate(app, variant,

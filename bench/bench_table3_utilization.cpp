@@ -15,9 +15,9 @@ main()
     bench::header("Table 3: post-pipelining resource utilization");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml");
+        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
 
     std::printf("  %-10s %-8s %6s %6s %6s %6s %6s %14s\n", "app",
                 "variant", "#PE", "#MEM", "#RF", "#IO", "#Reg",
@@ -41,7 +41,8 @@ main()
         report(app, base, "base");
         report(app, is_ip ? pe_ip : pe_ml,
                is_ip ? "pe_ip" : "pe_ml");
-        report(app, core::bestSpecializedVariant(app, ex, tech),
+        report(app,
+               core::bestSpecializedVariant(app, ex, tech).value(),
                "spec");
     }
     bench::note("paper (Table 3): e.g. camera 232 PEs baseline -> "

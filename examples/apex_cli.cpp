@@ -92,10 +92,12 @@
  * the report is byte-identical to --isolate thread at any --jobs.
  *
  * Exit codes: 0 on success, otherwise the stage-specific code from
- * exitCodeFor() (2 usage, 3 parse, 4 invalid IR, 7 mapping, 8
- * placement, 9 routing, 10 capacity, 12 timeout, 14 cancelled,
- * 15 worker crashed, 16 service unavailable, 17 resource
- * exhausted — disk full while journaling, see DESIGN.md Sec. 7h).
+ * exitCodeFor() (2 usage, 3 parse, 4 invalid IR, 5 mining, 6 merge,
+ * 7 mapping, 8 placement, 9 routing, 10 capacity, 12 timeout,
+ * 14 cancelled, 15 worker crashed, 16 service unavailable, 17
+ * resource exhausted — disk full while journaling, see DESIGN.md
+ * Sec. 7h).  A PE variant that cannot be built (analyze, explore,
+ * rtl) exits with its stage's code and prints or writes nothing.
  * Pass --diagnostics to explore/sweep to dump the structured
  * per-stage diagnostic trail.
  *
@@ -115,7 +117,6 @@
 #include <thread>
 
 #include "core/evaluate.hpp"
-#include "core/hetero.hpp"
 #include "core/status.hpp"
 #include "core/sweep.hpp"
 #include "ir/serialize.hpp"
@@ -291,7 +292,9 @@ makeCache(int argc, char **argv)
     return std::make_unique<runtime::ArtifactCache>(copt);
 }
 
-core::PeVariant
+/** The PE variant named by --variant; a failed build (mining, merge,
+ * timeout) is returned, never replaced by a less specialized PE. */
+Result<core::PeVariant>
 buildVariant(const std::string &kind, const apps::AppInfo &app,
              const core::Explorer &ex,
              runtime::ThreadPool *pool = nullptr,
@@ -341,13 +344,15 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
     core::Explorer ex(model::defaultTech(), options);
 
     const auto patterns = ex.analyze(app->graph);
+    if (!patterns)
+        return loadFailure(patterns.status());
     std::printf("%zu mergeable frequent subgraphs in %s "
                 "(support >= %d, <= %d nodes):\n",
-                patterns.size(), app->name.c_str(),
+                patterns->size(), app->name.c_str(),
                 options.miner.min_support,
                 options.miner.max_pattern_nodes);
     int rank = 0;
-    for (const auto &p : patterns) {
+    for (const auto &p : *patterns) {
         std::printf("#%-3d nodes=%d freq=%d mni=%d mis=%d  ops:",
                     rank++, p.core_size, p.frequency, p.mni_support,
                     p.mis_size);
@@ -358,7 +363,7 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
         }
         std::printf("\n");
         if (rank >= 12) {
-            std::printf("... (%zu more)\n", patterns.size() - rank);
+            std::printf("... (%zu more)\n", patterns->size() - rank);
             break;
         }
     }
@@ -393,26 +398,24 @@ cmdExplore(int argc, char **argv, const std::string &source)
     if (kind == "biglittle") {
         const bool is_ip =
             app->domain == apps::Domain::kImageProcessing;
-        const auto domain =
-            is_ip ? ex.domainVariant(apps::ipApps(), 1, "pe_ip")
-                  : ex.domainVariant(apps::mlApps(), 1, "pe_ml");
-        const auto r = core::evaluateHetero(
-            *app, core::makeBigLittleCgra(domain, "biglittle"),
+        const auto domain = buildVariant(is_ip ? "ip" : "ml", *app, ex);
+        if (!domain)
+            return loadFailure(domain.status());
+        // Several PE types are evaluated up to P&R at most.
+        std::vector<int> by_type;
+        const auto r = core::evaluate(
+            *app, core::makeBigLittleCgra(*domain, "biglittle"),
             level == core::EvalLevel::kPostMapping
                 ? core::EvalLevel::kPostMapping
                 : core::EvalLevel::kPostPnr,
-            model::defaultTech());
-        if (!r.success) {
-            std::fprintf(stderr, "apexc: %s\n",
-                         r.status.toString().c_str());
-            return exitCodeFor(r.status.code());
-        }
+            model::defaultTech(), {}, &by_type);
+        if (!r.success)
+            return loadFailure(r.status);
         std::printf("app            %s\n", app->name.c_str());
         std::printf("variant        biglittle (%s + little)\n",
-                    domain.name.c_str());
+                    domain->name.c_str());
         std::printf("pe_count       %d (big %d + little %d)\n",
-                    r.pe_count, r.pe_count_by_type[0],
-                    r.pe_count_by_type[1]);
+                    r.pe_count, by_type[0], by_type[1]);
         std::printf("pe_area_um2    %.1f\n", r.pe_area);
         std::printf("pe_energy_pj   %.3f\n", r.pe_energy);
         if (r.fabric_width > 0) {
@@ -426,25 +429,24 @@ cmdExplore(int argc, char **argv, const std::string &source)
 
     const auto variant =
         buildVariant(kind, *app, ex, pool.get(), eval_options);
-    const auto r = core::evaluate(*app, variant, level,
+    if (!variant)
+        return loadFailure(variant.status());
+    const auto r = core::evaluate(*app, *variant, level,
                                   model::defaultTech(),
                                   eval_options);
     if (hasFlag(argc, argv, "--diagnostics")) {
         if (!r.diagnostics.empty())
             std::fputs(r.diagnostics.toString().c_str(), stderr);
-        if (cache != nullptr) {
-            const runtime::CacheStats cs = cache->stats();
-            std::fprintf(stderr, "cache: hits=%ld misses=%ld\n",
-                         cs.hits, cs.misses);
-        }
+        if (cache != nullptr)
+            std::fprintf(
+                stderr, "cache: hits=%lld misses=%lld\n",
+                telemetry::counter("apex.cache.hits").value(),
+                telemetry::counter("apex.cache.misses").value());
     }
-    if (!r.success) {
-        std::fprintf(stderr, "apexc: %s\n",
-                     r.status.toString().c_str());
-        return exitCodeFor(r.status.code());
-    }
+    if (!r.success)
+        return loadFailure(r.status);
     std::printf("app            %s\n", app->name.c_str());
-    std::printf("variant        %s\n", variant.name.c_str());
+    std::printf("variant        %s\n", variant->name.c_str());
     std::printf("level          %s\n", level_name.c_str());
     std::printf("pe_count       %d\n", r.pe_count);
     std::printf("pe_area_um2    %.1f\n", r.pe_area);
@@ -480,8 +482,11 @@ cmdRtl(int argc, char **argv, const std::string &source)
     const std::string out = out_flag ? out_flag : ".";
 
     core::Explorer ex;
-    core::PeVariant variant = buildVariant(
-        variant_flag ? variant_flag : "spec", *app, ex);
+    auto built = buildVariant(variant_flag ? variant_flag : "spec",
+                              *app, ex);
+    if (!built)
+        return loadFailure(built.status());
+    core::PeVariant variant = std::move(built).value();
     pipeline::pipelinePe(variant.spec, model::defaultTech());
 
     const std::string v_path = out + "/" + variant.name + ".v";

@@ -46,8 +46,8 @@ main()
     write("pe_base.v", pe::emitVerilog(base));
 
     // PE ML, automatically pipelined.
-    core::PeVariant pe_ml = ex.domainVariant(apps::mlApps(), 1,
-                                             "pe_ml");
+    core::PeVariant pe_ml =
+        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
     const auto pipe = pipeline::pipelinePe(pe_ml.spec, tech);
     std::printf("  pe_ml: %d stage(s), %.2f -> %.2f ns\n",
                 pipe.stages, pipe.unpipelined, pipe.period);

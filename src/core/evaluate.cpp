@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "cgra/place.hpp"
 #include "cgra/route.hpp"
 #include "mapper/select.hpp"
+#include "pe/baseline.hpp"
 #include "pipeline/app_pipeline.hpp"
 #include "pipeline/pe_pipeline.hpp"
 #include "pipeline/timing.hpp"
@@ -317,10 +319,16 @@ peInstanceEnergy(const mapper::RewriteRule &rule,
     return energy;
 }
 
+namespace {
+
+/** The one evaluator body behind both evaluate() overloads: @p types
+ * holds the fabric's PE types (one for the paper's homogeneous
+ * CGRAs), @p label names the fabric in contexts and spans. */
 EvalResult
-evaluate(const apps::AppInfo &app, const PeVariant &variant,
-         EvalLevel level, const model::TechModel &tech,
-         const EvalOptions &options)
+evaluateFabric(const apps::AppInfo &app, std::span<const PeVariant> types,
+               const std::string &label, EvalLevel level,
+               const model::TechModel &tech, const EvalOptions &options,
+               std::vector<int> *pe_count_by_type)
 {
     EvalResult r;
     // Cell attribution: every span below (mapper, P&R, pipeliner,
@@ -328,13 +336,24 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     // the per-cell stage-time breakdown can group by it.
     telemetry::ScopedCell cell_scope;
     if (telemetry::tracingEnabled())
-        cell_scope.set(app.name + "/" + variant.name);
-    APEX_SPAN("evaluate",
-              {{"app", app.name}, {"variant", variant.name}});
+        cell_scope.set(app.name + "/" + label);
+    APEX_SPAN("evaluate", {{"app", app.name}, {"variant", label}});
     telemetry::StageTimer eval_timer(
         telemetry::histogram("apex.eval.ms"));
     const std::string pair_context =
-        "evaluating '" + app.name + "' on '" + variant.name + "'";
+        "evaluating '" + app.name + "' on '" + label + "'";
+    const int num_types = static_cast<int>(types.size());
+    if (num_types == 0 ||
+        (num_types > 1 && level == EvalLevel::kPostPipelining)) {
+        r.status = Status(ErrorCode::kInvalidArgument,
+                          num_types == 0
+                              ? "fabric has no PE types"
+                              : "pipelining a fabric of several PE "
+                                "types is not modelled")
+                       .withContext(pair_context);
+        r.diagnostics.error("evaluate", r.status);
+        return r;
+    }
     if (Status fault = checkFault(FaultStage::kEvaluate);
         !fault.ok()) {
         r.status = std::move(fault).withContext(pair_context);
@@ -350,13 +369,14 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
         return r;
     }
 
-    // --- Artifact-cache lookup -------------------------------------
+    // --- Artifact-cache lookup (one PE type only) --------------------
     // After the fault hook and validation so injected faults keep
     // their per-stage call ordinals and a corrupt graph is rejected
     // even when a stale entry exists for its fingerprint.
     std::string cache_key;
-    if (options.cache != nullptr) {
-        cache_key = evalCacheKey(app, variant, level, tech, options);
+    if (options.cache != nullptr && num_types == 1) {
+        cache_key =
+            evalCacheKey(app, types.front(), level, tech, options);
         if (auto hit = options.cache->get(cache_key)) {
             if (Result<EvalResult> cached = parseEvalResult(*hit);
                 cached.ok()) {
@@ -364,6 +384,8 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
                 out.diagnostics.info(
                     "cache",
                     "evaluation served from artifact cache");
+                if (pe_count_by_type != nullptr)
+                    *pe_count_by_type = {out.pe_count};
                 return out;
             }
             // Format skew that slipped past the disk checksum:
@@ -371,7 +393,7 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
         }
     }
     const auto memoize = [&](const EvalResult &ok_result) {
-        if (options.cache != nullptr)
+        if (!cache_key.empty())
             options.cache->put(cache_key,
                                serializeEvalResult(ok_result));
     };
@@ -383,9 +405,20 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
         r.diagnostics.error("deadline", r.status);
         return r;
     }
-    pe::PeSpec spec = variant.spec; // mutable copy (pipelining)
-    mapper::RewriteRuleSynthesizer synth(spec);
-    const auto rules = synth.synthesizeLibrary(variant.patterns);
+    // One rule library per PE type, combined most-complex-first with
+    // the cheaper type preferred on ties (for one type, a stable
+    // re-sort of an already sorted library).
+    std::vector<pe::PeSpec> specs; // mutable copies (pipelining)
+    std::vector<std::vector<mapper::RewriteRule>> libraries;
+    std::vector<double> type_areas;
+    for (const PeVariant &v : types) {
+        specs.push_back(v.spec);
+        mapper::RewriteRuleSynthesizer synth(specs.back());
+        libraries.push_back(synth.synthesizeLibrary(v.patterns));
+        type_areas.push_back(v.spec.area(tech));
+    }
+    const auto rules =
+        mapper::combineLibraries(std::move(libraries), type_areas);
     mapper::InstructionSelector selector(rules);
     mapper::SelectionResult sel = selector.map(app.graph);
     if (!sel.success) {
@@ -395,17 +428,26 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     }
 
     // --- Post-mapping metrics --------------------------------------
-    r.pe_count = sel.peCount();
-    r.pe_area = spec.area(tech) * r.pe_count;
-
     const double invocations_per_item = 1.0 / app.items_per_cycle;
+    std::vector<int> counts(num_types, 0);
+    std::vector<int> pe_type_of_node(sel.mapped.nodes.size(), 0);
     double pe_energy_per_cycle = 0.0;
-    for (const mapper::MappedNode &n : sel.mapped.nodes) {
-        if (n.kind == MappedKind::kPe)
-            pe_energy_per_cycle +=
-                peInstanceEnergy(rules[n.rule], spec, tech);
+    for (std::size_t id = 0; id < sel.mapped.nodes.size(); ++id) {
+        const mapper::MappedNode &n = sel.mapped.nodes[id];
+        if (n.kind != MappedKind::kPe)
+            continue;
+        const int type = rules[n.rule].pe_type;
+        pe_type_of_node[id] = type;
+        ++counts[type];
+        pe_energy_per_cycle +=
+            peInstanceEnergy(rules[n.rule], specs[type], tech);
     }
+    r.pe_count = sel.peCount();
+    for (int t = 0; t < num_types; ++t)
+        r.pe_area += type_areas[t] * counts[t];
     r.pe_energy = pe_energy_per_cycle * invocations_per_item;
+    if (pe_count_by_type != nullptr)
+        *pe_count_by_type = counts;
 
     // ASIC floor + FPGA comparator inputs.
     double raw_per_cycle = 0.0;
@@ -425,9 +467,13 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     r.op_events = static_cast<double>(compute_nodes) *
                   frames_invocations;
 
-    // Timing of the unpipelined PE (informative at every level).
-    const double unpipelined_period =
-        pipeline::analyzeTiming(spec, tech).critical_path;
+    // Timing of the unpipelined PEs (informative at every level): the
+    // slowest type sets the fabric's clock.
+    double unpipelined_period = 0.0;
+    for (const pe::PeSpec &spec : specs)
+        unpipelined_period = std::max(
+            unpipelined_period,
+            pipeline::analyzeTiming(spec, tech).critical_path);
     r.period_ns = unpipelined_period;
 
     if (level == EvalLevel::kPostMapping) {
@@ -437,7 +483,9 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     }
 
     // --- Optional pipelining (before PnR: registers must route) ----
+    // One PE type here: several were rejected above.
     if (level == EvalLevel::kPostPipelining) {
+        pe::PeSpec &spec = specs.front();
         const auto pe_pipe = pipeline::pipelinePe(spec, tech);
         r.pipeline_stages = spec.pipeline_stages;
         r.period_ns = pe_pipe.period;
@@ -505,7 +553,9 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
             popt.seed = options.placer_seed +
                         0x9E3779B9u * static_cast<unsigned>(retry);
             ++r.pnr_attempts;
-            placement = cgra::place(fabric, sel.mapped, popt);
+            placement = cgra::placeHetero(fabric, sel.mapped,
+                                          pe_type_of_node, num_types,
+                                          popt);
             if (!placement.success) {
                 last_failure = placement.status;
                 r.diagnostics.error("place", last_failure,
@@ -622,12 +672,13 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     const int sb_tiles = r.util.pes + r.util.mems + rf_tiles +
                          r.util.routing_tiles;
     r.sb_area = sb_tiles * tech.sb_area;
-    r.cb_area =
-        r.pe_count * (static_cast<double>(spec.word_inputs.size()) *
-                          tech.cb_area_per_input +
-                      static_cast<double>(spec.bit_inputs.size()) *
-                          tech.cb_area_per_input_bit) +
-        (r.util.mems + rf_tiles) * tech.cb_area_per_input;
+    for (int t = 0; t < num_types; ++t)
+        r.cb_area +=
+            counts[t] * (static_cast<double>(specs[t].word_inputs.size()) *
+                             tech.cb_area_per_input +
+                         static_cast<double>(specs[t].bit_inputs.size()) *
+                             tech.cb_area_per_input_bit);
+    r.cb_area += (r.util.mems + rf_tiles) * tech.cb_area_per_input;
     r.mem_area = r.util.mems * tech.mem_tile_area;
     const double rf_area = rf_tiles * tech.rf_area;
     r.cgra_area =
@@ -664,63 +715,85 @@ evaluate(const apps::AppInfo &app, const PeVariant &variant,
     return r;
 }
 
-PeVariant
+} // namespace
+
+EvalResult
+evaluate(const apps::AppInfo &app, const PeVariant &variant,
+         EvalLevel level, const model::TechModel &tech,
+         const EvalOptions &options)
+{
+    return evaluateFabric(app, {&variant, 1}, variant.name, level, tech,
+                          options, nullptr);
+}
+
+EvalResult
+evaluate(const apps::AppInfo &app, const HeteroCgra &cgra,
+         EvalLevel level, const model::TechModel &tech,
+         const EvalOptions &options, std::vector<int> *pe_count_by_type)
+{
+    return evaluateFabric(app, cgra.types, cgra.name, level, tech,
+                          options, pe_count_by_type);
+}
+
+HeteroCgra
+makeBigLittleCgra(const PeVariant &big, const std::string &name)
+{
+    PeVariant little;
+    little.name = name + "_little";
+    little.spec = pe::baselineSubsetPe(
+        {ir::Op::kAdd, ir::Op::kSub, ir::Op::kLshr, ir::Op::kAshr},
+        little.name);
+    return HeteroCgra{name, {big, std::move(little)}};
+}
+
+Result<PeVariant>
 bestSpecializedVariant(const apps::AppInfo &app,
                        const Explorer &explorer,
                        const model::TechModel &tech,
                        runtime::ThreadPool *pool,
                        const EvalOptions &options)
 {
-    const int max_k = explorer.options().max_merged_subgraphs;
-    auto score = [&](const PeVariant &v) {
-        const EvalResult r =
-            evaluate(app, v, EvalLevel::kPostMapping, tech,
-                     options);
-        return r.success ? r.pe_area * r.pe_energy : 1e300;
+    // Candidate k is PE (k+1): k = 0 is the subset PE.
+    const int candidates = explorer.options().max_merged_subgraphs + 1;
+    std::vector<PeVariant> variants(candidates);
+    std::vector<Status> statuses(candidates);
+    std::vector<double> scores(candidates, 1e300);
+    const auto build = [&](int k) {
+        if (k == 0) {
+            variants[k] = explorer.subsetVariant(app);
+        } else if (auto v = explorer.specializedVariant(app, k);
+                   v.ok()) {
+            variants[k] = std::move(v).value();
+        } else {
+            statuses[k] = v.status();
+            return;
+        }
+        const EvalResult r = evaluate(app, variants[k],
+                                      EvalLevel::kPostMapping, tech,
+                                      options);
+        if (r.success)
+            scores[k] = r.pe_area * r.pe_energy;
     };
-
-    PeVariant best;
-    if (pool != nullptr && pool->parallelism() > 1) {
-        // Speculative parallel scan: build and score every candidate
-        // k concurrently (k = 0 is the subset PE), then replay the
-        // sequential stopping rule over the score sequence.  Each
-        // score depends only on its own candidate, so the selected
-        // variant is identical to the sequential walk; work past the
-        // stopping point is wasted but off the critical path.
-        std::vector<PeVariant> candidates(
-            static_cast<std::size_t>(max_k) + 1);
-        std::vector<double> scores(candidates.size(), 1e300);
-        runtime::parallelFor(
-            pool, static_cast<int>(candidates.size()), [&](int k) {
-                candidates[k] = k == 0
-                                    ? explorer.subsetVariant(app)
-                                    : explorer.specializedVariant(
-                                          app, k);
-                scores[k] = score(candidates[k]);
-            });
-        std::size_t best_k = 0;
-        for (std::size_t k = 1; k < candidates.size(); ++k) {
-            if (scores[k] >= scores[best_k])
-                break; // merging more subgraphs stopped paying off
-            best_k = k;
-        }
-        best = std::move(candidates[best_k]);
-    } else {
-        best = explorer.subsetVariant(app);
-        double best_score = score(best);
-        for (int k = 1; k <= max_k; ++k) {
-            PeVariant candidate =
-                explorer.specializedVariant(app, k);
-            const double s = score(candidate);
-            if (s >= best_score)
-                break; // merging more subgraphs stopped paying off
-            best_score = s;
-            best = std::move(candidate);
-        }
+    // Speculative parallel schedule: build and score every candidate
+    // concurrently (each writes only its own slots), then walk them
+    // in order exactly as the sequential schedule builds them.
+    const bool speculative = pool != nullptr && pool->parallelism() > 1;
+    if (speculative)
+        runtime::parallelFor(pool, candidates, build);
+    int best = 0;
+    for (int k = 0; k < candidates; ++k) {
+        if (!speculative)
+            build(k);
+        if (!statuses[k].ok())
+            return statuses[k];
+        if (k > 0 && scores[k] >= scores[best])
+            break; // merging more subgraphs stopped paying off
+        best = k;
     }
-    best.name = "pe_spec_" + app.name;
-    best.spec.name = best.name;
-    return best;
+    PeVariant v = std::move(variants[best]);
+    v.name = "pe_spec_" + app.name;
+    v.spec.name = v.name;
+    return v;
 }
 
 } // namespace apex::core

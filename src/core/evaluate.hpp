@@ -2,6 +2,7 @@
 #define APEX_CORE_EVALUATE_H_
 
 #include <string>
+#include <vector>
 
 #include "cgra/metrics.hpp"
 #include "core/deadline.hpp"
@@ -24,6 +25,14 @@
  *  - post-pipelining : PE and application pipelining before PnR —
  *                      adds timing, runtime and performance/mm^2
  *                      (Fig. 16, Tables 2/3).
+ *
+ * One evaluator serves fabrics of one or more PE types.  The paper's
+ * CGRAs are homogeneous ("within one CGRA all PE tiles are
+ * identical"); a HeteroCgra is the REVAMP-style extension in which
+ * several PE variants share one fabric (tile pools interleaved by
+ * type), a combined rewrite-rule library lets instruction selection
+ * pick the cheapest PE that executes each pattern, and area and
+ * energy are accounted per tile type.
  */
 
 namespace apex::core {
@@ -122,10 +131,42 @@ struct EvalOptions {
     Deadline deadline;
 };
 
+/** A CGRA whose PE tiles come in one or more types, one variant
+ * each. */
+struct HeteroCgra {
+    std::string name;
+    std::vector<PeVariant> types; ///< PE variant per tile type.
+};
+
+/**
+ * The canonical two-type fabric: @p big (a domain-specialized PE)
+ * plus a minimal scalar PE (adder/shifter only) that absorbs the
+ * cheap single-op work.
+ */
+HeteroCgra makeBigLittleCgra(const PeVariant &big,
+                             const std::string &name);
+
 /** Run the flow for @p app on @p variant up to @p level. */
 EvalResult evaluate(const apps::AppInfo &app, const PeVariant &variant,
                     EvalLevel level, const model::TechModel &tech,
                     const EvalOptions &options = {});
+
+/**
+ * Run the flow for @p app on a fabric of one or more PE types: the
+ * same checks, P&R ladder and cost roll-up as the one-type call, with
+ * each type's area and energy charged to its own instances and the
+ * clock period set by the slowest type.  Several types cannot be
+ * pipelined (per-type latency balancing is not modelled:
+ * kInvalidArgument) and are never memoized (the cached record holds
+ * no per-type counts).
+ *
+ * @param pe_count_by_type Optional: PE instances per type, filled
+ *                         once the application has mapped.
+ */
+EvalResult evaluate(const apps::AppInfo &app, const HeteroCgra &cgra,
+                    EvalLevel level, const model::TechModel &tech,
+                    const EvalOptions &options = {},
+                    std::vector<int> *pe_count_by_type = nullptr);
 
 /**
  * The paper's "PE Spec" stopping rule (Sec. 5): starting from PE 1,
@@ -134,17 +175,17 @@ EvalResult evaluate(const apps::AppInfo &app, const PeVariant &variant,
  * improving variant ("the most specialized PE possible without
  * increasing the area or energy of the application").
  *
- * With @p pool (parallelism > 1), every candidate k is built and
- * scored concurrently and the stopping rule is applied to the score
- * sequence afterwards — speculative work past the stopping point is
- * wasted, but the chosen variant is identical to the sequential
- * scan because each score depends only on its own candidate.
+ * Candidates are walked in k order; the first one whose build fails
+ * before the stopping rule halts is returned as the error.  With
+ * @p pool (parallelism > 1), every candidate k is built and scored
+ * concurrently first — speculative work past the stopping point is
+ * wasted, but the walk sees the same candidates, so both schedules
+ * pick the same variant and report the same failure.
  */
-PeVariant bestSpecializedVariant(const apps::AppInfo &app,
-                                 const Explorer &explorer,
-                                 const model::TechModel &tech,
-                                 runtime::ThreadPool *pool = nullptr,
-                                 const EvalOptions &options = {});
+Result<PeVariant> bestSpecializedVariant(
+    const apps::AppInfo &app, const Explorer &explorer,
+    const model::TechModel &tech, runtime::ThreadPool *pool = nullptr,
+    const EvalOptions &options = {});
 
 /**
  * Serialize a *successful* EvalResult for the artifact cache
@@ -169,8 +210,7 @@ std::string evalCacheKey(const apps::AppInfo &app,
 /**
  * Energy one PE instance spends per cycle executing @p rule on
  * @p spec: decode/clock overhead + active blocks + idle toggling of
- * the unused blocks + input muxing (used by both the homogeneous and
- * heterogeneous evaluators).
+ * the unused blocks + input muxing.
  */
 double peInstanceEnergy(const mapper::RewriteRule &rule,
                         const pe::PeSpec &spec,

@@ -50,8 +50,7 @@ Explorer::Explorer(const model::TechModel &tech,
 }
 
 Result<std::vector<mining::MinedPattern>>
-Explorer::tryAnalyze(const Graph &app,
-                     mining::MineStats *stats) const
+Explorer::analyze(const Graph &app, mining::MineStats *stats) const
 {
     if (stats != nullptr)
         *stats = mining::MineStats{};
@@ -73,17 +72,11 @@ Explorer::tryAnalyze(const Graph &app,
     }
 }
 
-std::vector<mining::MinedPattern>
-Explorer::analyze(const Graph &app) const
-{
-    return tryAnalyze(app).valueOr({});
-}
-
 Result<std::vector<Graph>>
-Explorer::tryTopPatterns(const Graph &app, int k,
-                         mining::MineStats *stats) const
+Explorer::topPatterns(const Graph &app, int k,
+                      mining::MineStats *stats) const
 {
-    auto mined = tryAnalyze(app, stats);
+    auto mined = analyze(app, stats);
     if (!mined.ok())
         return mined.status();
     std::vector<Graph> result;
@@ -114,15 +107,14 @@ Explorer::subsetVariant(const apps::AppInfo &app) const
 }
 
 Result<PeVariant>
-Explorer::trySpecializedVariant(const apps::AppInfo &app,
-                                int k) const
+Explorer::specializedVariant(const apps::AppInfo &app, int k) const
 {
     PeVariant v;
     v.name = "pe" + std::to_string(k + 1) + "_" + app.name;
     const pe::PeSpec seed =
         pe::baselineSubsetPe(pe::opsUsedBy(app.graph), v.name);
     mining::MineStats mine_stats;
-    auto patterns = tryTopPatterns(app.graph, k, &mine_stats);
+    auto patterns = topPatterns(app.graph, k, &mine_stats);
     if (!patterns.ok())
         return patterns.status().withContext("building variant '" +
                                              v.name + "'");
@@ -141,56 +133,19 @@ Explorer::trySpecializedVariant(const apps::AppInfo &app,
     return v;
 }
 
-PeVariant
-Explorer::specializedVariant(const apps::AppInfo &app, int k) const
+Result<PeVariant>
+Explorer::domainVariant(const std::vector<apps::AppInfo> &domain_apps,
+                        int per_app, const std::string &name) const
 {
-    auto result = trySpecializedVariant(app, k);
-    if (result.ok())
-        return std::move(result).value();
-    // Degrade to PE 1 under the requested name so exploration can
-    // continue with a functional (if unspecialized) variant.
-    PeVariant v = subsetVariant(app);
-    v.name = "pe" + std::to_string(k + 1) + "_" + app.name;
-    v.spec.name = v.name;
-    return v;
-}
-
-PeVariant
-Explorer::specVariant(const apps::AppInfo &app) const
-{
-    PeVariant v =
-        specializedVariant(app, options_.max_merged_subgraphs);
-    v.name = "pe_spec_" + app.name;
-    v.spec.name = v.name;
-    return v;
-}
-
-namespace {
-
-/** Op-union subset seed PE over a set of applications. */
-pe::PeSpec
-domainSeedPe(const std::vector<apps::AppInfo> &domain_apps,
-             const std::string &name)
-{
+    PeVariant v;
+    v.name = name;
+    // Seed: the subset PE over the op-union of the domain's apps.
     std::set<Op> ops;
     for (const apps::AppInfo &app : domain_apps) {
         const auto app_ops = pe::opsUsedBy(app.graph);
         ops.insert(app_ops.begin(), app_ops.end());
     }
-    return pe::baselineSubsetPe(ops, name);
-}
-
-} // namespace
-
-Result<PeVariant>
-Explorer::tryDomainVariant(const std::vector<apps::AppInfo>
-                               &domain_apps,
-                           int per_app,
-                           const std::string &name) const
-{
-    PeVariant v;
-    v.name = name;
-    const pe::PeSpec seed = domainSeedPe(domain_apps, name);
+    const pe::PeSpec seed = pe::baselineSubsetPe(ops, name);
 
     // Interleave the domain's top subgraphs app by app, deduplicated
     // by canonical identity, so every application contributes its
@@ -205,8 +160,8 @@ Explorer::tryDomainVariant(const std::vector<apps::AppInfo>
     runtime::parallelFor(
         options_.pool, static_cast<int>(domain_apps.size()),
         [&](int i) {
-            auto patterns = tryTopPatterns(domain_apps[i].graph, per_app,
-                                           &per_app_stats[i]);
+            auto patterns = topPatterns(domain_apps[i].graph, per_app,
+                                        &per_app_stats[i]);
             if (patterns.ok())
                 per_app_patterns[i] = std::move(patterns).value();
             else
@@ -242,21 +197,6 @@ Explorer::tryDomainVariant(const std::vector<apps::AppInfo>
     v.non_optimal_merges = mm.non_optimal_cliques;
     v.merge_timeouts = mm.clique_timeouts;
     v.spec = pe::makePeSpec(mm.merged, name);
-    return v;
-}
-
-PeVariant
-Explorer::domainVariant(const std::vector<apps::AppInfo>
-                            &domain_apps,
-                        int per_app, const std::string &name) const
-{
-    auto result = tryDomainVariant(domain_apps, per_app, name);
-    if (result.ok())
-        return std::move(result).value();
-    // Degrade to the op-union subset PE with no merged patterns.
-    PeVariant v;
-    v.name = name;
-    v.spec = domainSeedPe(domain_apps, name);
     return v;
 }
 

@@ -160,10 +160,6 @@ class [[nodiscard]] Result {
         return std::move(*value_);
     }
 
-    T valueOr(T fallback) const & {
-        return ok() ? *value_ : std::move(fallback);
-    }
-
     const T &operator*() const & { return value(); }
     T &operator*() & { return value(); }
     const T *operator->() const { return &value(); }

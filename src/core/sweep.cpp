@@ -323,6 +323,12 @@ struct SweepCounters {
         telemetry::counter("apex.sweep.non_optimal_cliques");
     telemetry::Counter &mine_capped_levels =
         telemetry::counter("apex.sweep.mine_capped_levels");
+    telemetry::Counter &tasks_stolen =
+        telemetry::counter("apex.pool.tasks_stolen");
+    telemetry::Counter &cache_hits =
+        telemetry::counter("apex.cache.hits");
+    telemetry::Counter &cache_misses =
+        telemetry::counter("apex.cache.misses");
 };
 
 SweepCounters &
@@ -476,10 +482,6 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     if (options.cache != nullptr)
         eval_opts.cache = options.cache;
     runtime::ArtifactCache *cache = eval_opts.cache;
-    const runtime::CacheStats cache_before =
-        cache != nullptr ? cache->stats() : runtime::CacheStats{};
-    const runtime::PoolStats pool_before =
-        pool != nullptr ? pool->stats() : runtime::PoolStats{};
 
     const std::atomic<bool> *cancel = options.cancel;
     std::vector<AppSlot> slots(apps.size());
@@ -506,6 +508,9 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     const long long tasks_before = counters.tasks.value();
     const long long build_us_before = counters.build_us.value();
     const long long eval_us_before = counters.eval_us.value();
+    const long long stolen_before = counters.tasks_stolen.value();
+    const long long hits_before = counters.cache_hits.value();
+    const long long misses_before = counters.cache_misses.value();
 
     // --- Durability: open (and maybe replay) the sweep journal ------
     // An open failure leaves the journal inactive; the sweep still
@@ -610,7 +615,7 @@ runSweep(const std::vector<apps::AppInfo> &apps,
         setVariant(slot.cells[kBaseline], explorer.baselineVariant());
         setVariant(slot.cells[kSubset], explorer.subsetVariant(app));
         const int k = explorer.options().max_merged_subgraphs;
-        auto v = explorer.trySpecializedVariant(app, k);
+        auto v = explorer.specializedVariant(app, k);
         if (v.ok()) {
             setVariant(slot.cells[kSpecialized], std::move(v).value());
         } else {
@@ -940,15 +945,14 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     // contribution is the delta against the entry snapshots.
     out.stats.tasks_run =
         static_cast<long>(counters.tasks.value() - tasks_before);
-    if (pool != nullptr) {
-        const runtime::PoolStats after = pool->stats();
-        out.stats.tasks_stolen =
-            after.tasks_stolen - pool_before.tasks_stolen;
-    }
+    if (pool != nullptr)
+        out.stats.tasks_stolen = static_cast<long>(
+            counters.tasks_stolen.value() - stolen_before);
     if (cache != nullptr) {
-        const runtime::CacheStats after = cache->stats();
-        out.stats.cache_hits = after.hits - cache_before.hits;
-        out.stats.cache_misses = after.misses - cache_before.misses;
+        out.stats.cache_hits =
+            static_cast<long>(counters.cache_hits.value() - hits_before);
+        out.stats.cache_misses = static_cast<long>(
+            counters.cache_misses.value() - misses_before);
     }
     out.stats.build_ms =
         static_cast<double>(counters.build_us.value() -

@@ -80,12 +80,12 @@ struct MinerOptions {
      */
     Deadline deadline;
     /**
-     * Optional worker pool.  With parallelism > 1 each level's
-     * candidate expansion (growth, canonicalization, embedding
-     * search) is fanned out speculatively and merged in a sequential
-     * replay of the frontier x extension order, so the mined pattern
-     * list is byte-identical to the sequential walk.  Null (or
-     * parallelism <= 1) runs the original incremental loop.
+     * Optional worker pool.  Each level's candidate expansion
+     * (growth, canonicalization, embedding search) is fanned out over
+     * it and merged in a sequential replay of the frontier x
+     * extension order, so the mined pattern list is byte-identical
+     * for any parallelism.  Null (or parallelism <= 1) runs the same
+     * code path inline.
      */
     runtime::ThreadPool *pool = nullptr;
 };

@@ -1,10 +1,13 @@
 #include "runtime/cache.hpp"
 
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <vector>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include "core/fault.hpp"
@@ -25,7 +28,7 @@ namespace {
 constexpr std::string_view kCacheMagic = "apexcache";
 constexpr int kCacheVersion = 2;
 
-/** The process-wide `apex.cache.*` counters behind CacheStats. */
+/** The process-wide `apex.cache.*` counters. */
 struct CacheCounters {
     telemetry::Counter &hits = telemetry::counter("apex.cache.hits");
     telemetry::Counter &misses =
@@ -53,28 +56,37 @@ cacheCounters()
     return *counters;
 }
 
-CacheStats
-globalCacheStats()
+/** Remove the entry and probe tmp files (`<name>.tmp.<pid>.<tid>`,
+ * see publishFile) whose writer died between the write and the
+ * rename.  A live pid's file stays, since that writer may be
+ * mid-write, and so does every other file: the sweep journal sharing
+ * the directory clears its own. */
+void
+removeOrphanedTemporaries(const std::string &dir)
 {
-    const CacheCounters &c = cacheCounters();
-    CacheStats s;
-    s.hits = static_cast<long>(c.hits.value());
-    s.misses = static_cast<long>(c.misses.value());
-    s.memory_hits = static_cast<long>(c.memory_hits.value());
-    s.disk_hits = static_cast<long>(c.disk_hits.value());
-    s.insertions = static_cast<long>(c.insertions.value());
-    s.evictions = static_cast<long>(c.evictions.value());
-    s.disk_writes = static_cast<long>(c.disk_writes.value());
-    s.corrupt_dropped = static_cast<long>(c.corrupt_dropped.value());
-    s.version_mismatches =
-        static_cast<long>(c.version_mismatches.value());
-    return s;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        const std::size_t tmp = name.find(".tmp.");
+        if (tmp == std::string::npos)
+            continue;
+        const std::string_view owner(name.data(), tmp);
+        if (!owner.ends_with(".apexcache") && owner != ".apexprobe")
+            continue;
+        const long pid = std::strtol(name.c_str() + tmp + 5, nullptr, 10);
+        if (pid > 0 && ::kill(static_cast<pid_t>(pid), 0) != 0 &&
+            errno == ESRCH) {
+            std::error_code ignored;
+            fs::remove(it->path(), ignored);
+        }
+    }
 }
 
 } // namespace
 
 ArtifactCache::ArtifactCache(CacheOptions options)
-    : options_(std::move(options)), baseline_(globalCacheStats())
+    : options_(std::move(options))
 {
     // Surface the degradation latch in every metrics dump from the
     // start, so observers can alert on 0 -> 1 instead of on absence.
@@ -254,6 +266,8 @@ ArtifactCache::diskUsable()
 {
     if (options_.disk_dir.empty())
         return false;
+    std::call_once(orphans_collected_, removeOrphanedTemporaries,
+                   options_.disk_dir);
     std::unique_lock<std::mutex> lock(mutex_);
     if (!disk_disabled_)
         return true;
@@ -296,24 +310,6 @@ ArtifactCache::diskDisabled() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return disk_disabled_;
-}
-
-CacheStats
-ArtifactCache::stats() const
-{
-    const CacheStats now = globalCacheStats();
-    CacheStats s;
-    s.hits = now.hits - baseline_.hits;
-    s.misses = now.misses - baseline_.misses;
-    s.memory_hits = now.memory_hits - baseline_.memory_hits;
-    s.disk_hits = now.disk_hits - baseline_.disk_hits;
-    s.insertions = now.insertions - baseline_.insertions;
-    s.evictions = now.evictions - baseline_.evictions;
-    s.disk_writes = now.disk_writes - baseline_.disk_writes;
-    s.corrupt_dropped = now.corrupt_dropped - baseline_.corrupt_dropped;
-    s.version_mismatches =
-        now.version_mismatches - baseline_.version_mismatches;
-    return s;
 }
 
 std::size_t

@@ -30,7 +30,10 @@
  *    forged length, key collision on file name) deletes the file and
  *    counts as a miss, and an entry written by another schema
  *    version is dropped as a version mismatch — a stale or corrupt
- *    cache can cost time, never correctness.
+ *    cache can cost time, never correctness.  Entries are published
+ *    by write-then-rename; a writer killed in between leaves a tmp
+ *    file, which the first disk access removes once that writer's
+ *    process is gone.
  *    A *write* failure (disk full, I/O error) latches the tier off:
  *    the cache continues memory-only with the
  *    `apex.cache.disk_disabled` gauge raised, and a periodic probe
@@ -62,30 +65,14 @@ struct CacheOptions {
 };
 
 /**
- * Monotonic counters (snapshot via ArtifactCache::stats).
- *
- * The authoritative counters live in the telemetry registry under
- * `apex.cache.*` (one set per process); each ArtifactCache snapshots
- * them at construction and stats() reports the delta since then, so a
- * fresh cache still starts from zero the way tests expect.  (Caveat:
- * two caches live at once would see each other's traffic; the runtime
- * only ever creates one per sweep.)
+ * Two-tier content-addressed memoization cache.  Its traffic is
+ * counted process-wide in the telemetry registry: `apex.cache.hits`
+ * (either tier), `misses`, `memory_hits`, `disk_hits`, `insertions`
+ * (put() calls), `evictions` (LRU capacity), `disk_writes`,
+ * `corrupt_dropped` (disk entries rejected and deleted) and
+ * `version_mismatches` (disk entries of another schema version,
+ * dropped and treated as misses).
  */
-struct CacheStats {
-    long hits = 0;            ///< get() served from either tier.
-    long misses = 0;          ///< get() found nothing usable.
-    long memory_hits = 0;     ///< Served from the LRU tier.
-    long disk_hits = 0;       ///< Served from the disk tier.
-    long insertions = 0;      ///< put() calls.
-    long evictions = 0;       ///< LRU entries dropped at capacity.
-    long disk_writes = 0;     ///< Disk entries written.
-    long corrupt_dropped = 0; ///< Disk entries rejected + deleted.
-    /** Disk entries from another on-disk schema version, dropped and
-     * treated as misses (e.g. after an upgrade over an old dir). */
-    long version_mismatches = 0;
-};
-
-/** Two-tier content-addressed memoization cache. */
 class ArtifactCache {
   public:
     explicit ArtifactCache(CacheOptions options = {});
@@ -98,8 +85,6 @@ class ArtifactCache {
 
     /** Insert (or refresh) @p key -> @p value in both tiers. */
     void put(const std::string &key, const std::string &value);
-
-    CacheStats stats() const;
 
     std::size_t memoryEntries() const;
 
@@ -119,7 +104,8 @@ class ArtifactCache {
     /** Latch the disk tier off after a failed write. */
     void disableDisk(const std::string &why);
     /** True when the disk tier may be used for this access: enabled,
-     * or disabled-but-due for a re-probe that just succeeded. */
+     * or disabled-but-due for a re-probe that just succeeded.  The
+     * first call collects the tmp files of dead writers. */
     bool diskUsable();
 
     CacheOptions options_;
@@ -129,8 +115,7 @@ class ArtifactCache {
     std::map<std::string,
              std::list<std::pair<std::string, std::string>>::iterator>
         index_;
-    /** Registry values at construction; stats() = registry - this. */
-    CacheStats baseline_;
+    std::once_flag orphans_collected_;
     bool disk_dir_ready_ = false;
     /** Disk-tier degradation latch (guarded by mutex_). */
     bool disk_disabled_ = false;

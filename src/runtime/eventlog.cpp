@@ -32,40 +32,6 @@ sink()
     return *s;
 }
 
-void
-appendEscaped(std::string *out, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            *out += "\\\"";
-            break;
-        case '\\':
-            *out += "\\\\";
-            break;
-        case '\n':
-            *out += "\\n";
-            break;
-        case '\r':
-            *out += "\\r";
-            break;
-        case '\t':
-            *out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                *out += buf;
-            } else {
-                *out += c;
-            }
-        }
-    }
-}
-
 long long
 wallMillis()
 {
@@ -86,9 +52,9 @@ renderLine(Level level, std::string_view component,
     line += ",\"level\":\"";
     line += levelName(level);
     line += "\",\"component\":\"";
-    appendEscaped(&line, component);
+    telemetry::appendJsonEscaped(&line, component);
     line += "\",\"message\":\"";
-    appendEscaped(&line, message);
+    telemetry::appendJsonEscaped(&line, message);
     line += '"';
     if (trace_id != 0) {
         char buf[32];

@@ -165,6 +165,8 @@ threadRing(ThreadState &state)
     return *state.ring;
 }
 
+} // namespace
+
 // --------------------------------------------------------------------
 // JSON helpers
 // --------------------------------------------------------------------
@@ -221,6 +223,8 @@ jsonNumber(double v)
     std::snprintf(buf, sizeof buf, "%.6g", v);
     return buf;
 }
+
+namespace {
 
 /** Fixed-point microseconds: %g would round late timestamps in a
  * long trace to >1us granularity, which misorders adjacent spans in

@@ -396,6 +396,18 @@ class StageTimer {
 /** Nanoseconds since the process telemetry origin (steady clock). */
 std::uint64_t monotonicNanos();
 
+// The JSON formatting every JSON artifact (traces, metrics dumps,
+// event-log lines, statusz renderings) shares.
+
+/** Append @p s to @p out JSON-escaped, without quotes. */
+void appendJsonEscaped(std::string *out, std::string_view s);
+
+/** @p s as a quoted, escaped JSON string. */
+std::string jsonString(std::string_view s);
+
+/** @p v as a JSON number in `%.6g` form. */
+std::string jsonNumber(double v);
+
 } // namespace apex::telemetry
 
 #endif // APEX_RUNTIME_TELEMETRY_H_

@@ -33,15 +33,6 @@ tasksStolenCounter()
     return *c;
 }
 
-PoolStats
-globalPoolStats()
-{
-    PoolStats s;
-    s.tasks_run = static_cast<long>(tasksRunCounter().value());
-    s.tasks_stolen = static_cast<long>(tasksStolenCounter().value());
-    return s;
-}
-
 } // namespace
 
 int
@@ -57,8 +48,7 @@ ThreadPool::defaultParallelism()
 }
 
 ThreadPool::ThreadPool(int parallelism)
-    : parallelism_(std::max(1, parallelism)),
-      baseline_(globalPoolStats())
+    : parallelism_(std::max(1, parallelism))
 {
     const int workers = parallelism_ - 1;
     lanes_.reserve(workers + 1);
@@ -166,16 +156,6 @@ ThreadPool::workerLoop(int self)
     tl_pool = nullptr;
     tl_lane = -1;
     telemetry::setLane(-1);
-}
-
-PoolStats
-ThreadPool::stats() const
-{
-    const PoolStats now = globalPoolStats();
-    PoolStats s;
-    s.tasks_run = now.tasks_run - baseline_.tasks_run;
-    s.tasks_stolen = now.tasks_stolen - baseline_.tasks_stolen;
-    return s;
 }
 
 void

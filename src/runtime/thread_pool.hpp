@@ -34,16 +34,10 @@
 
 namespace apex::runtime {
 
-/** Execution counters (monotonic since construction).  Backed by the
- * process-wide telemetry counters `apex.pool.tasks_run` /
- * `apex.pool.tasks_stolen`; each pool snapshots them at construction
- * and stats() reports the delta, so a fresh pool starts at zero. */
-struct PoolStats {
-    long tasks_run = 0;    ///< Tasks executed to completion.
-    long tasks_stolen = 0; ///< Executed from another lane's deque.
-};
-
-/** Work-stealing thread pool. */
+/** Work-stealing thread pool.  Its work is counted process-wide in the
+ * telemetry registry: `apex.pool.tasks_run` (tasks executed to
+ * completion) and `apex.pool.tasks_stolen` (executed from another
+ * lane's deque). */
 class ThreadPool {
   public:
     /** @param parallelism Total lanes incl. the caller; clamped >= 1. */
@@ -70,8 +64,6 @@ class ThreadPool {
      */
     bool tryRunOne();
 
-    PoolStats stats() const;
-
     /** $APEX_JOBS when set and valid, else hardware concurrency. */
     static int defaultParallelism();
 
@@ -95,8 +87,6 @@ class ThreadPool {
     std::condition_variable wake_cv_;
     std::atomic<bool> stop_{false};
     std::atomic<int> pending_{0};
-    /** Registry values at construction; stats() = registry - this. */
-    PoolStats baseline_;
 };
 
 /**

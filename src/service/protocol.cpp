@@ -11,6 +11,7 @@
 
 #include "core/encoding.hpp"
 #include "core/evaluate.hpp"
+#include "runtime/telemetry.hpp"
 
 namespace apex::service {
 
@@ -411,18 +412,6 @@ decodeStatuszRequest(const std::string &payload, StatuszRequest *out)
     return static_cast<bool>(is >> out->max_samples);
 }
 
-namespace {
-
-std::string
-jsonNumber(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
-}
-
-} // namespace
-
 std::string
 encodeStatuszReply(const StatuszReply &rep)
 {
@@ -465,15 +454,16 @@ std::string
 statuszJson(const StatuszReply &rep)
 {
     std::string out = "{\"apex_statusz\":1,\"interval_ms\":" +
-                      jsonNumber(rep.interval_ms) + ",\"samples\":[";
+                      telemetry::jsonNumber(rep.interval_ms) +
+                      ",\"samples\":[";
     for (std::size_t i = 0; i < rep.samples.size(); ++i) {
         const StatusSnapshot &s = rep.samples[i];
         out += (i == 0 ? "{\"ts_ms\":" : ",{\"ts_ms\":") +
-               jsonNumber(s.ts_ms);
+               telemetry::jsonNumber(s.ts_ms);
         for (std::size_t v = 0; v < s.values.size(); ++v)
             out += ",\"" + std::string(kStatuszVitals[v].key) + "\":" +
                    (kStatuszVitals[v].kind == VitalKind::kMs
-                        ? jsonNumber(s.values[v])
+                        ? telemetry::jsonNumber(s.values[v])
                         : std::to_string(std::llround(s.values[v])));
         out += '}';
     }

@@ -7,7 +7,8 @@
  *
  * Output files are published or reported: a file apexc or apexd
  * cannot write exits 2 naming the path, and a symlinked output keeps
- * its link.
+ * its link.  A PE variant that fails to build exits with its stage's
+ * code, printing and writing nothing.
  *
  * Each test shells out to the real binaries (APEXC_PATH and
  * APEXD_PATH are injected by CMake), so these cover the signal
@@ -318,6 +319,47 @@ TEST(Cli, UnwritableRtlAndDumpOutputsExitTwoWithoutClaimingThem)
             << args << ": " << slurp(err);
     }
     EXPECT_FALSE(fs::exists(missing));
+}
+
+TEST(Cli, FailedVariantBuildExitsWithItsStageCodeAndPrintsNothing)
+{
+    // A PE that could not be mined or merged is an exit code, never
+    // a less specialized PE reported under the requested name.
+    ScratchDir dir("failed_builds");
+    const std::string out = dir.str() + "/out";
+    const int mine = exitCodeFor(ErrorCode::kMiningFailed);
+    const int merge = exitCodeFor(ErrorCode::kMergeInfeasible);
+    const std::vector<std::pair<std::string, int>> cases = {
+        {"mine:1 " + apexc + " explore camera --variant spec --level map",
+         mine},
+        {"merge:1 " + apexc + " explore camera --variant spec --level map",
+         merge},
+        {"mine:1 " + apexc + " explore camera --variant ip --level map",
+         mine},
+        {"merge:1 " + apexc + " explore camera --variant ip --level map",
+         merge},
+        {"mine:1 " + apexc + " analyze camera", mine},
+    };
+    for (const auto &[command, want] : cases) {
+        EXPECT_EQ(run("APEX_FAULT=" + command + " > " + out +
+                      " 2> /dev/null"),
+                  want)
+            << command;
+        EXPECT_EQ(slurp(out), "") << command;
+    }
+}
+
+TEST(Cli, FailedRtlBuildWritesNoFile)
+{
+    ScratchDir dir("failed_rtl");
+    const std::string rtl = dir.str() + "/rtl";
+    const std::string out = dir.str() + "/out";
+    fs::create_directories(rtl);
+    EXPECT_EQ(run("APEX_FAULT=mine:1 " + apexc + " rtl camera -o " + rtl +
+                  " > " + out + " 2> /dev/null"),
+              exitCodeFor(ErrorCode::kMiningFailed));
+    EXPECT_EQ(slurp(out), "");
+    EXPECT_TRUE(fs::is_empty(rtl));
 }
 
 TEST(Cli, DaemonReportsAnUnwritableExitDump)

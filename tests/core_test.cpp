@@ -2,8 +2,10 @@
 
 #include "core/evaluate.hpp"
 #include "core/explorer.hpp"
+#include "core/fault.hpp"
 #include "ir/validate.hpp"
 #include "model/tech.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace apex::core {
 namespace {
@@ -13,7 +15,7 @@ const model::TechModel &tech = model::defaultTech();
 TEST(ExplorerTest, AnalyzeProducesViableRankedPatterns) {
     Explorer ex;
     const auto app = apps::gaussianBlur(4);
-    const auto patterns = ex.analyze(app.graph);
+    const auto patterns = ex.analyze(app.graph).value();
     ASSERT_FALSE(patterns.empty());
     for (const auto &p : patterns) {
         EXPECT_GE(p.core_size, 2);
@@ -35,7 +37,7 @@ TEST(ExplorerTest, VariantRecipeShrinksWithSpecialization) {
         << "PE 1 drops unused hardware";
 
     // Merging subgraphs grows the PE core itself...
-    const PeVariant pe2 = ex.specializedVariant(app, 1);
+    const PeVariant pe2 = ex.specializedVariant(app, 1).value();
     EXPECT_GE(pe2.spec.area(tech), pe1.spec.area(tech) * 0.9);
     EXPECT_FALSE(pe2.patterns.empty());
 }
@@ -43,7 +45,7 @@ TEST(ExplorerTest, VariantRecipeShrinksWithSpecialization) {
 TEST(ExplorerTest, DomainVariantCoversAllApps) {
     Explorer ex;
     const auto ip = apps::ipApps();
-    const PeVariant pe_ip = ex.domainVariant(ip, 1, "pe_ip");
+    const PeVariant pe_ip = ex.domainVariant(ip, 1, "pe_ip").value();
     EXPECT_GE(pe_ip.patterns.size(), 2u)
         << "at least two distinct domain subgraphs expected";
     EXPECT_TRUE(pe_ip.spec.dp.validate());
@@ -59,8 +61,9 @@ TEST(EvaluateTest, PostMappingCameraSpecializationShape) {
                                EvalLevel::kPostMapping, tech);
     const auto pe1 = evaluate(app, ex.subsetVariant(app),
                               EvalLevel::kPostMapping, tech);
-    const auto spec = evaluate(app, bestSpecializedVariant(app, ex, tech),
-                               EvalLevel::kPostMapping, tech);
+    const auto spec =
+        evaluate(app, bestSpecializedVariant(app, ex, tech).value(),
+                 EvalLevel::kPostMapping, tech);
     ASSERT_TRUE(base.success) << base.status.toString();
     ASSERT_TRUE(pe1.success) << pe1.status.toString();
     ASSERT_TRUE(spec.success) << spec.status.toString();
@@ -83,6 +86,42 @@ TEST(EvaluateTest, PostMappingCameraSpecializationShape) {
     EXPECT_LT(spec.pe_energy, 0.85 * base.pe_energy);
 }
 
+TEST(EvaluateTest, SpecSearchPicksTheSameVariantOnBothSchedules) {
+    Explorer ex;
+    const auto app = apps::cameraPipeline(1);
+    runtime::ThreadPool pool(4);
+    const PeVariant walked =
+        bestSpecializedVariant(app, ex, tech).value();
+    const PeVariant speculative =
+        bestSpecializedVariant(app, ex, tech, &pool).value();
+    EXPECT_EQ(walked.name, "pe_spec_camera");
+    EXPECT_EQ(speculative.name, walked.name);
+    // The cache key fingerprints the datapath and the patterns.
+    EXPECT_EQ(evalCacheKey(app, speculative, EvalLevel::kPostMapping,
+                           tech, {}),
+              evalCacheKey(app, walked, EvalLevel::kPostMapping, tech,
+                           {}));
+}
+
+TEST(EvaluateTest, SpecSearchReportsAFailedBuildOnBothSchedules) {
+    // A candidate that cannot be built is an error, never PE 1 under
+    // the PE Spec name.  With k <= 2 camera's stopping rule reaches
+    // every candidate, so whichever speculative build draws the
+    // fault, the in-order walk meets it.
+    ExplorerOptions options;
+    options.max_merged_subgraphs = 2;
+    const Explorer ex(tech, options);
+    const auto app = apps::cameraPipeline(1);
+    runtime::ThreadPool pool(4);
+    for (runtime::ThreadPool *lanes :
+         std::initializer_list<runtime::ThreadPool *>{&pool, nullptr}) {
+        FaultScope fault(FaultStage::kMine, 1);
+        const auto spec = bestSpecializedVariant(app, ex, tech, lanes);
+        ASSERT_FALSE(spec.ok()) << (lanes ? "pool" : "sequential");
+        EXPECT_EQ(spec.status().code(), ErrorCode::kMiningFailed);
+    }
+}
+
 TEST(EvaluateTest, PostPnrAddsInterconnect) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
@@ -100,7 +139,9 @@ TEST(EvaluateTest, PostPnrAddsInterconnect) {
 TEST(EvaluateTest, PostPipeliningImprovesPerformance) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
-    const PeVariant spec_variant = ex.specVariant(app);
+    const PeVariant spec_variant =
+        ex.specializedVariant(app, ex.options().max_merged_subgraphs)
+            .value();
 
     const auto pnr = evaluate(app, spec_variant,
                               EvalLevel::kPostPnr, tech);
@@ -122,7 +163,7 @@ TEST(EvaluateTest, DomainPeBeatsBaselineOnUnseenApps) {
     // beats the baseline on it.
     Explorer ex;
     const PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
     const auto unseen = apps::laplacianPyramid(1);
 
     const auto base = evaluate(unseen, ex.baselineVariant(),
@@ -138,7 +179,7 @@ TEST(EvaluateTest, DomainPeBeatsBaselineOnUnseenApps) {
 TEST(EvaluateTest, MlPeOnMlApps) {
     Explorer ex;
     const PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml");
+        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
     const auto app = apps::mobilenetLayer(2);
 
     const auto base = evaluate(app, ex.baselineVariant(),

@@ -589,8 +589,7 @@ TEST(Deadline, MinerStopsAtLevelBoundary)
     ExplorerOptions options;
     options.miner.deadline = Deadline::after(-1.0);
     const Explorer ex(tech, options);
-    const auto mined =
-        ex.tryAnalyze(apps::gaussianBlur(1).graph);
+    const auto mined = ex.analyze(apps::gaussianBlur(1).graph);
     ASSERT_FALSE(mined.ok());
     EXPECT_EQ(mined.status().code(), ErrorCode::kTimeout);
 }

@@ -3,7 +3,8 @@
 #include <random>
 
 #include "cgra/place.hpp"
-#include "core/hetero.hpp"
+#include "core/evaluate.hpp"
+#include "core/fault.hpp"
 #include "ir/interpreter.hpp"
 #include "mapper/select.hpp"
 #include "model/tech.hpp"
@@ -13,6 +14,15 @@ namespace apex::core {
 namespace {
 
 const model::TechModel &tech = model::defaultTech();
+
+/** big.LITTLE around the IP domain PE. */
+HeteroCgra
+bigLittle(const Explorer &ex)
+{
+    return makeBigLittleCgra(
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value(),
+        "biglittle");
+}
 
 TEST(CombineLibrariesTest, TagsTypesAndPrefersCheapOnTies) {
     const pe::PeSpec big = pe::baselinePe();
@@ -51,18 +61,15 @@ TEST(CombineLibrariesTest, TagsTypesAndPrefersCheapOnTies) {
 TEST(HeteroTest, BigLittleMapsAndSplitsWork) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
-    const HeteroCgra cgra = makeBigLittleCgra(
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip"), "biglittle");
-
-    const auto r = evaluateHetero(app, cgra,
-                                  EvalLevel::kPostMapping, tech);
+    std::vector<int> by_type;
+    const auto r = evaluate(app, bigLittle(ex), EvalLevel::kPostMapping,
+                            tech, {}, &by_type);
     ASSERT_TRUE(r.success) << r.status.toString();
-    ASSERT_EQ(r.pe_count_by_type.size(), 2u);
-    EXPECT_GT(r.pe_count_by_type[0], 0) << "MACs need the big PE";
-    EXPECT_GT(r.pe_count_by_type[1], 0)
+    ASSERT_EQ(by_type.size(), 2u);
+    EXPECT_GT(by_type[0], 0) << "MACs need the big PE";
+    EXPECT_GT(by_type[1], 0)
         << "plain adds/shifts should land on the little PE";
-    EXPECT_EQ(r.pe_count,
-              r.pe_count_by_type[0] + r.pe_count_by_type[1]);
+    EXPECT_EQ(r.pe_count, by_type[0] + by_type[1]);
 }
 
 TEST(HeteroTest, HeteroBeatsHomogeneousOnArea) {
@@ -71,13 +78,13 @@ TEST(HeteroTest, HeteroBeatsHomogeneousOnArea) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
     const PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip");
+        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
 
     const auto homo = evaluate(app, pe_ip,
                                EvalLevel::kPostMapping, tech);
-    const auto hetero = evaluateHetero(
-        app, makeBigLittleCgra(pe_ip, "biglittle"),
-        EvalLevel::kPostMapping, tech);
+    const auto hetero =
+        evaluate(app, makeBigLittleCgra(pe_ip, "biglittle"),
+                 EvalLevel::kPostMapping, tech);
     ASSERT_TRUE(homo.success) << homo.status.toString();
     ASSERT_TRUE(hetero.success) << hetero.status.toString();
     EXPECT_LT(hetero.pe_area, homo.pe_area);
@@ -87,8 +94,7 @@ TEST(HeteroTest, HeteroBeatsHomogeneousOnArea) {
 TEST(HeteroTest, FunctionalEquivalenceAcrossTypes) {
     Explorer ex;
     const auto app = apps::gaussianBlur(1);
-    const HeteroCgra cgra = makeBigLittleCgra(
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip"), "biglittle");
+    const HeteroCgra cgra = bigLittle(ex);
 
     std::vector<std::vector<mapper::RewriteRule>> libs;
     std::vector<double> areas;
@@ -120,11 +126,7 @@ TEST(HeteroTest, FunctionalEquivalenceAcrossTypes) {
 TEST(HeteroTest, PlacementRespectsTypePools) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
-    const HeteroCgra cgra = makeBigLittleCgra(
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip"), "biglittle");
-
-    const auto r = evaluateHetero(app, cgra, EvalLevel::kPostPnr,
-                                  tech);
+    const auto r = evaluate(app, bigLittle(ex), EvalLevel::kPostPnr, tech);
     ASSERT_TRUE(r.success) << r.status.toString();
     EXPECT_GT(r.cgra_area, r.pe_area);
     EXPECT_GT(r.cgra_energy, r.pe_energy);
@@ -136,16 +138,105 @@ TEST(HeteroTest, TypePoolCapacityIsEnforced) {
     // rather than overfill one pool.
     Explorer ex;
     const auto app = apps::gaussianBlur(4);
-    const HeteroCgra cgra = makeBigLittleCgra(
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip"), "biglittle");
     EvalOptions options;
     options.fabric_width = 4;
     options.fabric_height = 4;
     options.auto_grow_fabric = false;
-    const auto r = evaluateHetero(app, cgra, EvalLevel::kPostPnr,
-                                  tech, options);
+    const auto r = evaluate(app, bigLittle(ex), EvalLevel::kPostPnr,
+                            tech, options);
     EXPECT_FALSE(r.success);
     EXPECT_NE(r.status.message().find("too small"), std::string::npos);
+}
+
+// A fabric of several PE types runs the same checks and P&R ladder
+// as one PE type: each case below matches evaluate() on pe_ip alone.
+
+TEST(HeteroTest, FabricGrowthBoundHolds) {
+    Explorer ex;
+    const auto app = apps::gaussianBlur(4);
+    EvalOptions options;
+    options.fabric_width = 4;
+    options.fabric_height = 4;
+    options.max_fabric_growths = 1;
+    const auto r = evaluate(app, bigLittle(ex), EvalLevel::kPostPnr,
+                            tech, options);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.status.code(), ErrorCode::kBudgetExhausted);
+    EXPECT_NE(r.status.toString().find("final fabric 4x4"),
+              std::string::npos)
+        << r.status.toString();
+}
+
+TEST(HeteroTest, ExpiredDeadlineIsATimeout) {
+    Explorer ex;
+    EvalOptions options;
+    options.deadline = Deadline::after(-1.0);
+    const auto r = evaluate(apps::gaussianBlur(4), bigLittle(ex),
+                            EvalLevel::kPostPnr, tech, options);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.status.code(), ErrorCode::kTimeout);
+    EXPECT_FALSE(r.diagnostics.forStage("deadline").empty());
+}
+
+TEST(HeteroTest, EvaluateFaultFailsTheEvaluation) {
+    Explorer ex;
+    const HeteroCgra cgra = bigLittle(ex);
+    FaultScope fault(FaultStage::kEvaluate, 1);
+    const auto r = evaluate(apps::gaussianBlur(4), cgra,
+                            EvalLevel::kPostPnr, tech);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.status.code(), ErrorCode::kEvaluationFailed);
+}
+
+TEST(HeteroTest, PlaceAndRouteFaultsRecoverOnTheConfiguredFabric) {
+    // One failed placement retries the seed, one failed route adds
+    // tracks; neither grows the 32x16 fabric.
+    Explorer ex;
+    const HeteroCgra cgra = bigLittle(ex);
+    const auto app = apps::gaussianBlur(4);
+    for (const FaultStage stage :
+         {FaultStage::kPlace, FaultStage::kRoute}) {
+        const std::string name(faultStageName(stage));
+        FaultScope fault(stage, 1);
+        const auto r = evaluate(app, cgra, EvalLevel::kPostPnr, tech);
+        ASSERT_TRUE(r.success) << name << ": " << r.status.toString();
+        EXPECT_EQ(r.fabric_width, 32) << name;
+        EXPECT_EQ(r.fabric_height, 16) << name;
+        EXPECT_FALSE(r.diagnostics.forStage(name).empty()) << name;
+        EXPECT_GE(r.pnr_attempts, 1) << name;
+    }
+}
+
+TEST(HeteroTest, SeveralTypesCannotBePipelined) {
+    Explorer ex;
+    const auto r = evaluate(apps::gaussianBlur(2), bigLittle(ex),
+                            EvalLevel::kPostPipelining, tech);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.status.code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(HeteroTest, OneTypeFabricIsTheHomogeneousEvaluation) {
+    // The one-type fabric is the paper's homogeneous CGRA: the same
+    // record, byte for byte, with every PE counted as type 0.
+    Explorer ex;
+    for (const apps::AppInfo &app : apps::analyzedApps()) {
+        const PeVariant pe1 = ex.subsetVariant(app);
+        const HeteroCgra one{"one_type", {pe1}};
+        for (const EvalLevel level :
+             {EvalLevel::kPostMapping, EvalLevel::kPostPnr}) {
+            const auto homo = evaluate(app, pe1, level, tech);
+            std::vector<int> by_type;
+            const auto fabric =
+                evaluate(app, one, level, tech, {}, &by_type);
+            ASSERT_TRUE(homo.success) << homo.status.toString();
+            ASSERT_TRUE(fabric.success) << fabric.status.toString();
+            EXPECT_EQ(serializeEvalResult(fabric),
+                      serializeEvalResult(homo))
+                << app.name;
+            EXPECT_EQ(by_type, std::vector<int>{homo.pe_count})
+                << app.name;
+        }
+    }
 }
 
 } // namespace

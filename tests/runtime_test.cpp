@@ -8,6 +8,7 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -109,22 +110,47 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 
 // --- ArtifactCache -----------------------------------------------------
 
+/** How far each process-wide `apex.cache.*` counter has moved since
+ * this snapshot was taken: the traffic of the caches a test runs. */
+class CacheCounterDelta {
+  public:
+    CacheCounterDelta()
+    {
+        for (const char *name : {"hits", "misses", "memory_hits",
+                                 "disk_hits", "evictions",
+                                 "corrupt_dropped", "version_mismatches"})
+            start_[name] = value(name);
+    }
+    long long operator[](const std::string &name) const
+    {
+        return value(name) - start_.at(name);
+    }
+
+  private:
+    static long long value(const std::string &name)
+    {
+        return telemetry::counter("apex.cache." + name).value();
+    }
+    std::map<std::string, long long> start_;
+};
+
 TEST(ArtifactCache, MemoryHitAndMiss)
 {
+    const CacheCounterDelta counted;
     runtime::ArtifactCache cache;
     EXPECT_FALSE(cache.get("k").has_value());
     cache.put("k", "value");
     const auto hit = cache.get("k");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, "value");
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1);
-    EXPECT_EQ(stats.misses, 1);
-    EXPECT_EQ(stats.memory_hits, 1);
+    EXPECT_EQ(counted["hits"], 1);
+    EXPECT_EQ(counted["misses"], 1);
+    EXPECT_EQ(counted["memory_hits"], 1);
 }
 
 TEST(ArtifactCache, LruEvictsOldestFirst)
 {
+    const CacheCounterDelta counted;
     runtime::ArtifactCache cache({.max_memory_entries = 2});
     cache.put("a", "1");
     cache.put("b", "2");
@@ -133,13 +159,14 @@ TEST(ArtifactCache, LruEvictsOldestFirst)
     EXPECT_TRUE(cache.get("a").has_value());
     EXPECT_FALSE(cache.get("b").has_value());
     EXPECT_TRUE(cache.get("c").has_value());
-    EXPECT_EQ(cache.stats().evictions, 1);
+    EXPECT_EQ(counted["evictions"], 1);
     EXPECT_EQ(cache.memoryEntries(), 2u);
 }
 
 TEST(ArtifactCache, DiskTierSurvivesNewProcessImage)
 {
     ScratchDir dir("disk");
+    const CacheCounterDelta counted;
     {
         runtime::ArtifactCache writer({.disk_dir = dir.str()});
         writer.put("key1", "payload one");
@@ -149,15 +176,16 @@ TEST(ArtifactCache, DiskTierSurvivesNewProcessImage)
     const auto hit = reader.get("key1");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, "payload one");
-    EXPECT_EQ(reader.stats().disk_hits, 1);
+    EXPECT_EQ(counted["disk_hits"], 1);
     // The disk hit was promoted into memory.
     (void)reader.get("key1");
-    EXPECT_EQ(reader.stats().memory_hits, 1);
+    EXPECT_EQ(counted["memory_hits"], 1);
 }
 
 TEST(ArtifactCache, CorruptDiskEntryIsDroppedNotServed)
 {
     ScratchDir dir("corrupt");
+    const CacheCounterDelta counted;
     runtime::ArtifactCache writer({.disk_dir = dir.str()});
     writer.put("key1", "payload one");
 
@@ -169,8 +197,8 @@ TEST(ArtifactCache, CorruptDiskEntryIsDroppedNotServed)
     }
     runtime::ArtifactCache reader({.disk_dir = dir.str()});
     EXPECT_FALSE(reader.get("key1").has_value());
-    EXPECT_EQ(reader.stats().corrupt_dropped, 1);
-    EXPECT_EQ(reader.stats().misses, 1);
+    EXPECT_EQ(counted["corrupt_dropped"], 1);
+    EXPECT_EQ(counted["misses"], 1);
     // The poisoned file was deleted, not left to fail forever.
     EXPECT_FALSE(fs::exists(path));
 }
@@ -181,6 +209,7 @@ TEST(ArtifactCache, ForgedLengthIsDroppedNotAllocated)
     // like any other — a miss, deleted, counted — never an
     // allocation of the forged size.
     ScratchDir dir("forgedlen");
+    const CacheCounterDelta counted;
     runtime::ArtifactCache writer({.disk_dir = dir.str()});
     writer.put("key1", "payload one");
     const std::string path = writer.diskPathFor("key1");
@@ -188,14 +217,15 @@ TEST(ArtifactCache, ForgedLengthIsDroppedNotAllocated)
 
     runtime::ArtifactCache reader({.disk_dir = dir.str()});
     EXPECT_FALSE(reader.get("key1").has_value());
-    EXPECT_EQ(reader.stats().corrupt_dropped, 1);
-    EXPECT_EQ(reader.stats().misses, 1);
+    EXPECT_EQ(counted["corrupt_dropped"], 1);
+    EXPECT_EQ(counted["misses"], 1);
     EXPECT_FALSE(fs::exists(path));
 }
 
 TEST(ArtifactCache, StaleSchemaVersionIsAMissNotGarbage)
 {
     ScratchDir dir("verskew");
+    const CacheCounterDelta counted;
     runtime::ArtifactCache writer({.disk_dir = dir.str()});
     writer.put("key1", "payload one");
 
@@ -209,9 +239,9 @@ TEST(ArtifactCache, StaleSchemaVersionIsAMissNotGarbage)
     }
     runtime::ArtifactCache reader({.disk_dir = dir.str()});
     EXPECT_FALSE(reader.get("key1").has_value());
-    EXPECT_EQ(reader.stats().version_mismatches, 1);
-    EXPECT_EQ(reader.stats().corrupt_dropped, 0);
-    EXPECT_EQ(reader.stats().misses, 1);
+    EXPECT_EQ(counted["version_mismatches"], 1);
+    EXPECT_EQ(counted["corrupt_dropped"], 0);
+    EXPECT_EQ(counted["misses"], 1);
     // The stale file was cleared so the slot can be rewritten.
     EXPECT_FALSE(fs::exists(path));
     reader.put("key1", "payload one");
@@ -221,13 +251,44 @@ TEST(ArtifactCache, StaleSchemaVersionIsAMissNotGarbage)
 TEST(ArtifactCache, WrongKeyInFileIsACollisionNotAHit)
 {
     ScratchDir dir("collision");
+    const CacheCounterDelta counted;
     runtime::ArtifactCache cache({.disk_dir = dir.str()});
     cache.put("key1", "payload");
     // Re-home key1's file under key2's name: a file-name collision.
     runtime::ArtifactCache other({.disk_dir = dir.str()});
     fs::rename(cache.diskPathFor("key1"), other.diskPathFor("key2"));
     EXPECT_FALSE(other.get("key2").has_value());
-    EXPECT_EQ(other.stats().corrupt_dropped, 1);
+    EXPECT_EQ(counted["corrupt_dropped"], 1);
+}
+
+TEST(ArtifactCache, OrphanedTmpFilesOfDeadWritersAreCollected)
+{
+    // A writer killed between publishFile's write and its rename
+    // leaves `<name>.tmp.<pid>.<tid>` behind.  The first disk access
+    // removes the entry and probe ones whose pid is gone, and keeps
+    // a live writer's file and the journal's own temporaries.
+    ScratchDir dir("orphans");
+    fs::create_directories(dir.str());
+    const pid_t dead = ::fork();
+    if (dead == 0)
+        ::_exit(0);
+    ASSERT_GT(dead, 0);
+    ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
+    const std::string dead_tmp = ".tmp." + std::to_string(dead) + ".7";
+    const std::string orphan = dir.str() + "/00ff.apexcache" + dead_tmp;
+    const std::string probe = dir.str() + "/.apexprobe" + dead_tmp;
+    const std::string journal = dir.str() + "/sweep.journal" + dead_tmp;
+    const std::string live = dir.str() + "/11ee.apexcache.tmp." +
+                             std::to_string(::getpid()) + ".7";
+    for (const std::string &path : {orphan, probe, journal, live})
+        std::ofstream(path) << "half-written";
+
+    runtime::ArtifactCache cache({.disk_dir = dir.str()});
+    EXPECT_FALSE(cache.get("key1").has_value());
+    EXPECT_FALSE(fs::exists(orphan));
+    EXPECT_FALSE(fs::exists(probe));
+    EXPECT_TRUE(fs::exists(journal));
+    EXPECT_TRUE(fs::exists(live));
 }
 
 // --- publishFile + PeriodicMetricsWriter --------------------------------
