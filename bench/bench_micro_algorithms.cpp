@@ -341,6 +341,49 @@ runKernelRows()
                     ops, got.size(), match ? "true" : "false", ms,
                     ms_ref, stages.jsonFragment().c_str());
     }
+
+    // Rewrite-rule validation: the lowered validator vs the historic
+    // per-assignment loop, over every rule of the PE Base library and
+    // of each analyzed app's PE k library (stage_ms.rewrite is the
+    // library's synthesis).  `rules` is deterministic, so CI diffs it
+    // against the baseline and gates the PE Base row's ms_ref/ms.
+    const core::Explorer explorer;
+    const auto rewriteRow = [](const core::PeVariant &v) {
+        bench::StageSnapshot stages;
+        const auto rules = mapper::RewriteRuleSynthesizer(v.spec)
+                               .synthesizeLibrary(v.patterns);
+        // Best of three: the PE Base library validates in about a
+        // millisecond, where one scheduler hiccup skews a ratio.
+        double ms = 1e300, ms_ref = 1e300;
+        bool match = true;
+        for (int rep = 0; rep < 3; ++rep) {
+            auto t0 = std::chrono::steady_clock::now();
+            for (const auto &rule : rules)
+                match &= mapper::validateRule(v.spec, rule);
+            ms = std::min(ms, wallMs(t0));
+            t0 = std::chrono::steady_clock::now();
+            for (const auto &rule : rules)
+                match &= mapper::validateRuleReference(v.spec, rule);
+            ms_ref = std::min(ms_ref, wallMs(t0));
+        }
+        std::printf("{\"kernel\":\"rewrite\",\"pe\":\"%s\","
+                    "\"rules\":%zu,\"match\":%s,\"ms\":%.2f,"
+                    "\"ms_ref\":%.2f,%s}\n",
+                    v.name.c_str(), rules.size(),
+                    match ? "true" : "false", ms, ms_ref,
+                    stages.jsonFragment().c_str());
+    };
+    rewriteRow(explorer.baselineVariant());
+    for (const auto &app : apps::analyzedApps()) {
+        auto v = explorer.specializedVariant(
+            app, explorer.options().max_merged_subgraphs);
+        if (!v.ok()) {
+            std::fprintf(stderr, "%s: %s\n", app.name.c_str(),
+                         v.status().toString().c_str());
+            return 1;
+        }
+        rewriteRow(v.value());
+    }
     return 0;
 }
 

@@ -19,6 +19,12 @@ ratio on the dense (`mis_dense`, two-hub) rows: occurrences sharing a
 node widely are where an overlap construction that is quadratic per
 shared node loses to the all-pairs reference.
 
+Rewrite rows (one per PE library: PE Base and each analyzed app's
+PE k) time the lowered rewrite-rule validator against the historic
+per-assignment loop over the library's rules.  The rule count is
+deterministic per library; the speedup is a loose timing ratio on the
+PE Base row.
+
 Failure conditions:
   * any clique row expands more than 2x the baseline's node count
     (the pruning bound regressed);
@@ -28,6 +34,9 @@ Failure conditions:
     whose matcher-call reduction falls below MIN_MINER_ISO_FACTOR;
   * the largest mis_dense row's reference/optimized wall-time ratio
     (ms_ref/ms) falls below MIN_MIS_DENSE_SPEEDUP;
+  * any rewrite row whose rule count drifts from the baseline (the
+    synthesized library changed), or a PE Base rewrite row whose
+    ms_ref/ms falls below MIN_REWRITE_SPEEDUP;
   * any row reports match:false (optimized and reference kernels
     disagreed — a determinism-contract break).
 
@@ -41,6 +50,7 @@ NODE_REGRESSION_FACTOR = 2.0
 MIN_CLIQUE_RATIO = 5.0
 MIN_MINER_ISO_FACTOR = 3.0
 MIN_MIS_DENSE_SPEEDUP = 5.0
+MIN_REWRITE_SPEEDUP = 5.0
 
 
 def load_rows(path):
@@ -62,7 +72,7 @@ def main():
 
     for row in current:
         if not row.get("match", True):
-            tag = row.get("app", row.get("n"))
+            tag = row.get("app", row.get("pe", row.get("n")))
             failures.append(
                 f"{row['kernel']} {tag}: optimized and "
                 "reference kernels disagree (match:false)")
@@ -122,6 +132,26 @@ def main():
             failures.append(
                 f"mis_dense n={largest['n']}: ms_ref/ms "
                 f"{speedup:.2f} < {MIN_MIS_DENSE_SPEEDUP}")
+
+    # Rewrite rows: the rule count is a pure function of the PE and
+    # its patterns, so drift means synthesis or validation changed.
+    base_rewrite = {r["pe"]: r for r in baseline
+                    if r["kernel"] == "rewrite"}
+    cur_rewrite = [r for r in current if r["kernel"] == "rewrite"]
+    if base_rewrite and not cur_rewrite:
+        failures.append("no rewrite rows in current output")
+    for row in cur_rewrite:
+        base = base_rewrite.get(row["pe"])
+        if base is not None and row["rules"] != base["rules"]:
+            failures.append(
+                f"rewrite {row['pe']}: {row['rules']} rules vs "
+                f"baseline {base['rules']} (library changed)")
+        if row["pe"] == "pe_base":
+            speedup = row["ms_ref"] / max(row["ms"], 0.01)
+            if speedup < MIN_REWRITE_SPEEDUP:
+                failures.append(
+                    f"rewrite {row['pe']}: ms_ref/ms {speedup:.2f} "
+                    f"< {MIN_REWRITE_SPEEDUP}")
 
     if failures:
         for f in failures:

@@ -1,12 +1,9 @@
 #include "mapper/rewrite.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 #include <random>
 #include <set>
 
-#include "ir/interpreter.hpp"
 #include "runtime/telemetry.hpp"
 
 namespace apex::mapper {
@@ -190,11 +187,90 @@ seedSingleOp(Op op)
     return g;
 }
 
+/** Equivalence check: 3-bit exhaustive sweep over at most three free
+ * variables, then seeded random vectors at full width. */
+constexpr int kExhaustiveWidth = 3;
+constexpr int kExhaustiveMaxInputs = 3;
+constexpr int kRandomChecks = 128;
+constexpr unsigned kRandomSeed = 0xA9EC;
+
+/** One node of a pattern lowered for repeated evaluation; operand
+ * slots are node ids, and the slot past the last node holds 0. */
+struct PatternStep {
+    Op op;
+    NodeId node;
+    NodeId operand[3];
+    std::uint64_t param;
+};
+
+/** Lower @p pattern to its nodes in topological order. */
+std::vector<PatternStep>
+lowerPattern(const Graph &pattern)
+{
+    const auto zero = static_cast<NodeId>(pattern.size());
+    std::vector<PatternStep> steps;
+    for (NodeId id : pattern.topoOrder()) {
+        const ir::Node &n = pattern.node(id);
+        PatternStep step{n.op, id, {zero, zero, zero}, n.param};
+        for (std::size_t p = 0; p < n.operands.size() && p < 3; ++p)
+            step.operand[p] = n.operands[p];
+        steps.push_back(step);
+    }
+    return steps;
+}
+
+/**
+ * Run a lowered pattern the way ir::Interpreter::evalAll does:
+ * placeholders and constants take their value from @p raw masked to
+ * the width (bits to 1), storage nodes forward their operand, and
+ * compute nodes go through ir::evalOp.  @p values has one slot per
+ * node plus the zero slot.
+ */
+void
+runPattern(const std::vector<PatternStep> &steps,
+           const std::uint64_t *raw, int width, std::uint64_t *values)
+{
+    const std::uint64_t mask = (width >= 64)
+        ? ~std::uint64_t{0}
+        : (std::uint64_t{1} << width) - 1;
+    for (const PatternStep &s : steps) {
+        std::uint64_t &v = values[s.node];
+        switch (s.op) {
+          case Op::kInput:
+          case Op::kConst:
+            v = raw[s.node] & mask;
+            break;
+          case Op::kInputBit:
+          case Op::kConstBit:
+            v = raw[s.node] & 1;
+            break;
+          case Op::kOutput:
+          case Op::kOutputBit:
+          case Op::kReg:
+          case Op::kRegFile:
+          case Op::kMem:
+            v = values[s.operand[0]];
+            break;
+          default:
+            v = ir::evalOp(s.op, values[s.operand[0]],
+                           values[s.operand[1]], values[s.operand[2]],
+                           s.param, width);
+            break;
+        }
+    }
+}
+
+/** A free variable of the forall with its PE-side slot. */
+struct FreeVar {
+    NodeId node;             ///< Pattern placeholder or constant.
+    bool bit;                ///< Takes only 0 and 1.
+    std::uint64_t *pe_slot;  ///< PE input port or const register.
+};
+
 } // namespace
 
-RewriteRuleSynthesizer::RewriteRuleSynthesizer(const PeSpec &spec,
-                                               SynthesisOptions opt)
-    : spec_(spec), options_(opt)
+RewriteRuleSynthesizer::RewriteRuleSynthesizer(const PeSpec &spec)
+    : spec_(spec)
 {
 }
 
@@ -280,7 +356,7 @@ RewriteRuleSynthesizer::synthesize(const Graph &pattern) const
     else
         rule.config.bit_out_sel = static_cast<int>(it - outs.begin());
 
-    if (!validateRule(spec_, rule, options_))
+    if (!validateRule(spec_, rule))
         return std::nullopt;
     return rule;
 }
@@ -365,99 +441,95 @@ combineLibraries(std::vector<std::vector<RewriteRule>> libraries,
 }
 
 bool
-validateRule(const PeSpec &spec, const RewriteRule &rule,
-             const SynthesisOptions &options)
+validateRule(const PeSpec &spec, const RewriteRule &rule)
 {
-    // Free variables of the forall: placeholders and constants.
-    std::vector<NodeId> free_vars = rule.placeholders;
-    for (const auto &[const_node, reg] : rule.const_bindings)
-        free_vars.push_back(const_node);
+    pe::PeProgram pe_program;
+    if (rule.out_node >= rule.pattern.size() ||
+        !pe::PeFunctionalModel(spec).lower(rule.config, &pe_program))
+        return false;
+    const int pe_out =
+        rule.word_output ? pe_program.word_out : pe_program.bit_out;
+    const std::vector<PatternStep> pattern_program =
+        lowerPattern(rule.pattern);
 
-    auto check = [&](const std::vector<std::uint64_t> &values,
-                     int width) {
-        // Bind the pattern side: copy the pattern with const params
-        // overridden, interpret.
-        Graph bound = rule.pattern;
-        std::map<NodeId, std::uint64_t> inputs;
-        pe::PeInputs pe_in;
-        pe_in.word.assign(spec.word_inputs.size(), 0);
-        pe_in.bit.assign(spec.bit_inputs.size(), 0);
-        PeConfig cfg = rule.config;
+    // The PE reads raw port and register values; ports no
+    // placeholder binds stay 0.
+    std::vector<std::uint64_t> word_in(spec.word_inputs.size(), 0);
+    std::vector<std::uint64_t> bit_in(spec.bit_inputs.size(), 0);
+    std::vector<std::uint64_t> consts = rule.config.const_val;
 
-        for (std::size_t i = 0; i < free_vars.size(); ++i) {
-            const NodeId id = free_vars[i];
-            const std::uint64_t v = values[i];
-            if (isPlaceholderNode(rule.pattern, id)) {
-                inputs[id] = v;
-                // Locate this placeholder's rule input port.
-                for (std::size_t k = 0; k < rule.placeholders.size();
-                     ++k) {
-                    if (rule.placeholders[k] != id)
-                        continue;
-                    if (rule.pattern.op(id) == Op::kInputBit)
-                        pe_in.bit[rule.input_ports[k]] = v & 1;
-                    else
-                        pe_in.word[rule.input_ports[k]] = v;
-                }
-            } else {
-                bound.node(id).param = v;
-                for (const auto &[cnode, reg] : rule.const_bindings)
-                    if (cnode == id)
-                        cfg.const_val[reg] = v;
-            }
+    // Free variables of the forall: placeholders in ascending order,
+    // then the constants, each bound to its slots once.
+    std::vector<FreeVar> vars;
+    for (std::size_t k = 0; k < rule.placeholders.size(); ++k) {
+        const NodeId id = rule.placeholders[k];
+        const bool bit = rule.pattern.op(id) == Op::kInputBit;
+        auto &ports = bit ? bit_in : word_in;
+        const int port = rule.input_ports[k];
+        if (port < 0 || port >= static_cast<int>(ports.size()))
+            return false;
+        vars.push_back({id, bit, &ports[port]});
+    }
+    for (const auto &[const_node, reg] : rule.const_bindings) {
+        if (reg < 0 || reg >= static_cast<int>(consts.size()))
+            return false;
+        vars.push_back({const_node,
+                        ir::opResultType(rule.pattern.op(const_node)) ==
+                            ir::ValueType::kBit,
+                        &consts[reg]});
+    }
+    const int nvars = static_cast<int>(vars.size());
+
+    // Pattern-side raw values: const params (overwritten when bound)
+    // and placeholder values, masked by each phase's width.
+    std::vector<std::uint64_t> raw(rule.pattern.size(), 0);
+    for (NodeId id = 0; id < rule.pattern.size(); ++id)
+        if (isConstNode(rule.pattern, id))
+            raw[id] = rule.pattern.node(id).param;
+    std::vector<std::uint64_t> want(rule.pattern.size() + 1);
+    std::vector<std::uint64_t> got(pe_program.slots());
+    std::vector<std::uint64_t> values(nvars, 0);
+
+    auto check = [&](int width) {
+        // Bit variables only take 0 and 1, so the raw value is also
+        // the one a bit port or register receives.
+        for (int i = 0; i < nvars; ++i) {
+            raw[vars[i].node] = values[i];
+            *vars[i].pe_slot = values[i];
         }
-
-        const ir::Interpreter interp(width);
-        const auto pattern_vals = interp.evalAll(bound, inputs);
-        const std::uint64_t want = pattern_vals[rule.out_node];
-
-        const pe::PeFunctionalModel model(spec, width);
-        pe::PeOutputs out;
-        if (!model.evaluate(cfg, pe_in, &out))
-            return false;
-        const std::uint64_t got = rule.word_output ? out.word
-                                                   : out.bit;
-        return got == want;
+        runPattern(pattern_program, raw.data(), width, want.data());
+        pe_program.run(word_in.data(), bit_in.data(), consts.data(),
+                       width, got.data());
+        return (pe_out >= 0 ? got[pe_out] : 0) == want[rule.out_node];
     };
 
-    const int nvars = static_cast<int>(free_vars.size());
-    auto width_of = [&](NodeId id) {
-        return ir::opResultType(rule.pattern.op(id)) ==
-                       ir::ValueType::kBit
-                   ? 1
-                   : 0; // 0 = word (width set per phase)
-    };
-
-    // Phase 1: exhaustive at reduced width when tractable.
-    if (nvars <= options.exhaustive_max_inputs) {
-        const int w = options.exhaustive_width;
-        std::vector<std::uint64_t> values(nvars, 0);
-        std::function<bool(int)> sweep = [&](int i) -> bool {
-            if (i == nvars)
-                return check(values, w);
-            const std::uint64_t limit =
-                width_of(free_vars[i]) == 1 ? 2 : (1u << w);
-            for (std::uint64_t v = 0; v < limit; ++v) {
-                values[i] = v;
-                if (!sweep(i + 1))
-                    return false;
+    // Phase 1: exhaustive at reduced width when tractable, as an
+    // odometer whose last variable turns fastest.
+    if (nvars <= kExhaustiveMaxInputs) {
+        for (;;) {
+            if (!check(kExhaustiveWidth))
+                return false;
+            int i = nvars - 1;
+            for (; i >= 0; --i) {
+                const std::uint64_t limit =
+                    vars[i].bit ? 2 : 1u << kExhaustiveWidth;
+                if (++values[i] < limit)
+                    break;
+                values[i] = 0;
             }
-            return true;
-        };
-        if (!sweep(0))
-            return false;
+            if (i < 0)
+                break;
+        }
     }
 
-    // Phase 2: randomized checking at full width.
-    std::mt19937 rng(options.seed);
+    // Phase 2: randomized checking at full width, one draw per free
+    // variable per trial.
+    std::mt19937 rng(kRandomSeed);
     std::uniform_int_distribution<std::uint32_t> dist(0, 0xFFFF);
-    for (int t = 0; t < options.random_checks; ++t) {
-        std::vector<std::uint64_t> values(nvars);
-        for (int i = 0; i < nvars; ++i) {
-            values[i] = width_of(free_vars[i]) == 1 ? (dist(rng) & 1)
-                                                    : dist(rng);
-        }
-        if (!check(values, ir::kWordWidth))
+    for (int t = 0; t < kRandomChecks; ++t) {
+        for (int i = 0; i < nvars; ++i)
+            values[i] = vars[i].bit ? (dist(rng) & 1) : dist(rng);
+        if (!check(ir::kWordWidth))
             return false;
     }
     return true;

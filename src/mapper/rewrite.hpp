@@ -26,7 +26,9 @@
  * datapath — the config space of these PEs is exactly their routing
  * and opcode space), and the forall is validated by exhaustive
  * equivalence at reduced bit-width plus randomized checking at full
- * width (see DESIGN.md for the soundness discussion).
+ * width, both run on the pattern and the configured PE lowered once
+ * to straight-line programs (see DESIGN.md for the soundness
+ * discussion).
  */
 
 namespace apex::mapper {
@@ -53,22 +55,10 @@ struct RewriteRule {
     int pe_type = 0;
 };
 
-/** Synthesis parameters. */
-struct SynthesisOptions {
-    /** Random vectors checked at full width. */
-    int random_checks = 128;
-    /** Width of the reduced-width exhaustive sweep (skipped when the
-     * pattern has more than exhaustive_max_inputs free inputs). */
-    int exhaustive_width = 3;
-    int exhaustive_max_inputs = 3;
-    unsigned seed = 0xA9EC;
-};
-
 /** Synthesizes rewrite rules for one PE specification. */
 class RewriteRuleSynthesizer {
   public:
-    explicit RewriteRuleSynthesizer(const pe::PeSpec &spec,
-                                    SynthesisOptions options = {});
+    explicit RewriteRuleSynthesizer(const pe::PeSpec &spec);
 
     /**
      * Try to synthesize a rule executing @p pattern on the PE.
@@ -97,16 +87,18 @@ class RewriteRuleSynthesizer {
 
   private:
     const pe::PeSpec &spec_;
-    SynthesisOptions options_;
 };
 
 /**
  * Check functional equivalence of @p rule against its pattern on the
- * PE @p spec (exhaustive reduced-width + randomized full-width).
- * Exposed for tests.
+ * PE @p spec: every assignment of the free inputs and constants at
+ * 3 bits when there are at most three of them, then 128 seeded random
+ * assignments at 16 bits.  The pattern and the configured PE are each
+ * lowered once to straight-line code, which every assignment runs; a
+ * configuration that does not lower (pe::PeFunctionalModel::lower)
+ * fails.  Exposed for tests.
  */
-bool validateRule(const pe::PeSpec &spec, const RewriteRule &rule,
-                  const SynthesisOptions &options = {});
+bool validateRule(const pe::PeSpec &spec, const RewriteRule &rule);
 
 /**
  * Merge several per-PE-type rule libraries into one instruction-

@@ -1,6 +1,6 @@
 #include "pe/functional.hpp"
 
-#include <functional>
+#include <algorithm>
 
 #include "ir/op.hpp"
 
@@ -23,102 +23,151 @@ PeFunctionalModel::PeFunctionalModel(const PeSpec &spec, int width)
 
 namespace {
 
-/** DFS visit state. */
-enum class Visit : std::uint8_t { kWhite, kGray, kBlack };
+/** Depth-first lowering of the nodes a configuration activates. */
+struct Lowering {
+    static constexpr int kNew = -2;    ///< Not visited yet.
+    static constexpr int kOnPath = -1; ///< On the DFS path (gray).
+
+    const PeSpec &spec;
+    const PeConfig &config;
+    const std::vector<int> &input_index;
+    const std::vector<int> &const_index;
+    PeProgram &program;
+    std::vector<int> slot_of; ///< Per node: kNew, kOnPath or its slot.
+
+    /** @return the slot holding node @p id's value, or -1 when it
+     * closes a cycle or its configuration is invalid. */
+    int
+    visit(int id)
+    {
+        if (slot_of[id] != kNew)
+            return slot_of[id]; // a slot, or kOnPath: a cycle
+        slot_of[id] = kOnPath;
+
+        const merging::DpNode &nd = spec.dp.nodes[id];
+        PeProgram::Step step;
+        switch (nd.kind) {
+          case DpNodeKind::kInput: {
+            const int idx = input_index[id];
+            if (idx < 0)
+                return -1;
+            const bool bit = nd.type == ir::ValueType::kBit;
+            step.source = bit ? PeProgram::Source::kBitInput
+                              : PeProgram::Source::kWordInput;
+            step.index = idx;
+            int &ports = bit ? program.bit_ports : program.word_ports;
+            ports = std::max(ports, idx + 1);
+            break;
+          }
+          case DpNodeKind::kConst: {
+            const int idx = const_index[id];
+            if (idx < 0 ||
+                idx >= static_cast<int>(config.const_val.size())) {
+                return -1;
+            }
+            step.source = PeProgram::Source::kConst;
+            step.index = idx;
+            break;
+          }
+          case DpNodeKind::kBlock: {
+            if (id >= static_cast<int>(config.block_op.size()))
+                return -1;
+            const ir::Op op = config.block_op[id];
+            if (op >= ir::Op::kNumOps || !nd.ops.count(op))
+                return -1;
+            step.op = op;
+            for (int p = 0; p < ir::opArity(op); ++p) {
+                int src;
+                const int mux = spec.muxIndexOf(id, p);
+                if (mux >= 0) {
+                    if (mux >= static_cast<int>(config.mux_sel.size()))
+                        return -1;
+                    const int sel = config.mux_sel[mux];
+                    const auto &sources = spec.muxes[mux].sources;
+                    if (sel < 0 ||
+                        sel >= static_cast<int>(sources.size())) {
+                        return -1;
+                    }
+                    src = sources[sel];
+                } else {
+                    const auto sources = spec.dp.sourcesOf(id, p);
+                    if (sources.empty())
+                        return -1;
+                    src = sources[0];
+                }
+                const int operand = visit(src);
+                if (operand < 0)
+                    return -1;
+                step.operand[p] = operand;
+            }
+            const auto lut = std::find(spec.lut_blocks.begin(),
+                                       spec.lut_blocks.end(), id);
+            const auto l =
+                static_cast<std::size_t>(lut - spec.lut_blocks.begin());
+            if (lut != spec.lut_blocks.end() &&
+                l < config.lut_table.size()) {
+                step.lut = config.lut_table[l];
+            }
+            break;
+          }
+        }
+        program.steps.push_back(step);
+        slot_of[id] = static_cast<int>(program.steps.size());
+        return slot_of[id];
+    }
+
+    /** Lower the cone of output @p sel among @p outputs into @p *slot
+     * (left -1 when the PE has no such output). */
+    bool
+    output(const std::vector<int> &outputs, int sel, int *slot)
+    {
+        if (outputs.empty())
+            return true;
+        if (sel < 0 || sel >= static_cast<int>(outputs.size()))
+            return false;
+        *slot = visit(outputs[sel]);
+        return *slot >= 0;
+    }
+};
 
 } // namespace
 
 bool
-PeFunctionalModel::evaluateNode(const PeConfig &config,
-                                const PeInputs &inputs, int node,
-                                std::uint64_t *value) const
+PeFunctionalModel::lower(const PeConfig &config,
+                         PeProgram *program) const
 {
-    const auto &dp = spec_.dp;
-    const int n = static_cast<int>(dp.nodes.size());
-    if (node < 0 || node >= n)
-        return false;
+    *program = PeProgram{};
+    Lowering lowering{spec_, config, input_index_, const_index_,
+                      *program,
+                      std::vector<int>(spec_.dp.nodes.size(),
+                                       Lowering::kNew)};
+    return lowering.output(spec_.word_outputs, config.word_out_sel,
+                           &program->word_out) &&
+           lowering.output(spec_.bit_outputs, config.bit_out_sel,
+                           &program->bit_out);
+}
 
-    std::vector<std::uint64_t> val(n, 0);
-    std::vector<Visit> state(n, Visit::kWhite);
-
-    // LUT table lookup per node.
-    auto lut_of = [&](int id) -> std::uint64_t {
-        for (std::size_t i = 0; i < spec_.lut_blocks.size(); ++i)
-            if (spec_.lut_blocks[i] == id)
-                return i < config.lut_table.size()
-                           ? config.lut_table[i]
-                           : 0;
-        return 0;
-    };
-
-    std::function<bool(int)> eval = [&](int id) -> bool {
-        if (state[id] == Visit::kBlack)
-            return true;
-        if (state[id] == Visit::kGray)
-            return false; // combinational cycle under this config
-        state[id] = Visit::kGray;
-
-        const merging::DpNode &nd = dp.nodes[id];
-        switch (nd.kind) {
-          case DpNodeKind::kInput: {
-            const int idx = input_index_[id];
-            const auto &vec = nd.type == ir::ValueType::kBit
-                                  ? inputs.bit
-                                  : inputs.word;
-            if (idx < 0 || idx >= static_cast<int>(vec.size()))
-                return false;
-            val[id] = vec[idx];
+void
+PeProgram::run(const std::uint64_t *word, const std::uint64_t *bit,
+               const std::uint64_t *consts, int width,
+               std::uint64_t *values) const
+{
+    values[0] = 0;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        const Step &s = steps[i];
+        std::uint64_t v;
+        switch (s.source) {
+          case Source::kWordInput: v = word[s.index]; break;
+          case Source::kBitInput: v = bit[s.index]; break;
+          case Source::kConst: v = consts[s.index]; break;
+          default:
+            v = ir::evalOp(s.op, values[s.operand[0]],
+                           values[s.operand[1]], values[s.operand[2]],
+                           s.lut, width);
             break;
-          }
-          case DpNodeKind::kConst: {
-            const int idx = const_index_[id];
-            if (idx < 0 ||
-                idx >= static_cast<int>(config.const_val.size())) {
-                return false;
-            }
-            val[id] = config.const_val[idx];
-            break;
-          }
-          case DpNodeKind::kBlock: {
-            const ir::Op op = config.block_op[id];
-            if (op >= ir::Op::kNumOps || !nd.ops.count(op))
-                return false;
-            const int arity = ir::opArity(op);
-            std::uint64_t operand[3] = {0, 0, 0};
-            for (int p = 0; p < arity; ++p) {
-                int src;
-                const int mux = spec_.muxIndexOf(id, p);
-                if (mux >= 0) {
-                    const int sel = config.mux_sel[mux];
-                    const auto &sources = spec_.muxes[mux].sources;
-                    if (sel < 0 ||
-                        sel >= static_cast<int>(sources.size())) {
-                        return false;
-                    }
-                    src = sources[sel];
-                } else {
-                    const auto sources = dp.sourcesOf(id, p);
-                    if (sources.empty())
-                        return false;
-                    src = sources[0];
-                }
-                if (!eval(src))
-                    return false;
-                operand[p] = val[src];
-            }
-            val[id] = ir::evalOp(op, operand[0], operand[1],
-                                 operand[2], lut_of(id), width_);
-            break;
-          }
         }
-        state[id] = Visit::kBlack;
-        return true;
-    };
-
-    if (!eval(node))
-        return false;
-    *value = val[node];
-    return true;
+        values[i + 1] = v;
+    }
 }
 
 bool
@@ -127,28 +176,21 @@ PeFunctionalModel::evaluate(const PeConfig &config,
                             PeOutputs *out) const
 {
     *out = PeOutputs{};
-    if (!spec_.word_outputs.empty()) {
-        const int sel = config.word_out_sel;
-        if (sel < 0 ||
-            sel >= static_cast<int>(spec_.word_outputs.size())) {
-            return false;
-        }
-        if (!evaluateNode(config, inputs, spec_.word_outputs[sel],
-                          &out->word)) {
-            return false;
-        }
+    PeProgram program;
+    if (!lower(config, &program) ||
+        program.word_ports > static_cast<int>(inputs.word.size()) ||
+        program.bit_ports > static_cast<int>(inputs.bit.size())) {
+        return false;
+    }
+    std::vector<std::uint64_t> values(program.slots());
+    program.run(inputs.word.data(), inputs.bit.data(),
+                config.const_val.data(), width_, values.data());
+    if (program.word_out >= 0) {
+        out->word = values[program.word_out];
         out->has_word = true;
     }
-    if (!spec_.bit_outputs.empty()) {
-        const int sel = config.bit_out_sel;
-        if (sel < 0 ||
-            sel >= static_cast<int>(spec_.bit_outputs.size())) {
-            return false;
-        }
-        if (!evaluateNode(config, inputs, spec_.bit_outputs[sel],
-                          &out->bit)) {
-            return false;
-        }
+    if (program.bit_out >= 0) {
+        out->bit = values[program.bit_out];
         out->has_bit = true;
     }
     return true;

@@ -2,24 +2,31 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "apps/apps.hpp"
 #include "core/bitset.hpp"
 #include "core/deadline.hpp"
+#include "core/explorer.hpp"
 #include "ir/builder.hpp"
+#include "mapper/rewrite.hpp"
 #include "merging/clique.hpp"
 #include "mining/isomorphism.hpp"
 #include "mining/miner.hpp"
 #include "mining/mis.hpp"
 #include "oracles/oracles.hpp"
+#include "pe/baseline.hpp"
+#include "pe/functional.hpp"
 
 /*
- * Differential suite for the bitset combinatorial kernels: every
- * optimized kernel must return byte-identical results to its retained
- * reference implementation — order included, truncation paths
- * included.  Seeds are fixed, so a mismatch is a determinism-contract
- * break, not flakiness.
+ * Differential suite for the bitset combinatorial kernels and the
+ * lowered rewrite-rule validator: every optimized kernel must return
+ * byte-identical results to its retained reference implementation —
+ * order included, truncation paths included.  Seeds are fixed, so a
+ * mismatch is a determinism-contract break, not flakiness.
  */
 namespace {
 
@@ -491,6 +498,297 @@ TEST(IsomorphismDifferentialTest, NoMatchingLabelReturnsEmpty) {
     const Graph pattern = bp.take();
     EXPECT_TRUE(findEmbeddings(pattern, target).empty());
     EXPECT_TRUE(findEmbeddingsReference(pattern, target).empty());
+}
+
+// ---------------------------------------------------------------------
+// Rewrite-rule validation: the lowered validator and the lowered
+// PeFunctionalModel::evaluate against the historic per-assignment loop
+// and recursive PE walk, on every rule of the sweep's libraries, on
+// seeded config mutants of each, and on hand-built invalid configs.
+
+using apex::mapper::RewriteRule;
+using apex::mapper::RewriteRuleSynthesizer;
+using apex::mapper::validateRule;
+using apex::mapper::validateRuleReference;
+using apex::pe::PeConfig;
+using apex::pe::PeSpec;
+
+struct RuleLibrary {
+    std::string name;
+    PeSpec spec;
+    std::vector<RewriteRule> rules;
+};
+
+/** The sweep's libraries for all nine apps: PE Base once, then PE 1
+ * and PE k (k = max_merged_subgraphs) per app. */
+const std::vector<RuleLibrary> &
+sweepLibraries()
+{
+    static const std::vector<RuleLibrary> libraries = [] {
+        std::vector<RuleLibrary> out;
+        const apex::core::Explorer explorer;
+        const auto add = [&](const apex::core::PeVariant &v) {
+            RuleLibrary lib{v.name, v.spec, {}};
+            lib.rules = RewriteRuleSynthesizer(lib.spec)
+                            .synthesizeLibrary(v.patterns);
+            out.push_back(std::move(lib));
+        };
+        add(explorer.baselineVariant());
+        for (const auto &app : apex::apps::allApps()) {
+            add(explorer.subsetVariant(app));
+            auto spec = explorer.specializedVariant(
+                app, explorer.options().max_merged_subgraphs);
+            EXPECT_TRUE(spec.ok()) << app.name;
+            if (spec.ok())
+                add(spec.value());
+        }
+        return out;
+    }();
+    return libraries;
+}
+
+/** Change one field of @p rule's config, port or const binding,
+ * choosing the field from @p kind onwards (the first that applies). */
+void
+mutate(const PeSpec &spec, RewriteRule *rule, int kind, Lcg *rng)
+{
+    PeConfig &cfg = rule->config;
+    const auto pick = [&](std::size_t n) {
+        return static_cast<int>(rng->next() % n);
+    };
+    for (int k = 0; k < 5; ++k) {
+        switch ((kind + k) % 5) {
+          case 0: { // a mux select, one past either end included
+            if (spec.muxes.empty())
+                break;
+            const int m = pick(spec.muxes.size());
+            cfg.mux_sel[m] = pick(spec.muxes[m].sources.size() + 2) - 1;
+            return;
+          }
+          case 1: { // a block op, or kNumOps ("unused")
+            const auto blocks = spec.dp.blockIds();
+            const int b = blocks[pick(blocks.size())];
+            const auto &ops = spec.dp.nodes[b].ops;
+            const int i = pick(ops.size() + 1);
+            cfg.block_op[b] = i == static_cast<int>(ops.size())
+                                  ? apex::ir::Op::kNumOps
+                                  : *std::next(ops.begin(), i);
+            return;
+          }
+          case 2: { // the word or the bit output select
+            const bool word = spec.bit_outputs.empty() ||
+                              (!spec.word_outputs.empty() &&
+                               rng->next() % 2 == 0);
+            const auto &outs =
+                word ? spec.word_outputs : spec.bit_outputs;
+            (word ? cfg.word_out_sel : cfg.bit_out_sel) =
+                pick(outs.size() + 1);
+            return;
+          }
+          case 3: { // swap two input ports, or move one
+            auto &ports = rule->input_ports;
+            if (ports.empty())
+                break;
+            const int a = pick(ports.size());
+            const bool bit = rule->pattern.op(rule->placeholders[a]) ==
+                             apex::ir::Op::kInputBit;
+            std::vector<int> same;
+            for (std::size_t k2 = 0; k2 < ports.size(); ++k2)
+                if (static_cast<int>(k2) != a &&
+                    (rule->pattern.op(rule->placeholders[k2]) ==
+                     apex::ir::Op::kInputBit) == bit)
+                    same.push_back(static_cast<int>(k2));
+            if (!same.empty()) {
+                std::swap(ports[a], ports[same[pick(same.size())]]);
+            } else {
+                ports[a] = pick(bit ? spec.bit_inputs.size()
+                                    : spec.word_inputs.size());
+            }
+            return;
+          }
+          default: { // swap two const bindings, or move one
+            auto &bindings = rule->const_bindings;
+            if (bindings.empty())
+                break;
+            const int a = pick(bindings.size());
+            if (bindings.size() > 1) {
+                std::swap(bindings[a].second,
+                          bindings[(a + 1 + pick(bindings.size() - 1)) %
+                                   bindings.size()]
+                              .second);
+            } else {
+                bindings[a].second = pick(spec.const_regs.size());
+            }
+            return;
+          }
+        }
+    }
+}
+
+/** Both evaluators agree on @p cfg: verdict and every output. */
+void
+expectSameEvaluation(const PeSpec &spec, const PeConfig &cfg, Lcg *rng)
+{
+    apex::pe::PeInputs in;
+    for (std::size_t i = 0; i < spec.word_inputs.size(); ++i)
+        in.word.push_back(rng->next());
+    for (std::size_t i = 0; i < spec.bit_inputs.size(); ++i)
+        in.bit.push_back(rng->next() & 1);
+    for (int width : {3, apex::ir::kWordWidth}) {
+        apex::pe::PeOutputs got, ref;
+        const bool ok = apex::pe::PeFunctionalModel(spec, width)
+                            .evaluate(cfg, in, &got);
+        ASSERT_EQ(ok, apex::pe::evaluateReference(spec, width, cfg, in,
+                                                  &ref));
+        if (!ok)
+            continue;
+        EXPECT_EQ(got.has_word, ref.has_word);
+        EXPECT_EQ(got.has_bit, ref.has_bit);
+        EXPECT_EQ(got.word, ref.word);
+        EXPECT_EQ(got.bit, ref.bit);
+    }
+}
+
+TEST(RewriteDifferentialTest, EveryLibraryRuleMatchesReference) {
+    std::size_t rules = 0;
+    for (const RuleLibrary &lib : sweepLibraries()) {
+        ASSERT_FALSE(lib.rules.empty()) << lib.name;
+        for (std::size_t r = 0; r < lib.rules.size(); ++r) {
+            SCOPED_TRACE(lib.name + " rule " + std::to_string(r));
+            EXPECT_TRUE(validateRule(lib.spec, lib.rules[r]));
+            EXPECT_TRUE(validateRuleReference(lib.spec, lib.rules[r]));
+            ++rules;
+        }
+    }
+    EXPECT_EQ(sweepLibraries().size(), 19u);
+    EXPECT_GT(rules, 1000u);
+}
+
+TEST(RewriteDifferentialTest, SeededConfigMutantsMatchReference) {
+    constexpr int kMutantsPerRule = 5;
+    Lcg rng(2024);
+    std::size_t accepted = 0, rejected = 0;
+    for (const RuleLibrary &lib : sweepLibraries()) {
+        for (std::size_t r = 0; r < lib.rules.size(); ++r) {
+            for (int m = 0; m < kMutantsPerRule; ++m) {
+                SCOPED_TRACE(lib.name + " rule " + std::to_string(r) +
+                             " mutant " + std::to_string(m));
+                RewriteRule mutant = lib.rules[r];
+                mutate(lib.spec, &mutant, static_cast<int>(r) + m,
+                       &rng);
+                const bool got = validateRule(lib.spec, mutant);
+                ASSERT_EQ(got, validateRuleReference(lib.spec, mutant));
+                ++(got ? accepted : rejected);
+                expectSameEvaluation(lib.spec, mutant.config, &rng);
+            }
+        }
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+/** Datapath node ids of unusedConeLoopSpec(). */
+enum LoopSpecNode { kIn0, kIn1, kD, kA, kB, kC };
+
+/**
+ * in0, in1 -> D = add (word output; the only block an add pattern
+ * embeds into), and a loop kept apart from it: A and B are adds whose
+ * port 0 muxes between in0 and the other block, and C = ult(B, in1) is
+ * the bit output.  With A.0 = B and B.0 = A only the bit cone loops.
+ */
+PeSpec
+unusedConeLoopSpec()
+{
+    using apex::merging::DpNode;
+    using apex::merging::DpNodeKind;
+    using apex::ir::Op;
+    apex::merging::Datapath dp;
+    const auto node = [&](DpNodeKind kind, std::set<Op> ops,
+                          bool bit, bool output) {
+        DpNode n;
+        n.kind = kind;
+        n.ops = std::move(ops);
+        n.type = bit ? apex::ir::ValueType::kBit
+                     : apex::ir::ValueType::kWord;
+        n.is_output = output;
+        dp.nodes.push_back(std::move(n));
+    };
+    node(DpNodeKind::kInput, {}, false, false);         // kIn0
+    node(DpNodeKind::kInput, {}, false, false);         // kIn1
+    node(DpNodeKind::kBlock, {Op::kAdd}, false, true);  // kD
+    node(DpNodeKind::kBlock, {Op::kAdd}, false, false); // kA
+    node(DpNodeKind::kBlock, {Op::kAdd}, false, false); // kB
+    node(DpNodeKind::kBlock, {Op::kUlt}, true, true);   // kC
+    dp.nodes[kC].cls = apex::model::HwBlockClass::kCompare;
+    dp.edges = {{kIn0, kD, 0}, {kIn1, kD, 1}, {kIn0, kA, 0},
+                {kB, kA, 0},   {kIn1, kA, 1}, {kIn0, kB, 0},
+                {kA, kB, 0},   {kIn1, kB, 1}, {kB, kC, 0},
+                {kIn1, kC, 1}};
+    return apex::pe::makePeSpec(std::move(dp), "pe_unused_loop");
+}
+
+/** Set the mux at (node, 0) of @p spec to the source @p src. */
+void
+selectSource(const PeSpec &spec, PeConfig *cfg, int node, int src)
+{
+    const int mux = spec.muxIndexOf(node, 0);
+    ASSERT_GE(mux, 0);
+    const auto &sources = spec.muxes[mux].sources;
+    cfg->mux_sel[mux] = static_cast<int>(
+        std::find(sources.begin(), sources.end(), src) -
+        sources.begin());
+}
+
+TEST(RewriteDifferentialTest, CombinationalCycleIsRejected) {
+    const PeSpec spec = unusedConeLoopSpec();
+    GraphBuilder b;
+    b.add(b.input(), b.input());
+    auto rule = RewriteRuleSynthesizer(spec).synthesize(b.take());
+    ASSERT_TRUE(rule.has_value());
+    ASSERT_EQ(rule->node_to_dp.back(), kD);
+    EXPECT_TRUE(validateRule(spec, *rule));
+    EXPECT_TRUE(validateRuleReference(spec, *rule));
+
+    // Loop A <-> B: the rule reads the word output D, but evaluating
+    // the PE also needs the bit output C, which sits on the loop.
+    selectSource(spec, &rule->config, kA, kB);
+    selectSource(spec, &rule->config, kB, kA);
+    EXPECT_FALSE(validateRuleReference(spec, *rule));
+    EXPECT_FALSE(validateRule(spec, *rule));
+    apex::pe::PeOutputs out;
+    EXPECT_FALSE(apex::pe::PeFunctionalModel(spec).evaluate(
+        rule->config, {{1, 2}, {}}, &out));
+
+    // Breaking the loop at A makes the rule valid again.
+    selectSource(spec, &rule->config, kA, kIn0);
+    EXPECT_TRUE(validateRuleReference(spec, *rule));
+    EXPECT_TRUE(validateRule(spec, *rule));
+}
+
+TEST(RewriteDifferentialTest, UnusedOutputSelectOutOfRangeIsRejected) {
+    const PeSpec spec = apex::pe::baselinePe();
+    ASSERT_FALSE(spec.word_outputs.empty());
+    ASSERT_FALSE(spec.bit_outputs.empty());
+    const RewriteRuleSynthesizer synth(spec);
+
+    GraphBuilder bw;
+    bw.add(bw.input(), bw.input());
+    auto word_rule = synth.synthesize(bw.take());
+    ASSERT_TRUE(word_rule.has_value());
+    ASSERT_TRUE(word_rule->word_output);
+    word_rule->config.bit_out_sel =
+        static_cast<int>(spec.bit_outputs.size());
+    EXPECT_FALSE(validateRuleReference(spec, *word_rule));
+    EXPECT_FALSE(validateRule(spec, *word_rule));
+
+    GraphBuilder bb;
+    bb.slt(bb.input(), bb.input());
+    auto bit_rule = synth.synthesize(bb.take());
+    ASSERT_TRUE(bit_rule.has_value());
+    ASSERT_FALSE(bit_rule->word_output);
+    bit_rule->config.word_out_sel = -1;
+    EXPECT_FALSE(validateRuleReference(spec, *bit_rule));
+    EXPECT_FALSE(validateRule(spec, *bit_rule));
 }
 
 } // namespace

@@ -7,15 +7,18 @@
 
 #include "core/deadline.hpp"
 #include "ir/graph.hpp"
+#include "mapper/rewrite.hpp"
 #include "merging/clique.hpp"
 #include "mining/isomorphism.hpp"
 #include "mining/miner.hpp"
 #include "mining/mis.hpp"
+#include "pe/functional.hpp"
 
 /**
  * @file
  * Reference oracles: the historic miner, isomorphism matcher, MIS
- * solver and clique solver, kept verbatim.  Each must return
+ * solver, clique solver, PE evaluator and rewrite-rule validator,
+ * kept verbatim.  Each must return
  * byte-identical results to its production counterpart in src/ —
  * order and budget/deadline/limit truncation included.  Only the
  * differential tests and bench_micro_algorithms link them.
@@ -69,5 +72,24 @@ maxWeightCliqueReference(const CliqueProblem &problem,
                          CliqueBound bound = CliqueBound::kColoring);
 
 } // namespace apex::merging
+
+namespace apex::pe {
+
+/** Demand-driven recursive walk from each selected output, fresh per
+ * call.  Matches PeFunctionalModel(spec, width).evaluate(). */
+bool evaluateReference(const PeSpec &spec, int width,
+                       const PeConfig &config, const PeInputs &inputs,
+                       PeOutputs *out);
+
+} // namespace apex::pe
+
+namespace apex::mapper {
+
+/** Per-assignment pattern copy, std::map binding, ir::Interpreter and
+ * evaluateReference.  Matches validateRule(). */
+bool validateRuleReference(const pe::PeSpec &spec,
+                           const RewriteRule &rule);
+
+} // namespace apex::mapper
 
 #endif // APEX_TESTS_ORACLES_H_

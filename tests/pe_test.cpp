@@ -134,6 +134,54 @@ TEST(PeFunctionalTest, ReducedWidthMasksValues) {
     EXPECT_EQ(out.word, 35u & 0xF);
 }
 
+TEST(PeFunctionalTest, CyclicConfigurationIsRejected) {
+    // Two adders, each taking port 0 from a data input or from the
+    // other adder: a mux site on each, and a loop when both select
+    // the other block.
+    merging::Datapath dp;
+    const auto node = [&](merging::DpNodeKind kind) {
+        merging::DpNode n;
+        n.kind = kind;
+        if (kind == merging::DpNodeKind::kBlock) {
+            n.ops = {Op::kAdd};
+            n.is_output = true;
+        }
+        dp.nodes.push_back(std::move(n));
+        return static_cast<int>(dp.nodes.size()) - 1;
+    };
+    const int in0 = node(merging::DpNodeKind::kInput);
+    const int in1 = node(merging::DpNodeKind::kInput);
+    const int a = node(merging::DpNodeKind::kBlock);
+    const int b = node(merging::DpNodeKind::kBlock);
+    dp.edges = {{in0, a, 0}, {b, a, 0}, {in1, a, 1},
+                {in0, b, 0}, {a, b, 0}, {in1, b, 1}};
+    const PeSpec spec = makePeSpec(std::move(dp), "pe_loop");
+    ASSERT_EQ(spec.muxes.size(), 2u);
+    const int mux_a = spec.muxIndexOf(a, 0);
+    const int mux_b = spec.muxIndexOf(b, 0);
+    ASSERT_GE(mux_a, 0);
+    ASSERT_GE(mux_b, 0);
+    // Sources are sorted: index 0 is in0, index 1 the other adder.
+    PeConfig cfg = defaultConfig(spec);
+    cfg.word_out_sel = 1; // b
+    PeFunctionalModel model(spec);
+    PeInputs in;
+    in.word = {5, 7};
+    PeOutputs out;
+
+    cfg.mux_sel[mux_a] = 1;
+    cfg.mux_sel[mux_b] = 1;
+    EXPECT_FALSE(model.evaluate(cfg, in, &out)) << "a <-> b loop";
+    PeProgram program;
+    EXPECT_FALSE(model.lower(cfg, &program));
+
+    cfg.mux_sel[mux_a] = 0; // a = in0 + in1, b = a + in1
+    ASSERT_TRUE(model.evaluate(cfg, in, &out));
+    EXPECT_EQ(out.word, 5u + 7u + 7u);
+    ASSERT_TRUE(model.lower(cfg, &program));
+    EXPECT_EQ(program.steps.size(), 4u) << "in0, in1, a, b";
+}
+
 TEST(BaselineTest, SubsetDropsUnusedHardware) {
     const auto &tech = model::defaultTech();
     const PeSpec full = baselinePe();
