@@ -33,8 +33,11 @@ main()
     ir::GraphBuilder b;
     std::vector<ir::Value> ins, ws;
     for (int i = 0; i < 4; ++i) {
-        ins.push_back(b.input("i" + std::to_string(i)));
-        ws.push_back(b.constant(2 * i + 1, "w" + std::to_string(i)));
+        // A named suffix: `"i" + std::to_string(i)` trips GCC 12's -O3
+        // -Wrestrict false positive.
+        const std::string id = std::to_string(i);
+        ins.push_back(b.input("i" + id));
+        ws.push_back(b.constant(2 * i + 1, "w" + id));
     }
     ir::Value acc = b.mul(ins[0], ws[0]);
     for (int i = 1; i < 4; ++i)

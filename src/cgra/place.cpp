@@ -13,6 +13,15 @@ namespace apex::cgra {
 using mapper::MappedGraph;
 using mapper::MappedKind;
 
+namespace {
+
+/** Annealing schedule: starting temperature, and its decay after
+ * every pass of one move per placeable node. */
+constexpr double kInitialTemperature = 8.0;
+constexpr double kCooling = 0.95;
+
+} // namespace
+
 bool
 isPlaceable(MappedKind kind)
 {
@@ -193,12 +202,12 @@ placeHetero(const Fabric &fabric, const MappedGraph &mapped,
     for (int c = 0; c < num_classes; ++c)
         placeable_total += static_cast<int>(nodes_of_class[c].size());
     const int total_moves = placeable_total * options.moves_per_node;
-    double temperature = options.initial_temperature;
+    double temperature = kInitialTemperature;
     std::uniform_real_distribution<double> uniform(0.0, 1.0);
 
     for (int move = 0; move < total_moves; ++move) {
         if (move > 0 && move % std::max(placeable_total, 1) == 0)
-            temperature *= options.cooling;
+            temperature *= kCooling;
 
         // Pick a random placeable node.
         int c;

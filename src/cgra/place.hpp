@@ -35,8 +35,6 @@ struct PlacedEdge {
 struct PlacerOptions {
     unsigned seed = 0xCA11;
     int moves_per_node = 150;
-    double initial_temperature = 8.0;
-    double cooling = 0.95;
 };
 
 /** Result of placement. */

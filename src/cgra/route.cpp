@@ -24,6 +24,13 @@ namespace apex::cgra {
 
 namespace {
 
+/** Rip-up-and-reroute passes before congestion is declared fatal. */
+constexpr int kMaxIterations = 32;
+/** Initial present-congestion penalty (it grows 1.8x per pass). */
+constexpr double kPresentFactor = 0.6;
+/** History penalty added per unit of overuse on a link. */
+constexpr double kHistoryIncrement = 0.4;
+
 struct QueueEntry {
     double cost;
     double heuristic;
@@ -232,8 +239,8 @@ route(const Fabric &fabric, const PlacementResult &placement,
         return path;
     };
 
-    double present_pen = options.present_factor;
-    for (int iter = 0; iter < options.max_iterations; ++iter) {
+    double present_pen = kPresentFactor;
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
         // Each rip-up pass re-routes every net, so the iteration
         // boundary is the natural (and sufficient) poll point.
         if (Status s = options.deadline.check(
@@ -276,7 +283,7 @@ route(const Fabric &fabric, const PlacementResult &placement,
             const int used = link_signals[l].count();
             if (used > options.tracks) {
                 ++overused;
-                history[l] += options.history_increment *
+                history[l] += kHistoryIncrement *
                               (used - options.tracks);
             }
         }

@@ -29,10 +29,7 @@ namespace apex::cgra {
 
 /** Router parameters. */
 struct RouterOptions {
-    int max_iterations = 32;
-    double present_factor = 0.6;   ///< Growth of the present penalty.
-    double history_increment = 0.4;
-    int tracks = 5;                ///< Capacity per directed link.
+    int tracks = 5; ///< Capacity per directed link.
     /** Wall-clock bound, polled before each rip-up iteration.  Expiry
      * returns a kTimeout RouteResult (not kRouteFailed: the fabric
      * was never proven unroutable, the router just ran out of time

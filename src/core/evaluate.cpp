@@ -1,16 +1,16 @@
 #include "core/evaluate.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <span>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
-#include "cgra/bitstream.hpp"
 #include "core/fault.hpp"
 #include "ir/signature.hpp"
 #include "ir/validate.hpp"
@@ -153,14 +153,74 @@ evalCacheKey(const apps::AppInfo &app, const PeVariant &variant,
 
 namespace {
 
+/**
+ * The apexeval record's fields in record order: the one list behind
+ * serializeEvalResult() and parseEvalResult().  @p visit is called
+ * as visit(name, field) with an int, bool or double field of @p r
+ * (an EvalResult, const for the writer).
+ */
+template <typename R, typename Visit>
 void
-appendDouble(std::ostringstream &os, const char *name, double v)
+forEachField(R &r, Visit &&visit)
 {
-    // %a round-trips IEEE doubles exactly: cache hits are
-    // bit-identical to the run that populated the cache.
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    os << name << ' ' << buf << '\n';
+    visit("pnr_attempts", r.pnr_attempts);
+    visit("degraded", r.degraded);
+    visit("pe_count", r.pe_count);
+    visit("pe_area", r.pe_area);
+    visit("pe_energy", r.pe_energy);
+    visit("fabric_width", r.fabric_width);
+    visit("fabric_height", r.fabric_height);
+    visit("sb_area", r.sb_area);
+    visit("cb_area", r.cb_area);
+    visit("mem_area", r.mem_area);
+    visit("cgra_area", r.cgra_area);
+    visit("sb_energy", r.sb_energy);
+    visit("cb_energy", r.cb_energy);
+    visit("mem_energy", r.mem_energy);
+    visit("cgra_energy", r.cgra_energy);
+    visit("util_pes", r.util.pes);
+    visit("util_mems", r.util.mems);
+    visit("util_rf_entries", r.util.rf_entries);
+    visit("util_ios", r.util.ios);
+    visit("util_regs", r.util.regs);
+    visit("util_routing_tiles", r.util.routing_tiles);
+    visit("util_sb_hops", r.util.sb_hops);
+    visit("pipeline_stages", r.pipeline_stages);
+    visit("period_ns", r.period_ns);
+    visit("latency_cycles", r.latency_cycles);
+    visit("runtime_ms", r.runtime_ms);
+    visit("perf_per_mm2", r.perf_per_mm2);
+    visit("frames_per_ms_mm2", r.frames_per_ms_mm2);
+    visit("total_energy_uj", r.total_energy_uj);
+    visit("raw_compute_energy_uj", r.raw_compute_energy_uj);
+    visit("op_events", r.op_events);
+}
+
+/** Parse all of @p token into @p out; false on any leftover byte. */
+bool
+parseWhole(const std::string &token, int *out)
+{
+    const char *end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+bool
+parseWhole(const std::string &token, bool *out)
+{
+    int v = 0;
+    if (!parseWhole(token, &v) || (v != 0 && v != 1))
+        return false;
+    *out = v != 0;
+    return true;
+}
+
+bool
+parseWhole(const std::string &token, double *out)
+{
+    char *end = nullptr;
+    *out = std::strtod(token.c_str(), &end);
+    return !token.empty() && end == token.c_str() + token.size();
 }
 
 } // namespace
@@ -170,38 +230,20 @@ serializeEvalResult(const EvalResult &r)
 {
     std::ostringstream os;
     os << "apexeval 2\n";
-    os << "pnr_attempts " << r.pnr_attempts << '\n';
-    os << "degraded " << (r.degraded ? 1 : 0) << '\n';
-    os << "pe_count " << r.pe_count << '\n';
-    appendDouble(os, "pe_area", r.pe_area);
-    appendDouble(os, "pe_energy", r.pe_energy);
-    os << "fabric_width " << r.fabric_width << '\n';
-    os << "fabric_height " << r.fabric_height << '\n';
-    appendDouble(os, "sb_area", r.sb_area);
-    appendDouble(os, "cb_area", r.cb_area);
-    appendDouble(os, "mem_area", r.mem_area);
-    appendDouble(os, "cgra_area", r.cgra_area);
-    appendDouble(os, "sb_energy", r.sb_energy);
-    appendDouble(os, "cb_energy", r.cb_energy);
-    appendDouble(os, "mem_energy", r.mem_energy);
-    appendDouble(os, "cgra_energy", r.cgra_energy);
-    os << "util_pes " << r.util.pes << '\n';
-    os << "util_mems " << r.util.mems << '\n';
-    os << "util_rf_entries " << r.util.rf_entries << '\n';
-    os << "util_ios " << r.util.ios << '\n';
-    os << "util_regs " << r.util.regs << '\n';
-    os << "util_routing_tiles " << r.util.routing_tiles << '\n';
-    os << "util_sb_hops " << r.util.sb_hops << '\n';
-    os << "pipeline_stages " << r.pipeline_stages << '\n';
-    appendDouble(os, "period_ns", r.period_ns);
-    appendDouble(os, "latency_cycles", r.latency_cycles);
-    appendDouble(os, "runtime_ms", r.runtime_ms);
-    appendDouble(os, "perf_per_mm2", r.perf_per_mm2);
-    appendDouble(os, "frames_per_ms_mm2", r.frames_per_ms_mm2);
-    appendDouble(os, "total_energy_uj", r.total_energy_uj);
-    appendDouble(os, "raw_compute_energy_uj",
-                 r.raw_compute_energy_uj);
-    appendDouble(os, "op_events", r.op_events);
+    forEachField(r, [&os](const char *name, const auto &field) {
+        os << name << ' ';
+        if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                     double>) {
+            // %a round-trips IEEE doubles exactly: cache hits are
+            // bit-identical to the run that populated the cache.
+            char buf[64];
+            std::snprintf(buf, sizeof buf, "%a", field);
+            os << buf;
+        } else {
+            os << static_cast<int>(field);
+        }
+        os << '\n';
+    });
     return os.str();
 }
 
@@ -216,66 +258,29 @@ parseEvalResult(const std::string &text)
         return Status(ErrorCode::kParseError,
                       "bad apexeval header");
 
+    // Every field, in record order, exactly once.
     EvalResult r;
-    int degraded = 0;
-    std::map<std::string, int *> ints{
-        {"pnr_attempts", &r.pnr_attempts},
-        {"degraded", &degraded},
-        {"pe_count", &r.pe_count},
-        {"fabric_width", &r.fabric_width},
-        {"fabric_height", &r.fabric_height},
-        {"util_pes", &r.util.pes},
-        {"util_mems", &r.util.mems},
-        {"util_rf_entries", &r.util.rf_entries},
-        {"util_ios", &r.util.ios},
-        {"util_regs", &r.util.regs},
-        {"util_routing_tiles", &r.util.routing_tiles},
-        {"util_sb_hops", &r.util.sb_hops},
-        {"pipeline_stages", &r.pipeline_stages},
-    };
-    std::map<std::string, double *> doubles{
-        {"pe_area", &r.pe_area},
-        {"pe_energy", &r.pe_energy},
-        {"sb_area", &r.sb_area},
-        {"cb_area", &r.cb_area},
-        {"mem_area", &r.mem_area},
-        {"cgra_area", &r.cgra_area},
-        {"sb_energy", &r.sb_energy},
-        {"cb_energy", &r.cb_energy},
-        {"mem_energy", &r.mem_energy},
-        {"cgra_energy", &r.cgra_energy},
-        {"period_ns", &r.period_ns},
-        {"latency_cycles", &r.latency_cycles},
-        {"runtime_ms", &r.runtime_ms},
-        {"perf_per_mm2", &r.perf_per_mm2},
-        {"frames_per_ms_mm2", &r.frames_per_ms_mm2},
-        {"total_energy_uj", &r.total_energy_uj},
-        {"raw_compute_energy_uj", &r.raw_compute_energy_uj},
-        {"op_events", &r.op_events},
-    };
-
-    std::size_t parsed = 0;
-    std::string name, value;
-    while (is >> name >> value) {
-        if (auto it = ints.find(name); it != ints.end()) {
-            *it->second = std::atoi(value.c_str());
-        } else if (auto dt = doubles.find(name);
-                   dt != doubles.end()) {
-            char *end = nullptr;
-            *dt->second = std::strtod(value.c_str(), &end);
-            if (end == value.c_str())
-                return Status(ErrorCode::kParseError,
-                              "bad double for '" + name + "'");
-        } else {
-            return Status(ErrorCode::kParseError,
-                          "unknown apexeval field '" + name + "'");
-        }
-        ++parsed;
-    }
-    if (parsed != ints.size() + doubles.size())
+    Status bad;
+    forEachField(r, [&is, &bad](const char *name, auto &field) {
+        if (!bad.ok())
+            return;
+        std::string key, value;
+        if (!(is >> key >> value))
+            bad = Status(ErrorCode::kParseError,
+                         "truncated apexeval record");
+        else if (key != name)
+            bad = Status(ErrorCode::kParseError,
+                         "apexeval field '" + key + "' where '" +
+                             name + "' belongs");
+        else if (!parseWhole(value, &field))
+            bad = Status(ErrorCode::kParseError,
+                         "bad value '" + value + "' for '" + key + "'");
+    });
+    if (!bad.ok())
+        return bad;
+    if (std::string extra; is >> extra)
         return Status(ErrorCode::kParseError,
-                      "truncated apexeval record");
-    r.degraded = degraded != 0;
+                      "trailing apexeval field '" + extra + "'");
     r.success = true;
     return r;
 }

@@ -195,7 +195,8 @@ Result<PeVariant> bestSpecializedVariant(
  */
 std::string serializeEvalResult(const EvalResult &r);
 
-/** Inverse of serializeEvalResult(); kParseError on any corruption. */
+/** Inverse of serializeEvalResult(): every field exactly once, in
+ * record order, each value a whole token; kParseError otherwise. */
 Result<EvalResult> parseEvalResult(const std::string &text);
 
 /**

@@ -245,11 +245,18 @@ SweepJournal::appendApp(const AppRecord &rec)
 {
     if (!active())
         return;
+    // A rebuild that agrees with the replayed record appends nothing,
+    // so it moves no crash:N ordinal either.
+    const std::string payload = encodeApp(rec);
+    if (const AppRecord *replayed =
+            appRecord(static_cast<std::size_t>(rec.app));
+        replayed != nullptr && encodeApp(*replayed) == payload)
+        return;
     APEX_SPAN("journal.append", {{"kind", "app"}});
     // A failed append latches in the record log (lastError()) and
     // deactivates it; later appends no-op and the sweep reports the
     // failure loudly after assembly.
-    if (log_->append("app", encodeApp(rec)).ok())
+    if (log_->append("app", payload).ok())
         telemetry::counter("apex.journal.appends").add(1);
     crashPoint();
 }

@@ -35,7 +35,11 @@
  * different configuration would poison the report.
  *
  * Records are keyed by (app index, cell index), so the append order —
- * which varies across job counts — does not matter for replay.
+ * which varies across job counts — does not matter for replay.  An
+ * app may have several records (a resumed run whose rebuild differs
+ * from the journal appends its own); replay keeps the latest.  The
+ * AppRecord is also the sweep's in-memory build outcome
+ * (core/sweep.cpp), so the report and the journal share one value.
  * Appends are crash points for the fault injector
  * (APEX_FAULT="crash:N" kills the process at the Nth append), which
  * is how the kill -9 durability path stays rehearsable in tests and
@@ -136,7 +140,11 @@ class SweepJournal {
     static bool decodeCellRecordPayload(const std::string &payload,
                                         CellRecord *out);
 
-    /** Append one completed build outcome.  Crash point. */
+    /** Append one completed build outcome.  Crash point.  A record
+     * whose encoding equals the one replayed for its app appends
+     * nothing (and is no crash point), so a rebuild that agrees with
+     * the journal leaves it untouched; one that differs is appended
+     * and becomes the app's latest record. */
     void appendApp(const AppRecord &rec);
 
     /** Append one completed evaluation.  Crash point. Thread-safe. */

@@ -59,34 +59,36 @@ enum RecipeCell { kBaseline = 0, kSubset = 1, kSpecialized = 2 };
 static_assert(kJournalCellsPerApp == 3,
               "journal cell layout mirrors the recipe cells");
 
-/** One (app, variant) evaluation slot; written only by its task (or
- * by the sequential journal-replay pass before the fan-out). */
-struct Cell {
-    std::optional<PeVariant> variant; ///< Set by the build task.
-    bool present = false; ///< The recipe produced this cell (variant
-                          ///< built, or known from the journal).
-    std::string name;     ///< Variant name (valid when present).
-    int non_optimal_merges = 0; ///< Clique searches cut short.
-    int merge_timeouts = 0;     ///< ... of which by deadline.
-    int mine_capped_levels = 0; ///< Mining levels truncated at cap.
-    bool ran = false;           ///< Evaluation outcome available.
-    bool replayed = false;      ///< ... restored from the journal.
-    bool deadline_skipped = false; ///< Sweep deadline beat the task.
-    EvalResult result;
+/**
+ * One application's state; written only by this app's tasks (or by
+ * the sequential journal replay before the fan-out).  The build
+ * outcome is the journal's own record, so what the report says and
+ * what the journal says come from one value.
+ */
+struct AppSlot {
+    /** The build outcome the report uses: the journaled record of a
+     * fully journaled app, else this run's build.  Empty: the build
+     * was cancelled.  A build the sweep deadline kept from starting
+     * is a never-journaled record whose validate_status is the
+     * kTimeout (the whole app is skipped). */
+    std::optional<SweepJournal::AppRecord> build;
+    /** The variants this run built (none for a replayed app). */
+    std::array<std::optional<PeVariant>, kJournalCellsPerApp> variants;
+    /** Per cell: the evaluation outcome, replayed or fresh.  Empty:
+     * cancelled before evaluation. */
+    std::array<std::optional<EvalResult>, kJournalCellsPerApp> results;
 };
 
-/** Per-application slots; written only by this app's tasks. */
-struct AppSlot {
-    bool build_ran = false;
-    bool skip_build = false; ///< Fully replayed; build is redundant.
-    bool journaled = false;  ///< App record already on disk.
-    bool deadline_skipped = false;
-    Status validate_status; ///< Non-ok => whole app skipped.
-    bool spec_failed = false;
-    std::string spec_name;
-    Status spec_status;
-    std::array<Cell, 3> cells;
-};
+/** The result of a cell the sweep deadline kept from starting: it is
+ * reported like any failure and never journaled. */
+EvalResult
+deadlineSkippedCell()
+{
+    EvalResult r;
+    r.status = Status(ErrorCode::kTimeout,
+                      "sweep deadline expired before evaluation");
+    return r;
+}
 
 using Clock = std::chrono::steady_clock;
 
@@ -97,19 +99,6 @@ elapsedUs(Clock::time_point from)
         std::chrono::duration_cast<std::chrono::microseconds>(
             Clock::now() - from)
             .count());
-}
-
-/** Move @p v into @p cell, caching the fields the report needs even
- * after the variant itself is gone (or was never rebuilt). */
-void
-setVariant(Cell &cell, PeVariant v)
-{
-    cell.present = true;
-    cell.name = v.name;
-    cell.non_optimal_merges = v.non_optimal_merges;
-    cell.merge_timeouts = v.merge_timeouts;
-    cell.mine_capped_levels = v.mine_capped_levels;
-    cell.variant = std::move(v);
 }
 
 } // namespace
@@ -146,8 +135,6 @@ sweepFingerprint(const std::vector<apps::AppInfo> &apps,
     f.mix(static_cast<std::uint64_t>(x.min_mis));
     f.mix(static_cast<std::uint64_t>(x.max_merged_subgraphs));
     f.mix(static_cast<std::uint64_t>(x.merge.clique_budget));
-    f.mixDouble(x.merge.input_merge_weight);
-    f.mixDouble(x.merge.input_merge_weight_bit);
     f.mix(static_cast<std::uint64_t>(apps.size()));
     for (const apps::AppInfo &app : apps) {
         f.mix(app.name);
@@ -368,30 +355,6 @@ aggregateStageTimes(std::size_t first_event,
     }
 }
 
-/** Append @p slot's build outcome to the journal (once). */
-void
-journalApp(SweepJournal &journal, int index, AppSlot &slot)
-{
-    if (slot.journaled || !journal.active())
-        return;
-    slot.journaled = true;
-    SweepJournal::AppRecord rec;
-    rec.app = index;
-    rec.validate_status = slot.validate_status;
-    rec.spec_failed = slot.spec_failed;
-    rec.spec_name = slot.spec_name;
-    rec.spec_status = slot.spec_status;
-    for (int j = 0; j < kJournalCellsPerApp; ++j) {
-        const Cell &cell = slot.cells[j];
-        rec.cells[j].has_variant = cell.present;
-        rec.cells[j].variant = cell.name;
-        rec.cells[j].non_optimal_merges = cell.non_optimal_merges;
-        rec.cells[j].merge_timeouts = cell.merge_timeouts;
-        rec.cells[j].mine_capped_levels = cell.mine_capped_levels;
-    }
-    journal.appendApp(rec);
-}
-
 } // namespace
 
 std::string
@@ -531,48 +494,55 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     }
 
     // Restore journaled outcomes sequentially, before any task runs.
-    // A fully-journaled app skips variant construction entirely; a
-    // partially-journaled one re-runs the (deterministic) build to
-    // reconstruct the variants its missing cells need, but keeps the
-    // replayed evaluations.
+    // An app's outcome is its latest build.  A fully journaled app
+    // (every cell its record lists has a result) keeps its journaled
+    // record and is not rebuilt.  Any other journaled app is rebuilt:
+    // the rebuild's record replaces the journaled one, and a replayed
+    // result stands only for a cell the rebuild produced (the build
+    // task drops the others).
     for (std::size_t i = 0; i < apps.size(); ++i) {
         const SweepJournal::AppRecord *rec = journal.appRecord(i);
         if (rec == nullptr)
             continue;
         AppSlot &slot = slots[i];
-        slot.journaled = true;
-        slot.validate_status = rec->validate_status;
-        slot.spec_failed = rec->spec_failed;
-        slot.spec_name = rec->spec_name;
-        slot.spec_status = rec->spec_status;
-        bool missing_eval = false;
+        bool complete = true;
         for (int j = 0; j < kJournalCellsPerApp; ++j) {
-            const SweepJournal::CellInfo &info = rec->cells[j];
-            Cell &cell = slot.cells[j];
-            cell.present = info.has_variant;
-            cell.name = info.variant;
-            cell.non_optimal_merges = info.non_optimal_merges;
-            cell.merge_timeouts = info.merge_timeouts;
-            cell.mine_capped_levels = info.mine_capped_levels;
-            if (!info.has_variant)
+            if (!rec->cells[j].has_variant)
                 continue;
-            const SweepJournal::CellRecord *done =
-                journal.cellRecord(i, j);
-            if (done != nullptr) {
-                cell.ran = true;
-                cell.replayed = true;
-                cell.result = done->result;
-            } else {
-                missing_eval = true;
-            }
+            if (const SweepJournal::CellRecord *done =
+                    journal.cellRecord(i, j))
+                slot.results[j] = done->result;
+            else
+                complete = false;
         }
-        if (!missing_eval) {
-            slot.skip_build = true;
-            slot.build_ran = true;
-        }
+        if (complete)
+            slot.build = *rec;
     }
     out.stats.cells_replayed = journal.replayedCells();
     counters.cells_replayed.add(journal.replayedCells());
+
+    // Both isolation modes finish a fresh cell here: slot, journal
+    // append (a crash point), progress and counters.  Only fresh
+    // cells count as degraded: a replayed cell did not degrade again.
+    std::atomic<long> cells_degraded{0};
+    const auto finishCell = [&](std::size_t i, int j, EvalResult result,
+                                long eval_us) {
+        counters.tasks.add(1);
+        counters.eval_us.add(eval_us);
+        if (result.success && result.degraded) {
+            cells_degraded.fetch_add(1);
+            counters.cells_degraded.add(1);
+        }
+        AppSlot &slot = slots[i];
+        SweepJournal::CellRecord rec;
+        rec.app = static_cast<int>(i);
+        rec.cell = j;
+        rec.variant = slot.build->cells[j].variant;
+        rec.result = std::move(result);
+        journal.appendCell(rec);
+        slot.results[j] = std::move(rec.result);
+        reportProgress(apps[i].name, rec.variant);
+    };
 
     // --- Fan out: each build hands its app's cells to the pool ------
     // Every task writes only its own slot; all ordering-sensitive
@@ -580,12 +550,18 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     const auto buildApp = [&](std::size_t i) {
         const apps::AppInfo &app = apps[i];
         AppSlot &slot = slots[i];
-        if (slot.skip_build)
+        if (slot.build.has_value()) // fully journaled
             return;
         if (cancel != nullptr && cancel->load())
             return;
+        SweepJournal::AppRecord rec;
+        rec.app = static_cast<int>(i);
         if (options.deadline.expired()) {
-            slot.deadline_skipped = true;
+            rec.validate_status =
+                Status(ErrorCode::kTimeout,
+                       "sweep deadline expired before variant "
+                       "construction");
+            slot.build = std::move(rec);
             return;
         }
         telemetry::ScopedCell cell_scope;
@@ -601,60 +577,62 @@ runSweep(const std::vector<apps::AppInfo> &apps,
             telemetry::histogram("apex.build.ms"));
         const Clock::time_point t0 = Clock::now();
         counters.tasks.add(1);
-        slot.build_ran = true;
 
         // Boundary validation: a corrupt application skips only
         // itself, never the sweep.
         if (Status s = ir::validate(app.graph); !s.ok()) {
-            slot.validate_status = std::move(s).withContext(
+            rec.validate_status = std::move(s).withContext(
                 "validating application '" + app.name + "'");
-            journalApp(journal, static_cast<int>(i), slot);
-            counters.build_us.add(elapsedUs(t0));
-            return;
-        }
-        setVariant(slot.cells[kBaseline], explorer.baselineVariant());
-        setVariant(slot.cells[kSubset], explorer.subsetVariant(app));
-        const int k = explorer.options().max_merged_subgraphs;
-        auto v = explorer.specializedVariant(app, k);
-        if (v.ok()) {
-            setVariant(slot.cells[kSpecialized], std::move(v).value());
         } else {
-            slot.spec_failed = true;
-            slot.spec_name = "pe" + std::to_string(k + 1) + "_" + app.name;
-            slot.spec_status = v.status();
+            slot.variants[kBaseline] = explorer.baselineVariant();
+            slot.variants[kSubset] = explorer.subsetVariant(app);
+            const int k = explorer.options().max_merged_subgraphs;
+            auto v = explorer.specializedVariant(app, k);
+            if (v.ok()) {
+                slot.variants[kSpecialized] = std::move(v).value();
+            } else {
+                rec.spec_failed = true;
+                rec.spec_name =
+                    "pe" + std::to_string(k + 1) + "_" + app.name;
+                rec.spec_status = v.status();
+            }
+            for (int j = 0; j < kJournalCellsPerApp; ++j) {
+                if (!slot.variants[j].has_value())
+                    continue;
+                const PeVariant &built = *slot.variants[j];
+                rec.cells[j] = {true, built.name,
+                                built.non_optimal_merges,
+                                built.merge_timeouts,
+                                built.mine_capped_levels};
+            }
         }
-        journalApp(journal, static_cast<int>(i), slot);
+        for (int j = 0; j < kJournalCellsPerApp; ++j)
+            if (!rec.cells[j].has_variant)
+                slot.results[j].reset();
+        // A no-op when it matches the replayed record.
+        journal.appendApp(rec);
+        slot.build = std::move(rec);
         counters.build_us.add(elapsedUs(t0));
     };
     const auto evalCell = [&](std::size_t i, int j) {
-        const apps::AppInfo &app = apps[i];
-        Cell &cell = slots[i].cells[j];
-        if (cell.ran) // replayed from the journal
+        AppSlot &slot = slots[i];
+        if (slot.results[j].has_value()) // replayed from the journal
             return;
         if (cancel != nullptr && cancel->load())
             return;
-        if (!cell.variant.has_value())
+        if (!slot.variants[j].has_value())
             return;
         if (options.deadline.expired()) {
-            cell.deadline_skipped = true;
+            slot.results[j] = deadlineSkippedCell();
             return;
         }
         telemetry::ScopedTraceId trace_scope;
         if (options.trace_id != 0)
             trace_scope.set(options.trace_id);
         const Clock::time_point t0 = Clock::now();
-        counters.tasks.add(1);
-        cell.ran = true;
-        cell.result =
-            evaluateCellGuarded(app, *cell.variant, tech, eval_opts, options);
-        counters.eval_us.add(elapsedUs(t0));
-        SweepJournal::CellRecord rec;
-        rec.app = static_cast<int>(i);
-        rec.cell = j;
-        rec.variant = cell.name;
-        rec.result = cell.result;
-        journal.appendCell(rec);
-        reportProgress(app.name, cell.name);
+        EvalResult r = evaluateCellGuarded(apps[i], *slot.variants[j],
+                                           tech, eval_opts, options);
+        finishCell(i, j, std::move(r), elapsedUs(t0));
     };
     // Ordinals follow the sequential schedule (build i, then cells
     // i#0..i#2), which is also the order inline spawns run in.
@@ -690,14 +668,15 @@ runSweep(const std::vector<apps::AppInfo> &apps,
         std::vector<std::string> payloads;
         for (std::size_t i = 0; i < apps.size(); ++i) {
             for (int j = 0; j < 3; ++j) {
-                Cell &cell = slots[i].cells[j];
-                if (cell.ran || !cell.variant.has_value())
+                AppSlot &slot = slots[i];
+                if (slot.results[j].has_value() ||
+                    !slot.variants[j].has_value())
                     continue;
                 if (cancel != nullptr && cancel->load())
                     continue; // Assembly records the cancellation.
                 if (options.deadline.expired()) {
                     // An expired sweep deadline forks no workers.
-                    cell.deadline_skipped = true;
+                    slot.results[j] = deadlineSkippedCell();
                     continue;
                 }
                 work.push_back({i, j});
@@ -724,13 +703,13 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                         Status(ErrorCode::kInternal,
                                "malformed worker task '" + task +
                                    "'"));
-                const Cell &cell = slots[i].cells[j];
+                const AppSlot &slot = slots[i];
                 SweepJournal::CellRecord rec;
                 rec.app = static_cast<int>(i);
                 rec.cell = j;
-                rec.variant = cell.name;
+                rec.variant = slot.build->cells[j].variant;
                 rec.result = evaluateCellGuarded(
-                    apps[i], *cell.variant, tech, child_eval,
+                    apps[i], *slot.variants[j], tech, child_eval,
                     options);
                 return SweepJournal::encodeCellRecordPayload(rec);
             };
@@ -747,32 +726,22 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                 workers.run(payloads);
 
             for (std::size_t k = 0; k < work.size(); ++k) {
-                Cell &cell = slots[work[k].app].cells[work[k].cell];
                 const runtime::WorkerTaskOutcome &o = outcomes[k];
                 if (o.fate == runtime::TaskFate::kCancelled)
                     continue; // Assembly records the cancellation.
-                counters.tasks.add(1);
-                counters.eval_us.add(
-                    static_cast<long>(o.wall_ms * 1e3));
-                SweepJournal::CellRecord rec;
-                rec.app = static_cast<int>(work[k].app);
-                rec.cell = work[k].cell;
-                rec.variant = cell.name;
+                // Trust a payload's result, not its indices: the
+                // journal key is the supervisor's.
+                SweepJournal::CellRecord decoded;
+                EvalResult r;
                 if (o.fate == runtime::TaskFate::kDone &&
-                    SweepJournal::decodeCellRecordPayload(
-                        o.response, &rec)) {
-                    // Trust the payload's result, not its indices:
-                    // the journal key is the supervisor's.
-                    rec.app = static_cast<int>(work[k].app);
-                    rec.cell = work[k].cell;
-                    rec.variant = cell.name;
+                    SweepJournal::decodeCellRecordPayload(o.response,
+                                                          &decoded)) {
+                    r = std::move(decoded.result);
                 } else {
                     // Quarantined (or an undecodable response, which
                     // is a protocol-level crash): record a durable
                     // kWorkerCrashed failure so --resume replays the
                     // verdict instead of re-poisoning a worker.
-                    EvalResult &r = rec.result;
-                    r.success = false;
                     r.pnr_attempts = std::max(1, o.attempts);
                     std::ostringstream msg;
                     msg << "worker died evaluating this cell ("
@@ -789,10 +758,8 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                     r.status = Status(ErrorCode::kWorkerCrashed,
                                       msg.str());
                 }
-                cell.ran = true;
-                cell.result = rec.result;
-                journal.appendCell(rec);
-                reportProgress(apps[work[k].app].name, cell.name);
+                finishCell(work[k].app, work[k].cell, std::move(r),
+                           static_cast<long>(o.wall_ms * 1e3));
             }
             out.stats.worker_restarts = workers.stats().restarts;
             out.stats.worker_retries = workers.stats().retries;
@@ -804,57 +771,53 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     // --- Deterministic assembly ------------------------------------
     // One sequential pass in (app, recipe-cell) order reproduces the
     // sequential driver's report byte for byte: same entry order,
-    // same failure order, same diagnostics scoping.  Replayed cells
-    // take exactly the same path as freshly-evaluated ones, which is
-    // what makes a resumed report byte-identical.
+    // same failure order, same diagnostics scoping.  The report reads
+    // each app's build record and its cells' results, replayed or
+    // fresh alike, which is what makes a resumed report
+    // byte-identical.
     for (std::size_t i = 0; i < apps.size(); ++i) {
         const apps::AppInfo &app = apps[i];
         AppSlot &slot = slots[i];
-        if (!slot.build_ran) {
-            recordFailure(
-                out.report, app.name, "",
-                slot.deadline_skipped
-                    ? Status(ErrorCode::kTimeout,
-                             "sweep deadline expired before variant "
-                             "construction")
-                    : Status(
-                          ErrorCode::kCancelled,
-                          "sweep cancelled before variant "
-                          "construction"),
-                1);
-            continue;
-        }
-        if (!slot.validate_status.ok()) {
+        if (!slot.build.has_value()) {
             recordFailure(out.report, app.name, "",
-                          std::move(slot.validate_status), 1);
+                          Status(ErrorCode::kCancelled,
+                                 "sweep cancelled before variant "
+                                 "construction"),
+                          1);
             continue;
         }
-        if (slot.spec_failed)
-            recordFailure(out.report, app.name, slot.spec_name,
-                          std::move(slot.spec_status), 1);
+        const SweepJournal::AppRecord &build = *slot.build;
+        if (!build.validate_status.ok()) {
+            recordFailure(out.report, app.name, "",
+                          build.validate_status, 1);
+            continue;
+        }
+        if (build.spec_failed)
+            recordFailure(out.report, app.name, build.spec_name,
+                          build.spec_status, 1);
 
         for (int j = 0; j < 3; ++j) {
-            Cell &cell = slot.cells[j];
-            if (!cell.present)
+            const SweepJournal::CellInfo &info = build.cells[j];
+            if (!info.has_variant)
                 continue;
-            const std::string &vname = cell.name;
-            if (cell.non_optimal_merges > 0) {
+            const std::string &vname = info.variant;
+            if (info.non_optimal_merges > 0) {
                 // Surface clique searches that stopped before
                 // optimality — previously a silent flag on the
                 // merge result.
                 DiagnosticRecord w;
                 w.severity = Severity::kWarning;
                 w.stage = "merge";
-                w.code = cell.merge_timeouts > 0
+                w.code = info.merge_timeouts > 0
                              ? ErrorCode::kTimeout
                              : ErrorCode::kBudgetExhausted;
                 w.message =
-                    std::to_string(cell.non_optimal_merges) +
+                    std::to_string(info.non_optimal_merges) +
                     " datapath merge(s) used a non-optimal clique "
                     "(budget exhausted" +
-                    (cell.merge_timeouts > 0
+                    (info.merge_timeouts > 0
                          ? ", " +
-                               std::to_string(cell.merge_timeouts) +
+                               std::to_string(info.merge_timeouts) +
                                " by deadline"
                          : std::string()) +
                     "); the PE may spend more area than necessary";
@@ -862,17 +825,17 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                 out.report.diagnostics.report(std::move(w));
                 // The diagnostic above is part of the byte-identical
                 // report contract, but the runtime stat counts clique
-                // searches cut short *this run* — a fully-replayed
-                // app never re-ran its merges, so recounting its
-                // journaled flags would double-count under --resume.
-                if (!slot.skip_build) {
+                // searches cut short *this run* — a replayed app never
+                // re-ran its merges, so recounting its journaled flags
+                // would double-count under --resume.
+                if (slot.variants[j].has_value()) {
                     out.stats.non_optimal_cliques +=
-                        cell.non_optimal_merges;
+                        info.non_optimal_merges;
                     counters.non_optimal_cliques.add(
-                        cell.non_optimal_merges);
+                        info.non_optimal_merges);
                 }
             }
-            if (cell.mine_capped_levels > 0) {
+            if (info.mine_capped_levels > 0) {
                 // Surface mining frontiers truncated at the
                 // max_patterns_per_level safety valve — previously a
                 // silent drop that could change which PE variants
@@ -883,7 +846,7 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                 w.code = ErrorCode::kBudgetExhausted;
                 w.message =
                     "mining truncated " +
-                    std::to_string(cell.mine_capped_levels) +
+                    std::to_string(info.mine_capped_levels) +
                     " level(s) at max_patterns_per_level (" +
                     std::to_string(explorer.options()
                                        .miner.max_patterns_per_level) +
@@ -895,42 +858,28 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                 // Same replay policy as non_optimal_cliques: the
                 // diagnostic is part of the byte-identical report,
                 // the runtime stat counts truncations *this run*.
-                if (!slot.skip_build) {
+                if (slot.variants[j].has_value()) {
                     out.stats.mine_capped_levels +=
-                        cell.mine_capped_levels;
+                        info.mine_capped_levels;
                     counters.mine_capped_levels.add(
-                        cell.mine_capped_levels);
+                        info.mine_capped_levels);
                 }
             }
-            if (!cell.ran) {
-                recordFailure(
-                    out.report, app.name, vname,
-                    cell.deadline_skipped
-                        ? Status(ErrorCode::kTimeout,
-                                 "sweep deadline expired before "
-                                 "evaluation")
-                        : Status(ErrorCode::kCancelled,
-                                 "sweep cancelled before "
-                                 "evaluation"),
-                    1);
+            if (!slot.results[j].has_value()) {
+                recordFailure(out.report, app.name, vname,
+                              Status(ErrorCode::kCancelled,
+                                     "sweep cancelled before "
+                                     "evaluation"),
+                              1);
                 continue;
             }
-            EvalResult &r = cell.result;
+            EvalResult &r = *slot.results[j];
             out.report.diagnostics.merge(r.diagnostics,
                                          app.name + "/" + vname);
             if (r.success) {
                 ++out.report.evaluated;
-                if (r.degraded) {
-                    // The report mirrors the cell's durable outcome
-                    // (byte-identical under --resume), but the stats
-                    // count degradations *this run*: a cell replayed
-                    // from the journal did not degrade again.
+                if (r.degraded)
                     ++out.report.degraded;
-                    if (!cell.replayed) {
-                        ++out.stats.cells_degraded;
-                        counters.cells_degraded.add(1);
-                    }
-                }
                 out.entries.push_back(
                     {app.name, vname, std::move(r)});
             } else {
@@ -941,6 +890,7 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     }
 
     // --- Runtime counters ------------------------------------------
+    out.stats.cells_degraded = cells_degraded.load();
     // All counters live in the telemetry registry; this sweep's
     // contribution is the delta against the entry snapshots.
     out.stats.tasks_run =

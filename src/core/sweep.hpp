@@ -40,7 +40,12 @@
  * completed build and evaluation is checkpointed to a crash-safe
  * write-ahead journal before the sweep moves on, and resume = true
  * replays a prior journal so only the missing cells are recomputed —
- * the resumed report is byte-identical to an uninterrupted run.
+ * the resumed report is byte-identical to an uninterrupted run.  The
+ * sweep keeps each build outcome only as the journal's AppRecord, and
+ * an app's outcome is its latest build: a partially journaled app is
+ * rebuilt, its rebuild's record is what the report (and, when it
+ * differs, the journal) says, and a replayed result stands only for
+ * a cell that rebuild produced.
  *
  * Pressure (see core/deadline.hpp): `deadline` bounds the whole
  * sweep (cells that cannot start in time fail as kTimeout, not as a

@@ -74,13 +74,11 @@ class GraphBuilder {
     Value abs(Value a) { return unary(Op::kAbs, a); }
 
     Value eq(Value a, Value b) { return binary(Op::kEq, a, b); }
-    Value neq(Value a, Value b) { return binary(Op::kNeq, a, b); }
     Value ult(Value a, Value b) { return binary(Op::kUlt, a, b); }
     Value ugt(Value a, Value b) { return binary(Op::kUgt, a, b); }
     Value slt(Value a, Value b) { return binary(Op::kSlt, a, b); }
     Value sgt(Value a, Value b) { return binary(Op::kSgt, a, b); }
     Value sge(Value a, Value b) { return binary(Op::kSge, a, b); }
-    Value sle(Value a, Value b) { return binary(Op::kSle, a, b); }
 
     /** out = sel ? a : b. */
     Value select(Value sel, Value a, Value b);

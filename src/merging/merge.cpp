@@ -41,14 +41,18 @@ nodesMergeable(const DpNode &a, const DpNode &b)
     return a.cls == b.cls; // consts and blocks: same class
 }
 
+/** Area credit for merging two word input ports (models the
+ * connection-box saving of one fewer PE input). */
+constexpr double kInputMergeWeight = 20.0;
+/** Same, for 1-bit inputs. */
+constexpr double kInputMergeWeightBit = 2.0;
+
 double
-nodeMergeWeight(const DpNode &a, const model::TechModel &tech,
-                const MergeOptions &opt)
+nodeMergeWeight(const DpNode &a, const model::TechModel &tech)
 {
     if (a.kind == DpNodeKind::kInput) {
-        return a.type == ir::ValueType::kBit
-                   ? opt.input_merge_weight_bit
-                   : opt.input_merge_weight;
+        return a.type == ir::ValueType::kBit ? kInputMergeWeightBit
+                                             : kInputMergeWeight;
     }
     return model::blockCost(tech, a.cls).area;
 }
@@ -82,7 +86,7 @@ mergeDatapaths(const Datapath &a, const Datapath &b,
                 continue;
             Opportunity op;
             op.pairs = {{i, j}};
-            op.weight = nodeMergeWeight(a.nodes[i], tech, opt);
+            op.weight = nodeMergeWeight(a.nodes[i], tech);
             opportunities.push_back(std::move(op));
         }
     }

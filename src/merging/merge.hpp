@@ -34,11 +34,6 @@ namespace apex::merging {
 struct MergeOptions {
     /** Branch-and-bound node budget for the clique search. */
     std::int64_t clique_budget = 2'000'000;
-    /** Area credit for merging two word input ports (models the
-     * connection-box saving of one fewer PE input). */
-    double input_merge_weight = 20.0;
-    /** Same, for 1-bit inputs. */
-    double input_merge_weight_bit = 2.0;
     /** Wall-clock bound for the whole merge.  Each clique search runs
      * under it, and a multi-pattern fold stops early (keeping the
      * datapath merged so far) once it expires. */

@@ -76,9 +76,10 @@ struct MinerOptions {
      * boundary is where runaway growth is caught).  Expiry raises
      * ApexError(kTimeout); partial pattern lists are never returned —
      * a silently truncated frontier would change which PE variants
-     * exist downstream.
+     * exist downstream.  (The `{}` lets designated initializers omit
+     * it without a -Wmissing-field-initializers warning.)
      */
-    Deadline deadline;
+    Deadline deadline{};
     /**
      * Optional worker pool.  Each level's candidate expansion
      * (growth, canonicalization, embedding search) is fanned out over

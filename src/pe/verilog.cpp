@@ -22,7 +22,10 @@ selBits(std::size_t choices)
 std::string
 wireName(int node)
 {
-    return "n" + std::to_string(node);
+    // A named suffix: `"n" + std::to_string(node)` trips GCC 12's -O3
+    // -Wrestrict false positive.
+    const std::string id = std::to_string(node);
+    return "n" + id;
 }
 
 /** Verilog expression for op applied to operand wires a, b, c. */

@@ -5,6 +5,13 @@
 
 namespace apex::pipeline {
 
+namespace {
+
+/** Deepest PE pipeline considered. */
+constexpr int kMaxStages = 6;
+
+} // namespace
+
 PePipelineResult
 pipelinePe(pe::PeSpec &spec, const model::TechModel &tech,
            const PePipelineOptions &options)
@@ -23,7 +30,7 @@ pipelinePe(pe::PeSpec &spec, const model::TechModel &tech,
     // Iteratively add stages while (a) the target period is not met
     // and (b) one more stage still buys a significant reduction —
     // the paper's critical-path model loop.
-    while (stages < options.max_stages &&
+    while (stages < kMaxStages &&
            period > tech.target_period) {
         std::vector<int> next_stage_of;
         const double next_period =

@@ -25,7 +25,6 @@ struct PePipelineResult {
 
 /** Pipelining knobs. */
 struct PePipelineOptions {
-    int max_stages = 6;
     /** Stop adding stages when the relative critical-path reduction
      * of one more stage falls below this fraction. */
     double min_gain = 0.10;

@@ -51,8 +51,9 @@ struct CacheOptions {
     /** In-memory LRU capacity in entries (0 disables the tier). */
     std::size_t max_memory_entries = 4096;
     /** On-disk tier directory; empty disables the tier.  Created on
-     * first use. */
-    std::string disk_dir;
+     * first use.  (The `{}` lets designated initializers omit it
+     * without a -Wmissing-field-initializers warning.) */
+    std::string disk_dir{};
     /**
      * After a disk-tier write failure (disk full, I/O error) the
      * tier drops to memory-only; every this-many milliseconds the

@@ -861,23 +861,6 @@ Registry::jsonDump() const
     return out;
 }
 
-void
-Registry::resetForTesting()
-{
-    Impl &i = impl();
-    SpinGuard guard(i.lock);
-    for (auto &[name, c] : i.counters)
-        c->value_.store(0, std::memory_order_relaxed);
-    for (auto &[name, g] : i.gauges)
-        g->value_.store(0.0, std::memory_order_relaxed);
-    for (auto &[name, h] : i.histograms) {
-        for (std::size_t b = 0; b <= h->bounds_.size(); ++b)
-            h->buckets_[b].store(0, std::memory_order_relaxed);
-        h->count_.store(0, std::memory_order_relaxed);
-        h->sum_bits_.store(0, std::memory_order_relaxed);
-    }
-}
-
 StageTimer::StageTimer(Histogram &h)
     : histogram_(h), t0_ns_(monotonicNanos())
 {

@@ -285,7 +285,6 @@ class Counter {
     }
 
   private:
-    friend class Registry;
     std::atomic<long long> value_{0};
 };
 
@@ -299,7 +298,6 @@ class Gauge {
     }
 
   private:
-    friend class Registry;
     std::atomic<double> value_{0.0};
 };
 
@@ -351,9 +349,6 @@ class Registry {
 
     /** Stable JSON dump of every registered metric. */
     std::string jsonDump() const;
-
-    /** Zero every value (registrations survive). */
-    void resetForTesting();
 
   private:
     Registry() = default;

@@ -217,5 +217,109 @@ TEST(EvaluateTest, AutoGrowRecoversFromSmallFabric) {
     EXPECT_GT(r.fabric_width * r.fabric_height, 8);
 }
 
+
+/** An EvalResult with every one of the record's 31 fields set. */
+EvalResult
+fullyPopulatedResult()
+{
+    EvalResult r;
+    r.success = true;
+    r.pnr_attempts = 4;
+    r.degraded = true;
+    r.pe_count = 57;
+    r.pe_area = 1234.5;
+    r.pe_energy = 0.1;
+    r.fabric_width = 64;
+    r.fabric_height = 32;
+    r.sb_area = 225000.0;
+    r.cb_area = 3.0 / 7.0;
+    r.mem_area = 4096.0;
+    r.cgra_area = 987654.321;
+    r.sb_energy = 2.5e-3;
+    r.cb_energy = 1.0 / 3.0;
+    r.mem_energy = 7.75;
+    r.cgra_energy = 12.0625;
+    r.util.pes = 57;
+    r.util.mems = 6;
+    r.util.rf_entries = 12;
+    r.util.ios = 8;
+    r.util.regs = 31;
+    r.util.routing_tiles = 19;
+    r.util.sb_hops = 240;
+    r.pipeline_stages = 3;
+    r.period_ns = 1.125;
+    r.latency_cycles = 17;
+    r.runtime_ms = 0.3;
+    r.perf_per_mm2 = 6.02e23;
+    r.frames_per_ms_mm2 = 1e-9;
+    r.total_energy_uj = 42.0;
+    r.raw_compute_energy_uj = 0.0078125;
+    r.op_events = 1048576.0;
+    return r;
+}
+
+// The artifact cache and the journal store these bytes, so they are
+// pinned: a change here orphans every cached and journaled result.
+TEST(EvalResultCodec, PinsTheRecordBytesAndRejectsMalformedFields) {
+    const std::string bytes = serializeEvalResult(fullyPopulatedResult());
+    EXPECT_EQ(bytes, "apexeval 2\n"
+                     "pnr_attempts 4\n"
+                     "degraded 1\n"
+                     "pe_count 57\n"
+                     "pe_area 0x1.34ap+10\n"
+                     "pe_energy 0x1.999999999999ap-4\n"
+                     "fabric_width 64\n"
+                     "fabric_height 32\n"
+                     "sb_area 0x1.b774p+17\n"
+                     "cb_area 0x1.b6db6db6db6dbp-2\n"
+                     "mem_area 0x1p+12\n"
+                     "cgra_area 0x1.e240ca45a1cacp+19\n"
+                     "sb_energy 0x1.47ae147ae147bp-9\n"
+                     "cb_energy 0x1.5555555555555p-2\n"
+                     "mem_energy 0x1.fp+2\n"
+                     "cgra_energy 0x1.82p+3\n"
+                     "util_pes 57\n"
+                     "util_mems 6\n"
+                     "util_rf_entries 12\n"
+                     "util_ios 8\n"
+                     "util_regs 31\n"
+                     "util_routing_tiles 19\n"
+                     "util_sb_hops 240\n"
+                     "pipeline_stages 3\n"
+                     "period_ns 0x1.2p+0\n"
+                     "latency_cycles 0x1.1p+4\n"
+                     "runtime_ms 0x1.3333333333333p-2\n"
+                     "perf_per_mm2 0x1.fde9f10a8d361p+78\n"
+                     "frames_per_ms_mm2 0x1.12e0be826d695p-30\n"
+                     "total_energy_uj 0x1.5p+5\n"
+                     "raw_compute_energy_uj 0x1p-7\n"
+                     "op_events 0x1p+20\n");
+    Result<EvalResult> back = parseEvalResult(bytes);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(serializeEvalResult(back.value()), bytes);
+
+    // Each field exactly once: a repeated field does not stand in for
+    // a missing one.
+    std::string repeated = bytes;
+    const std::size_t area = repeated.find("pe_area");
+    repeated.replace(area, repeated.find('\n', area) - area,
+                     "pe_count 7");
+    EXPECT_FALSE(parseEvalResult(repeated).ok());
+
+    // Each number is a whole token.
+    std::string partial = bytes;
+    partial.replace(partial.find("pnr_attempts 4"), 14,
+                    "pnr_attempts 9x");
+    EXPECT_FALSE(parseEvalResult(partial).ok());
+
+    // Fields in record order, and nothing after the last one.
+    std::string swapped = bytes;
+    const std::string in_order = "fabric_width 64\nfabric_height 32\n";
+    swapped.replace(swapped.find(in_order), in_order.size(),
+                    "fabric_height 32\nfabric_width 64\n");
+    EXPECT_FALSE(parseEvalResult(swapped).ok());
+    EXPECT_FALSE(parseEvalResult(bytes + "op_events 0x1p+20\n").ok());
+}
+
 } // namespace
 } // namespace apex::core

@@ -610,6 +610,33 @@ TEST(Deadline, EvaluateReturnsTimeoutStatus)
 
 // --- Sweep durability --------------------------------------------------
 
+/**
+ * Run a journaled sweep in a forked child that the crash point kills
+ * at the @p nth journal append, as kill -9 would: no cleanup, no
+ * stream flushes.  With @p mine_fault the child's first mining call
+ * (the first app's PE k+1) fails as well.
+ */
+void
+crashAtAppend(int nth, const std::vector<apps::AppInfo> &apps_list,
+              const Explorer &ex, const SweepOptions &options,
+              bool mine_fault = false)
+{
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        FaultInjector::instance().reset();
+        FaultInjector::instance().arm(FaultStage::kCrash, nth);
+        if (mine_fault)
+            FaultInjector::instance().arm(FaultStage::kMine, 1);
+        (void)runSweep(apps_list, ex, tech, options);
+        _Exit(42); // not reached: the crash point fires first
+    }
+    int wait_status = 0;
+    ASSERT_EQ(waitpid(pid, &wait_status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(wait_status));
+    ASSERT_EQ(WTERMSIG(wait_status), SIGKILL);
+}
+
 TEST(Durability, ResumeAfterCleanRunReplaysEverything)
 {
     ScratchDir dir("cleanresume");
@@ -646,20 +673,8 @@ TEST(Durability, SweepSurvivesSigkillAndResumesByteIdentical)
         runSweep(apps_list, ex, tech, ref_options);
     ASSERT_EQ(reference.report.evaluated, 6);
 
-    // Child: journaled sweep, hard-killed at the 4th journal append
-    // (as kill -9 would: no cleanup, no stream flushes).
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        FaultInjector::instance().reset();
-        FaultInjector::instance().arm(FaultStage::kCrash, 4);
-        (void)runSweep(apps_list, ex, tech, options);
-        _Exit(42); // not reached: the crash point fires first
-    }
-    int wait_status = 0;
-    ASSERT_EQ(waitpid(pid, &wait_status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(wait_status));
-    ASSERT_EQ(WTERMSIG(wait_status), SIGKILL);
+    // Child: journaled sweep, hard-killed at the 4th journal append.
+    ASSERT_NO_FATAL_FAILURE(crashAtAppend(4, apps_list, ex, options));
 
     // Resume: the journaled prefix replays, the rest re-runs, and
     // the assembled report is byte-identical to the uninterrupted
@@ -678,6 +693,65 @@ TEST(Durability, SweepSurvivesSigkillAndResumesByteIdentical)
     EXPECT_EQ(third.stats.cells_replayed, 6);
     EXPECT_EQ(third.stats.tasks_run, 0);
     EXPECT_EQ(outcomeBytes(reference), outcomeBytes(third));
+}
+
+// An app's outcome is its latest build.  Crashed at the second append,
+// the run journaled a complete build of the first app and its pe_base
+// cell; the resume must rebuild it (two cells are missing), and that
+// rebuild fails to mine PE k+1.  The report is the rebuild's: one
+// mining failure for that variant, not also a "cancelled" line for
+// the cell the journaled build listed.
+TEST(Durability, ResumeWhoseRebuildFailsReportsEachCellOnce)
+{
+    ScratchDir dir("rebuildfails");
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+    SweepOptions options;
+    options.journal_dir = dir.str();
+    ASSERT_NO_FATAL_FAILURE(crashAtAppend(2, apps_list, ex, options));
+
+    std::string reference;
+    {
+        FaultScope fault(FaultStage::kMine, 1);
+        const SweepOutcome uninterrupted =
+            runSweep(apps_list, ex, tech, SweepOptions{});
+        ASSERT_EQ(uninterrupted.report.failures.size(), 1u);
+        reference = outcomeBytes(uninterrupted);
+    }
+    FaultScope fault(FaultStage::kMine, 1);
+    options.resume = true;
+    const SweepOutcome resumed = runSweep(apps_list, ex, tech, options);
+    EXPECT_EQ(resumed.stats.cells_replayed, 1);
+    EXPECT_EQ(reference, outcomeBytes(resumed));
+}
+
+// The mirror case: the crashed run journaled a build whose PE k+1
+// failed to mine, and the fault-free rebuild succeeds.  The report
+// drops the journaled failure and evaluates the new cell; the new
+// record is journaled, so the next resume replays exactly that.
+TEST(Durability, ResumeWhoseRebuildSucceedsDropsTheJournaledFailure)
+{
+    ScratchDir dir("rebuildsucceeds");
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+    SweepOptions options;
+    options.journal_dir = dir.str();
+    ASSERT_NO_FATAL_FAILURE(
+        crashAtAppend(2, apps_list, ex, options, /*mine_fault=*/true));
+
+    const SweepOutcome reference =
+        runSweep(apps_list, ex, tech, SweepOptions{});
+    ASSERT_TRUE(reference.report.failures.empty());
+
+    options.resume = true;
+    const SweepOutcome resumed = runSweep(apps_list, ex, tech, options);
+    EXPECT_EQ(resumed.stats.cells_replayed, 1);
+    EXPECT_EQ(outcomeBytes(reference), outcomeBytes(resumed));
+
+    const SweepOutcome again = runSweep(apps_list, ex, tech, options);
+    EXPECT_EQ(again.stats.cells_replayed, 6);
+    EXPECT_EQ(again.stats.tasks_run, 0);
+    EXPECT_EQ(outcomeBytes(reference), outcomeBytes(again));
 }
 
 // --- Process isolation -------------------------------------------------

@@ -153,8 +153,9 @@ expectSameClique(const CliqueResult &a, const CliqueResult &b,
     EXPECT_EQ(a.weight, b.weight); // exact: identical arithmetic
     EXPECT_EQ(a.optimal, b.optimal);
     EXPECT_EQ(a.timed_out, b.timed_out);
-    if (compare_nodes)
+    if (compare_nodes) {
         EXPECT_EQ(a.nodes, b.nodes);
+    }
 }
 
 TEST(CliqueDifferentialTest, MatchesColoringReferenceAtAmpleBudget) {
@@ -189,8 +190,9 @@ TEST(CliqueDifferentialTest, MatchesHistoricWeakBoundAnswers) {
         // The point of the stronger bound: never more nodes, and on
         // non-trivial instances strictly fewer.
         EXPECT_LE(got.nodes, weak.nodes);
-        if (n >= 25)
+        if (n >= 25) {
             EXPECT_LT(got.nodes, weak.nodes);
+        }
     }
 }
 
