@@ -29,6 +29,8 @@
 #include "model/tech.hpp"
 #include "oracles/oracles.hpp"
 #include "pe/baseline.hpp"
+#include "pipeline/app_pipeline.hpp"
+#include "pipeline/pe_pipeline.hpp"
 
 namespace {
 
@@ -383,6 +385,70 @@ runKernelRows()
             return 1;
         }
         rewriteRow(v.value());
+    }
+
+    // Placement: the integer-delta annealer vs the historic loop, on
+    // each analyzed app's PE Base netlist after pipelining, placed as
+    // core::evaluate's first attempt does (default seed, first fabric
+    // of its growth ladder with room).  `moves` and `wirelength` are
+    // deterministic, so CI diffs them against the baseline and gates
+    // the largest row's ms_ref/ms.
+    const core::PeVariant base = explorer.baselineVariant();
+    const mapper::InstructionSelector base_selector(
+        mapper::RewriteRuleSynthesizer(base.spec)
+            .synthesizeLibrary(base.patterns));
+    pe::PeSpec piped = base.spec;
+    pipeline::pipelinePe(piped, model::defaultTech());
+    const core::EvalOptions eval;
+    cgra::PlacerOptions popt;
+    popt.seed = eval.placer_seed;
+    for (const auto &app : apps::analyzedApps()) {
+        auto sel = base_selector.map(app.graph);
+        if (!sel.success) {
+            std::fprintf(stderr, "%s: %s\n", app.name.c_str(),
+                         sel.status.toString().c_str());
+            return 1;
+        }
+        pipeline::pipelineApplication(&sel.mapped,
+                                      piped.pipeline_stages, {});
+        int width = eval.fabric_width, height = eval.fabric_height;
+        for (int growth = 1;
+             cgra::place(cgra::Fabric(width, height), sel.mapped, popt)
+                 .status.code() == ErrorCode::kBudgetExhausted;
+             ++growth)
+            (growth % 2 == 1 ? height : width) *= 2;
+        const cgra::Fabric fabric(width, height);
+        bench::StageSnapshot stages;
+        double ms = 1e300, ms_ref = 1e300;
+        cgra::PlacementResult got, ref;
+        for (int rep = 0; rep < 3; ++rep) {
+            auto t0 = std::chrono::steady_clock::now();
+            got = cgra::placeHetero(fabric, sel.mapped, {}, 1, popt);
+            ms = std::min(ms, wallMs(t0));
+            t0 = std::chrono::steady_clock::now();
+            ref = cgra::placeHeteroReference(fabric, sel.mapped, {}, 1,
+                                             popt);
+            ms_ref = std::min(ms_ref, wallMs(t0));
+        }
+        bool match = got.success == ref.success && got.loc == ref.loc &&
+                     got.edges.size() == ref.edges.size() &&
+                     std::memcmp(&got.wirelength, &ref.wirelength,
+                                 sizeof got.wirelength) == 0;
+        for (std::size_t e = 0; match && e < got.edges.size(); ++e)
+            match = got.edges[e].src == ref.edges[e].src &&
+                    got.edges[e].dst == ref.edges[e].dst &&
+                    got.edges[e].regs == ref.edges[e].regs;
+        int placeable = 0;
+        for (const auto &n : sel.mapped.nodes)
+            placeable += cgra::isPlaceable(n.kind);
+        std::printf("{\"kernel\":\"place\",\"app\":\"%s\","
+                    "\"fabric\":\"%dx%d\",\"placeable\":%d,"
+                    "\"moves\":%d,\"wirelength\":%.0f,\"match\":%s,"
+                    "\"ms\":%.2f,\"ms_ref\":%.2f,%s}\n",
+                    app.name.c_str(), width, height, placeable,
+                    placeable * popt.moves_per_node, got.wirelength,
+                    match ? "true" : "false", ms, ms_ref,
+                    stages.jsonFragment().c_str());
     }
     return 0;
 }

@@ -25,6 +25,12 @@ per-assignment loop over the library's rules.  The rule count is
 deterministic per library; the speedup is a loose timing ratio on the
 PE Base row.
 
+Place rows (one per analyzed app's PE Base netlist after pipelining,
+placed as the sweep's first attempt) time the integer-delta annealer
+against the historic double-cost loop.  The move count and the final
+wirelength are deterministic per netlist; the speedup is a loose
+timing ratio on the row with the most moves.
+
 Failure conditions:
   * any clique row expands more than 2x the baseline's node count
     (the pruning bound regressed);
@@ -37,6 +43,9 @@ Failure conditions:
   * any rewrite row whose rule count drifts from the baseline (the
     synthesized library changed), or a PE Base rewrite row whose
     ms_ref/ms falls below MIN_REWRITE_SPEEDUP;
+  * any place row whose move count or wirelength drifts from the
+    baseline (the netlist or the annealer changed), or the largest
+    place row's ms_ref/ms falls below MIN_PLACE_SPEEDUP;
   * any row reports match:false (optimized and reference kernels
     disagreed — a determinism-contract break).
 
@@ -51,6 +60,7 @@ MIN_CLIQUE_RATIO = 5.0
 MIN_MINER_ISO_FACTOR = 3.0
 MIN_MIS_DENSE_SPEEDUP = 5.0
 MIN_REWRITE_SPEEDUP = 5.0
+MIN_PLACE_SPEEDUP = 1.4
 
 
 def load_rows(path):
@@ -152,6 +162,31 @@ def main():
                 failures.append(
                     f"rewrite {row['pe']}: ms_ref/ms {speedup:.2f} "
                     f"< {MIN_REWRITE_SPEEDUP}")
+
+    # Place rows: moves and wirelength are pure functions of the
+    # netlist, the fabric and the seed, so drift means the netlist or
+    # the annealer changed.
+    base_place = {r["app"]: r for r in baseline
+                  if r["kernel"] == "place"}
+    cur_place = [r for r in current if r["kernel"] == "place"]
+    if base_place and not cur_place:
+        failures.append("no place rows in current output")
+    for row in cur_place:
+        base = base_place.get(row["app"])
+        if base is None:
+            continue
+        for field in ("moves", "wirelength"):
+            if row[field] != base[field]:
+                failures.append(
+                    f"place {row['app']}: {field} {row[field]} vs "
+                    f"baseline {base[field]} (placement changed)")
+    if cur_place:
+        largest = max(cur_place, key=lambda r: r["moves"])
+        speedup = largest["ms_ref"] / max(largest["ms"], 0.01)
+        if speedup < MIN_PLACE_SPEEDUP:
+            failures.append(
+                f"place {largest['app']}: ms_ref/ms {speedup:.2f} "
+                f"< {MIN_PLACE_SPEEDUP}")
 
     if failures:
         for f in failures:

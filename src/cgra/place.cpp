@@ -1,11 +1,14 @@
 #include "cgra/place.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <sstream>
 
 #include "core/fault.hpp"
+#include "core/mt19937.hpp"
 #include "runtime/telemetry.hpp"
 
 namespace apex::cgra {
@@ -69,6 +72,32 @@ manhattan(Coord a, Coord b)
 {
     return std::abs(a.x - b.x) + std::abs(a.y - b.y);
 }
+
+/**
+ * x % d by two multiplications instead of a division, exact for
+ * every 32-bit x and d > 0 (Lemire, Kaser and Kurz, "Faster Remainder
+ * by Direct Computation", 2019).  The annealer takes three remainders
+ * per move in a chain of dependent loads, where a division's latency
+ * shows.
+ */
+class Remainder {
+  public:
+    explicit Remainder(std::uint32_t d)
+        : d_(d), m_(~std::uint64_t{0} / d + 1)
+    {
+    }
+
+    std::uint32_t of(std::uint32_t x) const
+    {
+        const std::uint64_t low = m_ * x; // wraps by design
+        return static_cast<std::uint32_t>(
+            (static_cast<unsigned __int128>(low) * d_) >> 64);
+    }
+
+  private:
+    std::uint64_t d_;
+    std::uint64_t m_; ///< ceil(2^64 / d), 0 for d = 1.
+};
 
 } // namespace
 
@@ -163,7 +192,6 @@ placeHetero(const Fabric &fabric, const MappedGraph &mapped,
 
     // Initial placement: nodes in order onto slots in order (slots
     // enumerate row-major, which clusters connected nodes decently).
-    std::mt19937 rng(options.seed);
     std::vector<int> slot_of_node(mapped.nodes.size(), -1);
     std::vector<std::vector<int>> node_in_slot(num_classes);
     for (int c = 0; c < num_classes; ++c) {
@@ -176,86 +204,133 @@ placeHetero(const Fabric &fabric, const MappedGraph &mapped,
         }
     }
 
-    // Incident contracted edges per node.
-    std::vector<std::vector<int>> incident(mapped.nodes.size());
-    for (std::size_t e = 0; e < result.edges.size(); ++e) {
-        incident[result.edges[e].src].push_back(
-            static_cast<int>(e));
-        incident[result.edges[e].dst].push_back(
-            static_cast<int>(e));
+    // Contracted-edge neighbours per node (CSR): one entry per
+    // incident edge, so parallel edges repeat.  Self-loops are left
+    // out: their length is always 0.
+    const std::size_t num_nodes = mapped.nodes.size();
+    std::vector<int> nb_begin(num_nodes + 1, 0);
+    for (const PlacedEdge &e : result.edges) {
+        if (e.src != e.dst) {
+            ++nb_begin[e.src + 1];
+            ++nb_begin[e.dst + 1];
+        }
+    }
+    for (std::size_t i = 0; i < num_nodes; ++i)
+        nb_begin[i + 1] += nb_begin[i];
+    std::vector<int> nb(nb_begin[num_nodes]);
+    {
+        std::vector<int> fill(nb_begin.begin(), nb_begin.end() - 1);
+        for (const PlacedEdge &e : result.edges) {
+            if (e.src != e.dst) {
+                nb[fill[e.src]++] = e.dst;
+                nb[fill[e.dst]++] = e.src;
+            }
+        }
     }
 
-    auto edge_cost = [&](const PlacedEdge &e) {
-        return static_cast<double>(
-            manhattan(result.loc[e.src], result.loc[e.dst]));
-    };
-    auto node_cost = [&](int node) {
-        double cost = 0.0;
-        for (int e : incident[node])
-            cost += edge_cost(result.edges[e]);
-        return cost;
+    // Length change of @p node's edges when it moves @p from -> @p to
+    // while @p partner (or -1) takes its place: edges between the two
+    // keep their length and are skipped.
+    const auto move_delta = [&](int node, Coord from, Coord to,
+                                int partner) {
+        int delta = 0;
+        for (int i = nb_begin[node]; i < nb_begin[node + 1]; ++i) {
+            const int m = nb[i];
+            if (m == partner)
+                continue;
+            const Coord at = result.loc[m];
+            delta += manhattan(to, at) - manhattan(from, at);
+        }
+        return delta;
     };
 
     // Simulated annealing: swap a node with another node (or empty
-    // slot) of the same class.
+    // slot) of the same class.  A move's cost change is an integer,
+    // and so are the before/after sums it replaces (exact in doubles),
+    // so every accept/reject decision, RNG call included, is the
+    // historic one.
     int placeable_total = 0;
     for (int c = 0; c < num_classes; ++c)
         placeable_total += static_cast<int>(nodes_of_class[c].size());
     const int total_moves = placeable_total * options.moves_per_node;
     double temperature = kInitialTemperature;
+    core::BlockMt19937 rng(options.seed);
     std::uniform_real_distribution<double> uniform(0.0, 1.0);
+    // exp(-delta / T) per small delta, filled on first use at each
+    // temperature (negative = not yet computed).
+    std::array<double, 64> acceptance;
+    acceptance.fill(-1.0);
+    const auto accept_probability = [&](int delta) {
+        const auto exact = [&] {
+            return std::exp(-static_cast<double>(delta) /
+                            std::max(temperature, 1e-3));
+        };
+        if (delta >= static_cast<int>(acceptance.size()))
+            return exact();
+        double &p = acceptance[delta];
+        if (p < 0.0)
+            p = exact();
+        return p;
+    };
 
+    // Draws are below 2^32, so these equal the historic `rng() % n`.
+    // (An empty class is never drawn from; 1 stands in for its 0.)
+    const auto remainder = [](std::size_t n) {
+        return Remainder(
+            static_cast<std::uint32_t>(std::max<std::size_t>(n, 1)));
+    };
+    const Remainder class_pick = remainder(num_classes);
+    std::vector<Remainder> node_pick, slot_pick;
+    for (int c = 0; c < num_classes; ++c) {
+        node_pick.push_back(remainder(nodes_of_class[c].size()));
+        slot_pick.push_back(remainder(slots_of_class[c].size()));
+    }
+    const auto draw = [&rng] {
+        return static_cast<std::uint32_t>(rng());
+    };
+
+    int until_cooling = placeable_total;
     for (int move = 0; move < total_moves; ++move) {
-        if (move > 0 && move % std::max(placeable_total, 1) == 0)
+        if (until_cooling == 0) {
             temperature *= kCooling;
+            acceptance.fill(-1.0);
+            until_cooling = placeable_total;
+        }
+        --until_cooling;
 
         // Pick a random placeable node.
         int c;
         do {
-            c = static_cast<int>(rng() % num_classes);
+            c = static_cast<int>(class_pick.of(draw()));
         } while (nodes_of_class[c].empty());
-        const int node =
-            nodes_of_class[c][rng() % nodes_of_class[c].size()];
-        const int new_slot =
-            static_cast<int>(rng() % slots_of_class[c].size());
+        const int node = nodes_of_class[c][node_pick[c].of(draw())];
+        const int new_slot = static_cast<int>(slot_pick[c].of(draw()));
         const int old_slot = slot_of_node[node];
         if (new_slot == old_slot)
             continue;
         const int other = node_in_slot[c][new_slot];
+        const Coord from = slots_of_class[c][old_slot];
+        const Coord to = slots_of_class[c][new_slot];
 
-        double before = node_cost(node);
+        int delta = move_delta(node, from, to, other);
         if (other >= 0)
-            before += node_cost(other);
-
-        // Apply.
-        result.loc[node] = slots_of_class[c][new_slot];
-        if (other >= 0)
-            result.loc[other] = slots_of_class[c][old_slot];
-
-        double after = node_cost(node);
-        if (other >= 0)
-            after += node_cost(other);
-
-        const double delta = after - before;
-        if (delta <= 0.0 ||
-            uniform(rng) < std::exp(-delta / std::max(temperature,
-                                                      1e-3))) {
+            delta += move_delta(other, to, from, node);
+        if (delta <= 0 || uniform(rng) < accept_probability(delta)) {
             slot_of_node[node] = new_slot;
             node_in_slot[c][new_slot] = node;
             node_in_slot[c][old_slot] = other;
-            if (other >= 0)
+            result.loc[node] = to;
+            if (other >= 0) {
                 slot_of_node[other] = old_slot;
-        } else {
-            // Revert.
-            result.loc[node] = slots_of_class[c][old_slot];
-            if (other >= 0)
-                result.loc[other] = slots_of_class[c][new_slot];
+                result.loc[other] = from;
+            }
         }
     }
 
     result.wirelength = 0.0;
     for (const PlacedEdge &e : result.edges)
-        result.wirelength += edge_cost(e);
+        result.wirelength += static_cast<double>(
+            manhattan(result.loc[e.src], result.loc[e.dst]));
     result.success = true;
     return result;
 }

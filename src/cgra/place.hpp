@@ -13,8 +13,9 @@
  * Placement: assign every *placeable* mapped node (PE instances,
  * memory tiles, register-file FIFOs — which occupy a PE tile's
  * register file — and IO pads) to a fabric tile of the right kind,
- * minimizing total half-perimeter wirelength with simulated
- * annealing.
+ * minimizing with simulated annealing the summed Manhattan length of
+ * the contracted two-pin edges.  That is not half-perimeter
+ * wirelength: a net with fanout k counts as k edges.
  *
  * Pipeline registers (kReg) are not placed: they live on interconnect
  * tracks.  For placement and routing, register chains are contracted
@@ -48,7 +49,9 @@ struct PlacementResult {
      * {-1, -1} — they do not occupy tiles. */
     std::vector<Coord> loc;
     std::vector<PlacedEdge> edges; ///< Contracted netlist.
-    double wirelength = 0.0;       ///< Final HPWL sum.
+    /** Final cost: summed Manhattan length of the contracted edges
+     * (a net with fanout k counts k times), not HPWL. */
+    double wirelength = 0.0;
 };
 
 /** @return true when @p kind occupies a fabric tile. */

@@ -15,6 +15,7 @@
  * handlers and process teardown that in-process tests cannot.
  */
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdlib>
@@ -35,10 +36,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/** Scratch dir per test and process (two runs of the suite on one
+ * host must not share one), removed on scope exit. */
 class ScratchDir {
   public:
     explicit ScratchDir(const std::string &tag)
-        : path_(fs::temp_directory_path() / ("apex_cli_test_" + tag))
+        : path_(fs::temp_directory_path() /
+                ("apex_cli_test_" + tag + "_" +
+                 std::to_string(::getpid())))
     {
         fs::remove_all(path_);
         fs::create_directories(path_);

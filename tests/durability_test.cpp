@@ -40,12 +40,14 @@ namespace fs = std::filesystem;
 
 const model::TechModel tech = model::defaultTech();
 
-/** Unique scratch dir per test, removed on scope exit. */
+/** Unique scratch dir per test and process (two runs of the suite
+ * on one host must not share one), removed on scope exit. */
 class ScratchDir {
   public:
     explicit ScratchDir(const std::string &tag)
         : path_(fs::temp_directory_path() /
-                ("apex_durability_test_" + tag))
+                ("apex_durability_test_" + tag + "_" +
+                 std::to_string(::getpid())))
     {
         fs::remove_all(path_);
         fs::create_directories(path_);

@@ -1,32 +1,42 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "cgra/fabric.hpp"
+#include "cgra/place.hpp"
 #include "core/bitset.hpp"
 #include "core/deadline.hpp"
 #include "core/explorer.hpp"
+#include "core/mt19937.hpp"
 #include "ir/builder.hpp"
 #include "mapper/rewrite.hpp"
+#include "mapper/select.hpp"
 #include "merging/clique.hpp"
 #include "mining/isomorphism.hpp"
 #include "mining/miner.hpp"
 #include "mining/mis.hpp"
+#include "model/tech.hpp"
 #include "oracles/oracles.hpp"
 #include "pe/baseline.hpp"
 #include "pe/functional.hpp"
+#include "pipeline/app_pipeline.hpp"
+#include "pipeline/pe_pipeline.hpp"
 
 /*
- * Differential suite for the bitset combinatorial kernels and the
- * lowered rewrite-rule validator: every optimized kernel must return
- * byte-identical results to its retained reference implementation —
- * order included, truncation paths included.  Seeds are fixed, so a
- * mismatch is a determinism-contract break, not flakiness.
+ * Differential suite for the bitset combinatorial kernels, the
+ * lowered rewrite-rule validator and the integer-delta placer: every
+ * optimized kernel must return byte-identical results to its retained
+ * reference implementation — order included, truncation paths
+ * included.  Seeds are fixed, so a mismatch is a determinism-contract
+ * break, not flakiness.
  */
 namespace {
 
@@ -517,6 +527,7 @@ using apex::pe::PeSpec;
 
 struct RuleLibrary {
     std::string name;
+    std::string app; ///< Empty for PE Base, which serves every app.
     PeSpec spec;
     std::vector<RewriteRule> rules;
 };
@@ -529,20 +540,21 @@ sweepLibraries()
     static const std::vector<RuleLibrary> libraries = [] {
         std::vector<RuleLibrary> out;
         const apex::core::Explorer explorer;
-        const auto add = [&](const apex::core::PeVariant &v) {
-            RuleLibrary lib{v.name, v.spec, {}};
+        const auto add = [&](const apex::core::PeVariant &v,
+                             const std::string &app) {
+            RuleLibrary lib{v.name, app, v.spec, {}};
             lib.rules = RewriteRuleSynthesizer(lib.spec)
                             .synthesizeLibrary(v.patterns);
             out.push_back(std::move(lib));
         };
-        add(explorer.baselineVariant());
+        add(explorer.baselineVariant(), "");
         for (const auto &app : apex::apps::allApps()) {
-            add(explorer.subsetVariant(app));
+            add(explorer.subsetVariant(app), app.name);
             auto spec = explorer.specializedVariant(
                 app, explorer.options().max_merged_subgraphs);
             EXPECT_TRUE(spec.ok()) << app.name;
             if (spec.ok())
-                add(spec.value());
+                add(spec.value(), app.name);
         }
         return out;
     }();
@@ -791,6 +803,266 @@ TEST(RewriteDifferentialTest, UnusedOutputSelectOutOfRangeIsRejected) {
     bit_rule->config.word_out_sel = -1;
     EXPECT_FALSE(validateRuleReference(spec, *bit_rule));
     EXPECT_FALSE(validateRule(spec, *bit_rule));
+}
+
+// ---------------------------------------------------------------------
+// Placement: the integer-delta annealer on the block MT19937 against
+// the historic loop (double before/after sums, write and revert,
+// std::mt19937), on every app's PE Base, PE 1 and PE k netlists after
+// mapping and after pipelining, the three retry seeds, two fabric
+// sizes, a big.LITTLE split, seeded random netlists and the degenerate
+// cases.
+
+TEST(BlockMt19937Test, MatchesStdMt19937DrawForDraw) {
+    for (const std::uint32_t seed :
+         {0u, 1u, 0xCA11u, 0xCA11u + 0x9E3779B9u, 0xFFFFFFFFu}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 ref(seed);
+        apex::core::BlockMt19937 got(seed);
+        int mismatches = 0;
+        for (int i = 0; i < 200000; ++i)
+            mismatches += got() != ref();
+        EXPECT_EQ(mismatches, 0);
+
+        // Interleaved with real draws, as the annealer draws them.
+        std::uniform_real_distribution<double> uniform(0.0, 1.0);
+        for (int i = 0; i < 1000; ++i) {
+            ASSERT_EQ(got() % 7, ref() % 7);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(uniform(got)),
+                      std::bit_cast<std::uint64_t>(uniform(ref)));
+        }
+    }
+}
+
+using apex::cgra::Fabric;
+using apex::cgra::PlacementResult;
+using apex::cgra::PlacerOptions;
+using apex::cgra::placeHetero;
+using apex::cgra::placeHeteroReference;
+using apex::mapper::MappedGraph;
+using apex::mapper::MappedKind;
+
+/** The retry seeds core::evaluate derives from its base seed. */
+constexpr unsigned kRetrySeeds[] = {0xCA11u, 0xCA11u + 0x9E3779B9u,
+                                    0xCA11u + 2 * 0x9E3779B9u};
+
+struct Netlist {
+    std::string name;
+    MappedGraph mapped;
+};
+
+/** Every app mapped onto PE Base, PE 1 and PE k, once as mapped and
+ * once pipelined, as core::evaluate hands them to the placer. */
+const std::vector<Netlist> &
+sweepNetlists()
+{
+    static const std::vector<Netlist> netlists = [] {
+        std::vector<Netlist> out;
+        for (const auto &app : apex::apps::allApps()) {
+            for (const RuleLibrary &lib : sweepLibraries()) {
+                if (!lib.app.empty() && lib.app != app.name)
+                    continue;
+                const auto sel = apex::mapper::InstructionSelector(
+                                     apex::mapper::combineLibraries(
+                                         {lib.rules}))
+                                     .map(app.graph);
+                EXPECT_TRUE(sel.success) << app.name << " " << lib.name;
+                if (!sel.success)
+                    continue;
+                const std::string name = app.name + "/" + lib.name;
+                out.push_back({name + "/map", sel.mapped});
+                PeSpec spec = lib.spec;
+                apex::pipeline::pipelinePe(spec,
+                                           apex::model::defaultTech());
+                MappedGraph piped = sel.mapped;
+                apex::pipeline::pipelineApplication(
+                    &piped, spec.pipeline_stages, {});
+                out.push_back({name + "/pipe", std::move(piped)});
+            }
+        }
+        return out;
+    }();
+    return netlists;
+}
+
+void
+expectSamePlacement(const PlacementResult &got,
+                    const PlacementResult &ref)
+{
+    EXPECT_EQ(got.success, ref.success);
+    EXPECT_EQ(got.status.code(), ref.status.code());
+    EXPECT_EQ(got.status.message(), ref.status.message());
+    EXPECT_TRUE(got.loc == ref.loc);
+    ASSERT_EQ(got.edges.size(), ref.edges.size());
+    for (std::size_t e = 0; e < got.edges.size(); ++e) {
+        EXPECT_EQ(got.edges[e].src, ref.edges[e].src);
+        EXPECT_EQ(got.edges[e].dst, ref.edges[e].dst);
+        EXPECT_EQ(got.edges[e].regs, ref.edges[e].regs);
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.wirelength),
+              std::bit_cast<std::uint64_t>(ref.wirelength));
+}
+
+/** Both placers on one input. */
+void
+expectSamePlacement(const Fabric &fabric, const MappedGraph &mapped,
+                    const std::vector<int> &types, int num_types,
+                    const PlacerOptions &options)
+{
+    expectSamePlacement(
+        placeHetero(fabric, mapped, types, num_types, options),
+        placeHeteroReference(fabric, mapped, types, num_types,
+                             options));
+}
+
+TEST(PlaceDifferentialTest, SweepNetlistsMatchReference) {
+    ASSERT_EQ(sweepNetlists().size(), 9u * 3u * 2u);
+    int placed = 0;
+    for (const Fabric &fabric : {Fabric(32, 16), Fabric(32, 32)}) {
+        for (const Netlist &n : sweepNetlists()) {
+            for (unsigned seed : kRetrySeeds) {
+                SCOPED_TRACE(n.name + " " +
+                             std::to_string(fabric.width()) + "x" +
+                             std::to_string(fabric.height()) +
+                             " seed " + std::to_string(seed));
+                PlacerOptions options;
+                options.seed = seed;
+                const auto got =
+                    placeHetero(fabric, n.mapped, {}, 1, options);
+                expectSamePlacement(
+                    got, placeHeteroReference(fabric, n.mapped, {}, 1,
+                                              options));
+                placed += got.success;
+            }
+        }
+    }
+    EXPECT_GT(placed, 9 * 3 * 2 * 3);
+}
+
+TEST(PlaceDifferentialTest, BigLittleFabricMatchesReference) {
+    // Two PE types by node parity, as a big.LITTLE split assigns
+    // them; a short type vector leaves the tail on type 0, and an
+    // out-of-range type clamps to the last pool.
+    for (const Netlist &n : sweepNetlists()) {
+        SCOPED_TRACE(n.name);
+        std::vector<int> types(n.mapped.nodes.size() * 3 / 4);
+        for (std::size_t id = 0; id < types.size(); ++id)
+            types[id] = id % 5 == 4 ? 7 : static_cast<int>(id % 2);
+        PlacerOptions options;
+        options.seed = kRetrySeeds[1];
+        expectSamePlacement(Fabric(32, 32), n.mapped, types, 2,
+                            options);
+    }
+}
+
+/**
+ * A seeded random netlist of @p n nodes.  Node 0 is a hub input every
+ * PE reads; PEs read two or three earlier nodes, often one twice
+ * (parallel edges) and often through a register chain; the rest are
+ * MEM tiles (none when @p with_mem is false), register files and IO
+ * pads.  The last PE also reads itself through a register.
+ */
+MappedGraph
+randomNetlist(int n, bool with_mem, std::uint32_t seed)
+{
+    Lcg rng(seed);
+    MappedGraph g;
+    const auto add = [&](MappedKind kind, std::vector<int> inputs) {
+        apex::mapper::MappedNode node;
+        node.kind = kind;
+        node.inputs = std::move(inputs);
+        g.nodes.push_back(std::move(node));
+        return static_cast<int>(g.nodes.size()) - 1;
+    };
+    const auto earlier = [&] {
+        return static_cast<int>(rng.next() % g.nodes.size());
+    };
+    const auto through_regs = [&](int src) {
+        for (unsigned r = rng.next() % 3; r > 0; --r)
+            src = add(MappedKind::kReg, {src});
+        return src;
+    };
+    add(MappedKind::kInput, {});
+    int last_pe = -1;
+    while (static_cast<int>(g.nodes.size()) < n) {
+        const unsigned pick = rng.next() % 10;
+        if (pick < 6) {
+            std::vector<int> in = {0, through_regs(earlier())};
+            if (rng.next() % 2 == 0)
+                in.push_back(in.back());
+            last_pe = add(MappedKind::kPe, std::move(in));
+        } else if (pick == 6 && with_mem) {
+            add(MappedKind::kMem, {earlier()});
+        } else if (pick == 7) {
+            add(MappedKind::kRegFile, {earlier()});
+        } else if (pick == 8) {
+            add(MappedKind::kInput, {});
+        } else {
+            add(rng.next() % 2 ? MappedKind::kOutput
+                               : MappedKind::kOutputBit,
+                {through_regs(earlier())});
+        }
+    }
+    if (last_pe >= 0)
+        g.nodes[last_pe].inputs.push_back(
+            add(MappedKind::kReg, {last_pe}));
+    return g;
+}
+
+TEST(PlaceDifferentialTest, RandomNetlistsMatchReference) {
+    int placed = 0;
+    for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+        const bool with_mem = seed % 3 != 0;
+        const int n = 20 + static_cast<int>(seed) * 25;
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const MappedGraph g = randomNetlist(n, with_mem, seed);
+        PlacerOptions options;
+        options.seed = kRetrySeeds[seed % 3];
+        std::vector<int> types(g.nodes.size());
+        for (std::size_t id = 0; id < types.size(); ++id)
+            types[id] = static_cast<int>(id % 3);
+        for (const int num_types : {1, 3}) {
+            const Fabric fabric(32, 16 * num_types);
+            const auto got =
+                placeHetero(fabric, g, types, num_types, options);
+            expectSamePlacement(got,
+                                placeHeteroReference(fabric, g, types,
+                                                     num_types, options));
+            placed += got.success;
+        }
+    }
+    EXPECT_EQ(placed, 24);
+}
+
+TEST(PlaceDifferentialTest, SinglePlaceableNodeMatchesReference) {
+    for (const MappedKind kind : {MappedKind::kPe, MappedKind::kInput}) {
+        MappedGraph g;
+        g.nodes.resize(1);
+        g.nodes[0].kind = kind;
+        expectSamePlacement(Fabric(32, 16), g, {}, 1, {});
+    }
+    expectSamePlacement(Fabric(32, 16), MappedGraph{}, {}, 1, {});
+}
+
+TEST(PlaceDifferentialTest, ZeroAndOneMovePerNodeMatchReference) {
+    for (const int moves : {0, 1}) {
+        for (const Netlist &n : sweepNetlists()) {
+            SCOPED_TRACE(n.name + " moves " + std::to_string(moves));
+            PlacerOptions options;
+            options.moves_per_node = moves;
+            expectSamePlacement(Fabric(32, 16), n.mapped, {}, 1,
+                                options);
+        }
+    }
+}
+
+TEST(PlaceDifferentialTest, TooSmallFabricMatchesReference) {
+    const Netlist &n = sweepNetlists().front();
+    const auto got = placeHetero(Fabric(4, 4), n.mapped, {}, 1, {});
+    EXPECT_FALSE(got.success);
+    EXPECT_EQ(got.status.code(), apex::ErrorCode::kBudgetExhausted);
+    expectSamePlacement(
+        got, placeHeteroReference(Fabric(4, 4), n.mapped, {}, 1, {}));
 }
 
 } // namespace

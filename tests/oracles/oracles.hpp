@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cgra/place.hpp"
 #include "core/deadline.hpp"
 #include "ir/graph.hpp"
 #include "mapper/rewrite.hpp"
@@ -17,8 +18,8 @@
 /**
  * @file
  * Reference oracles: the historic miner, isomorphism matcher, MIS
- * solver, clique solver, PE evaluator and rewrite-rule validator,
- * kept verbatim.  Each must return
+ * solver, clique solver, PE evaluator, rewrite-rule validator and
+ * annealing placer, kept verbatim.  Each must return
  * byte-identical results to its production counterpart in src/ —
  * order and budget/deadline/limit truncation included.  Only the
  * differential tests and bench_micro_algorithms link them.
@@ -91,5 +92,19 @@ bool validateRuleReference(const pe::PeSpec &spec,
                            const RewriteRule &rule);
 
 } // namespace apex::mapper
+
+namespace apex::cgra {
+
+/** Double before/after cost sums with write-and-revert moves, drawn
+ * from std::mt19937.  Matches placeHetero() (telemetry and the fault
+ * hook aside). */
+PlacementResult
+placeHeteroReference(const Fabric &fabric,
+                     const mapper::MappedGraph &mapped,
+                     const std::vector<int> &pe_type_of_node,
+                     int num_pe_types,
+                     const PlacerOptions &options = {});
+
+} // namespace apex::cgra
 
 #endif // APEX_TESTS_ORACLES_H_

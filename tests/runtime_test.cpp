@@ -42,12 +42,14 @@ namespace {
 using namespace apex;
 namespace fs = std::filesystem;
 
-/** Unique scratch dir per test, removed on scope exit. */
+/** Unique scratch dir per test and process (two runs of the suite
+ * on one host must not share one), removed on scope exit. */
 class ScratchDir {
   public:
     explicit ScratchDir(const std::string &tag)
         : path_(fs::temp_directory_path() /
-                ("apex_runtime_test_" + tag))
+                ("apex_runtime_test_" + tag + "_" +
+                 std::to_string(::getpid())))
     {
         fs::remove_all(path_);
     }

@@ -887,7 +887,8 @@ TEST(ServiceEndToEnd, AcceptExhaustionPausesListenerAndRecovers)
 
     // The episode's one record is its event-log line.
     const std::string log_path =
-        ::testing::TempDir() + "apex_service_emfile_events.jsonl";
+        ::testing::TempDir() + "apex_service_emfile_events_" +
+        std::to_string(::getpid()) + ".jsonl";
     std::filesystem::remove(log_path);
     eventlog::Options log_options;
     log_options.path = log_path;
@@ -969,7 +970,8 @@ TEST(ServiceEndToEnd, ForgedJournalLengthIsADamagedTailNotACrash)
     // request replays the prefix, recomputes the rest, serves the
     // same report, and the daemon stays up.
     const std::string cache_dir =
-        ::testing::TempDir() + "apex_service_forged_journal";
+        ::testing::TempDir() + "apex_service_forged_journal_" +
+        std::to_string(::getpid());
     std::filesystem::remove_all(cache_dir);
     ServerOptions options;
     options.unix_path = scratchSocket("forged_journal");

@@ -9,6 +9,7 @@
  * event store up front.
  */
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -496,7 +497,8 @@ TEST(EventLog, ParseLevelAcceptsTheDocumentedNames)
 TEST(EventLog, WritesLeveledJsonlWithTraceCorrelation)
 {
     const std::string path =
-        ::testing::TempDir() + "apex_eventlog_test.jsonl";
+        ::testing::TempDir() + "apex_eventlog_test_" +
+        std::to_string(::getpid()) + ".jsonl";
     std::filesystem::remove(path);
 
     eventlog::Options options;
@@ -534,7 +536,8 @@ TEST(EventLog, WritesLeveledJsonlWithTraceCorrelation)
 TEST(EventLog, RateBoundSuppressesCountsAndSummarizes)
 {
     const std::string path =
-        ::testing::TempDir() + "apex_eventlog_rate_test.jsonl";
+        ::testing::TempDir() + "apex_eventlog_rate_test_" +
+        std::to_string(::getpid()) + ".jsonl";
     std::filesystem::remove(path);
 
     eventlog::Options options;
