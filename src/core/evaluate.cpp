@@ -151,6 +151,20 @@ evalCacheKey(const apps::AppInfo &app, const PeVariant &variant,
     return os.str();
 }
 
+std::optional<EvalResult>
+cachedEvaluation(runtime::ArtifactCache &cache, const std::string &key)
+{
+    const std::optional<std::string> hit = cache.get(key);
+    if (!hit)
+        return std::nullopt;
+    Result<EvalResult> cached = parseEvalResult(*hit);
+    if (!cached.ok())
+        return std::nullopt;
+    EvalResult out = std::move(cached).value();
+    out.diagnostics.info("cache", "evaluation served from artifact cache");
+    return out;
+}
+
 namespace {
 
 /**
@@ -382,19 +396,11 @@ evaluateFabric(const apps::AppInfo &app, std::span<const PeVariant> types,
     if (options.cache != nullptr && num_types == 1) {
         cache_key =
             evalCacheKey(app, types.front(), level, tech, options);
-        if (auto hit = options.cache->get(cache_key)) {
-            if (Result<EvalResult> cached = parseEvalResult(*hit);
-                cached.ok()) {
-                EvalResult out = std::move(cached).value();
-                out.diagnostics.info(
-                    "cache",
-                    "evaluation served from artifact cache");
-                if (pe_count_by_type != nullptr)
-                    *pe_count_by_type = {out.pe_count};
-                return out;
-            }
-            // Format skew that slipped past the disk checksum:
-            // recompute and overwrite on success.
+        if (std::optional<EvalResult> hit =
+                cachedEvaluation(*options.cache, cache_key)) {
+            if (pe_count_by_type != nullptr)
+                *pe_count_by_type = {hit->pe_count};
+            return std::move(*hit);
         }
     }
     const auto memoize = [&](const EvalResult &ok_result) {

@@ -1,6 +1,7 @@
 #ifndef APEX_CORE_EVALUATE_H_
 #define APEX_CORE_EVALUATE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,7 +118,10 @@ struct EvalOptions {
      * graph, the variant (datapath, patterns, pipelining), the
      * evaluation level, the tech model and every knob above, so a
      * hit is guaranteed to reproduce the sequential result bit for
-     * bit.  Failures are never cached (they are retried).
+     * bit.  Failures are never cached (they are retried).  A
+     * process-isolated sweep's supervisor reads and writes the same
+     * entries (cachedEvaluation(), evalCacheKey()) on its workers'
+     * behalf; the workers themselves run without a cache.
      */
     runtime::ArtifactCache *cache = nullptr;
     /**
@@ -207,6 +211,16 @@ std::string evalCacheKey(const apps::AppInfo &app,
                          const PeVariant &variant, EvalLevel level,
                          const model::TechModel &tech,
                          const EvalOptions &options);
+
+/**
+ * The evaluation memoized under @p key, exactly as evaluate() serves
+ * a hit: the parsed record plus a "cache" info diagnostic.  Empty on
+ * a miss and on a record that does not parse (format skew that
+ * slipped past the disk checksum), which the caller recomputes and
+ * overwrites.
+ */
+std::optional<EvalResult> cachedEvaluation(runtime::ArtifactCache &cache,
+                                           const std::string &key);
 
 /**
  * Energy one PE instance spends per cycle executing @p rule on

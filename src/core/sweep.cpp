@@ -653,16 +653,22 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     fan_out.drain();
 
     // --- Process isolation: dispatch evaluations to forked workers --
-    // Workers are forked *after* the builds, so fork-COW hands every
-    // child the built variants for free; each child evaluates cells
-    // it is sent and answers with the exact journal payload bytes,
-    // checksummed end to end.  A worker death is survived: retry up
-    // to cell_retries re-dispatches, then quarantine the cell as a
-    // kWorkerCrashed failure with its death cause and keep sweeping.
+    // The supervisor owns every cache read and write: a cell the
+    // artifact cache holds finishes here through evaluate()'s own
+    // lookup and never reaches a worker (a fully cached sweep forks
+    // nothing), and each result a worker computes is stored under the
+    // key evaluate() would have used.  Workers are forked *after* the
+    // builds, so fork-COW hands every child the built variants for
+    // free; each child evaluates cells it is sent and answers with the
+    // exact journal payload bytes, checksummed end to end.  A worker
+    // death is survived: retry up to cell_retries re-dispatches, then
+    // quarantine the cell as a kWorkerCrashed failure with its death
+    // cause and keep sweeping.
     if (options.isolate == IsolateMode::kProcess) {
         struct WorkItem {
             std::size_t app;
             int cell;
+            std::string cache_key; ///< Empty without a cache.
         };
         std::vector<WorkItem> work;
         std::vector<std::string> payloads;
@@ -679,16 +685,28 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                     slot.results[j] = deadlineSkippedCell();
                     continue;
                 }
-                work.push_back({i, j});
+                std::string key;
+                if (cache != nullptr) {
+                    const Clock::time_point t0 = Clock::now();
+                    key = evalCacheKey(apps[i], *slot.variants[j],
+                                       options.level, tech, eval_opts);
+                    if (std::optional<EvalResult> hit =
+                            cachedEvaluation(*cache, key)) {
+                        finishCell(i, j, std::move(*hit),
+                                   elapsedUs(t0));
+                        continue;
+                    }
+                }
+                work.push_back({i, j, std::move(key)});
                 payloads.push_back(std::to_string(i) + " " +
                                    std::to_string(j));
             }
         }
         if (!work.empty()) {
-            // Children must not append to the shared artifact cache:
-            // concurrent processes interleaving writes through one
-            // inherited fd would corrupt it.  Results are identical
-            // either way (the cache is a pure memoization).
+            // Children never touch the artifact cache: concurrent
+            // processes writing through one inherited fd, or racing
+            // the supervisor's disk tier, would corrupt it.  The
+            // supervisor stores their results below.
             EvalOptions child_eval = eval_opts;
             child_eval.cache = nullptr;
             const auto handler =
@@ -737,6 +755,14 @@ runSweep(const std::vector<apps::AppInfo> &apps,
                     SweepJournal::decodeCellRecordPayload(o.response,
                                                           &decoded)) {
                     r = std::move(decoded.result);
+                    // The record evaluate() memoizes in thread mode.
+                    // Not a degraded result: thread mode files the
+                    // retry's own record under the cheap knobs' key,
+                    // and that record never leaves the child.
+                    if (r.success && !r.degraded &&
+                        !work[k].cache_key.empty())
+                        cache->put(work[k].cache_key,
+                                   serializeEvalResult(r));
                 } else {
                     // Quarantined (or an undecodable response, which
                     // is a protocol-level crash): record a durable

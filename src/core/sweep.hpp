@@ -98,7 +98,10 @@ struct SweepOptions {
     /** External pool to run on (shared across sweeps); null =>
      * the sweep owns a pool sized by @ref jobs. */
     runtime::ThreadPool *pool = nullptr;
-    /** Memoization cache for evaluate(); overrides eval.cache. */
+    /** Memoization cache for evaluate(); overrides eval.cache.  Under
+     * kProcess the supervisor alone reads and writes it: cached cells
+     * never reach a worker, and what workers compute is stored here
+     * as evaluate() would store it (degraded results excepted). */
     runtime::ArtifactCache *cache = nullptr;
     /** Cooperative cancellation: when it reads true, unstarted cells
      * finish as kCancelled skips instead of evaluating. */

@@ -110,18 +110,18 @@ Server::start()
 
     // Any failure below must release everything opened so far:
     // started_ stays false, so stop() will never clean up after a
-    // failed start.  The socket file is unlinked only once it is
-    // ours — before that, a file at the path belongs to whoever put
-    // it there.
-    bool own_path = false;
+    // failed start.  A socket file is unlinked only once it is ours
+    // (first the temporary name, then the configured path) — before
+    // that, a file at the path belongs to whoever put it there.
+    std::string own_path;
     const auto fail = [&](Status s) {
         for (int *fd : {&unix_fd_, &tcp_fd_, &wake_rd_, &wake_wr_}) {
             if (*fd >= 0)
                 ::close(*fd);
             *fd = -1;
         }
-        if (own_path)
-            (void)::unlink(options_.unix_path.c_str());
+        if (!own_path.empty())
+            (void)::unlink(own_path.c_str());
         return s;
     };
 
@@ -134,25 +134,36 @@ Server::start()
     setNonBlocking(wake_rd_);
     setNonBlocking(wake_wr_);
 
-    // Unix-domain listener (the primary transport).
+    // Unix-domain listener (the primary transport).  The socket file
+    // appears at bind(), before listen(), and a client that connects
+    // in between is refused; so bind a temporary sibling name, listen,
+    // and only then rename it over the configured path.  Whoever sees
+    // the file can connect, and the rename replaces a stale socket.
+    const std::string bind_path =
+        options_.unix_path + ".tmp." + std::to_string(::getpid());
     struct sockaddr_un addr;
     std::memset(&addr, 0, sizeof addr);
     addr.sun_family = AF_UNIX;
-    if (options_.unix_path.size() >= sizeof addr.sun_path)
+    if (bind_path.size() >= sizeof addr.sun_path)
         return fail(Status(ErrorCode::kInvalidArgument,
                            "socket path too long: " +
                                options_.unix_path));
-    std::strncpy(addr.sun_path, options_.unix_path.c_str(),
+    std::strncpy(addr.sun_path, bind_path.c_str(),
                  sizeof addr.sun_path - 1);
     unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (unix_fd_ < 0)
         return fail(posixError("socket"));
-    (void)::unlink(options_.unix_path.c_str());
-    own_path = true;
+    // Only a dead process with this pid can have left this name.
+    (void)::unlink(bind_path.c_str());
     if (::bind(unix_fd_, reinterpret_cast<struct sockaddr *>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(unix_fd_, 64) != 0)
+               sizeof addr) != 0)
         return fail(posixError("bind " + options_.unix_path));
+    own_path = bind_path;
+    if (::listen(unix_fd_, 64) != 0)
+        return fail(posixError("listen " + options_.unix_path));
+    if (::rename(bind_path.c_str(), options_.unix_path.c_str()) != 0)
+        return fail(posixError("bind " + options_.unix_path));
+    own_path = options_.unix_path;
     setNonBlocking(unix_fd_);
 
     // Optional TCP listener, loopback only.

@@ -2,8 +2,10 @@
  * End-to-end process tests of the apexc CLI: exit codes must match
  * exitCodeFor() for success, validation failures, the timeout path
  * and cooperative cancellation, a SIGKILLed journaled sweep must
- * resume to byte-identical output, and a client sweep through a live
- * apexd must match batch mode.
+ * resume to byte-identical output, a process-isolated sweep must
+ * fill and then read its --cache-dir, a client sweep through a live
+ * apexd must match batch mode, and apexd must serve a client the
+ * moment its socket file appears.
  *
  * Output files are published or reported: a file apexc or apexd
  * cannot write exits 2 naming the path, and a symlinked output keeps
@@ -243,6 +245,30 @@ TEST(Cli, ForgedCacheEntryLengthCostsTimeNotCorrectness)
     EXPECT_EQ(slurp(ref_out), slurp(rerun_out));
 }
 
+TEST(Cli, ProcessSweepReadsAndFillsTheCache)
+{
+    // Under --isolate process the supervisor stores what its workers
+    // compute, so a second run over the same --cache-dir serves every
+    // cell from the cache and prints the same report.
+    ScratchDir dir("process_cache");
+    const std::string cache = dir.str() + "/cache";
+    std::string out[2];
+    std::string err[2];
+    for (int i = 0; i < 2; ++i) {
+        const std::string base = dir.str() + "/run" + std::to_string(i);
+        ASSERT_EQ(run(apexc + " sweep --level map --isolate process" +
+                      " --cache-dir " + cache + " --diagnostics > " +
+                      base + ".out 2> " + base + ".err"),
+                  0);
+        out[i] = slurp(base + ".out");
+        err[i] = slurp(base + ".err");
+    }
+    EXPECT_NE(out[0].find("evaluated"), std::string::npos) << out[0];
+    EXPECT_EQ(out[0], out[1]);
+    EXPECT_NE(err[0].find("cache=0/27"), std::string::npos) << err[0];
+    EXPECT_NE(err[1].find("cache=27/27"), std::string::npos) << err[1];
+}
+
 TEST(Cli, DiskFullJournalExitsResourceExhausted)
 {
     // A journaled sweep whose very first durability write hits a
@@ -437,17 +463,19 @@ TEST(Cli, VersionReportsBuildIdentityAndProtocol)
     EXPECT_NE(text.find("protocol v"), std::string::npos);
 }
 
-/** A background apexd serving a socket in @p dir; SIGTERMed (which
- * removes its socket) when the scope ends. */
+/** A background apexd serving a socket in @p dir, started with the
+ * shell variable assignments in @p env; ready once its socket file
+ * exists, and SIGTERMed (which removes its socket) when the scope
+ * ends. */
 class Daemon {
   public:
-    explicit Daemon(const std::string &dir)
+    explicit Daemon(const std::string &dir, const std::string &env = "")
         : socket_(dir + "/apexd.sock"), pid_(dir + "/apexd.pid")
     {
-        run(apexd + " --socket " + socket_ + " > /dev/null 2>&1 & " +
-            "echo $! > " + pid_);
-        for (int i = 0; i < 100 && !fs::exists(socket_); ++i)
-            run("sleep 0.05");
+        run(env + " " + apexd + " --socket " + socket_ +
+            " > /dev/null 2>&1 & echo $! > " + pid_);
+        for (int i = 0; i < 1000 && !fs::exists(socket_); ++i)
+            ::usleep(5000);
     }
     ~Daemon()
     {
@@ -463,6 +491,26 @@ class Daemon {
     std::string socket_;
     std::string pid_;
 };
+
+TEST(Cli, DaemonServesAClientTheMomentItsSocketAppears)
+{
+    // The socket file is apexd's readiness signal (Daemon above and
+    // CI wait for it), so the file must not exist before the daemon
+    // listens.  The shim holds listen() back by 300 ms: a file that
+    // appeared at bind() would refuse this client with exit 16.  An
+    // ASan runtime would object to a preloaded library ahead of it.
+    ScratchDir dir("listen_ready");
+    const Daemon daemon(
+        dir.str(), std::string("LD_PRELOAD=") + SLOW_LISTEN_PATH +
+                       " ASAN_OPTIONS=${ASAN_OPTIONS:+$ASAN_OPTIONS:}"
+                       "verify_asan_link_order=0");
+    ASSERT_TRUE(fs::exists(daemon.socket()));
+    const std::string err = dir.str() + "/client.err";
+    EXPECT_EQ(run(apexc + " client info --socket " + daemon.socket() +
+                  " > /dev/null 2> " + err),
+              0)
+        << slurp(err);
+}
 
 TEST(Cli, ClientSweepMatchesBatchOnExpiredDeadline)
 {

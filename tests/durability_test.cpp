@@ -782,6 +782,109 @@ TEST(Isolation, ProcessModeIsByteIdenticalWithoutFaults)
     }
 }
 
+// In process mode the supervisor owns the artifact cache: it serves
+// cached cells itself and stores what its workers compute, as
+// evaluate() does in thread mode.
+
+TEST(Isolation, WarmCacheCellsNeverReachAWorker)
+{
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+    runtime::ArtifactCache cache;
+    SweepOptions options;
+    options.cache = &cache;
+    (void)runSweep(apps_list, ex, tech, options);
+    const SweepOutcome warm_thread =
+        runSweep(apps_list, ex, tech, options);
+    ASSERT_EQ(warm_thread.stats.cache_hits, 6);
+
+    // A dispatched cell would kill its worker: nothing is dispatched.
+    FaultScope fault(FaultStage::kWorkerKill, 1);
+    options.isolate = IsolateMode::kProcess;
+    for (int jobs : {1, 2}) {
+        options.jobs = jobs;
+        const SweepOutcome warm_process =
+            runSweep(apps_list, ex, tech, options);
+        EXPECT_EQ(warm_process.stats.cache_hits, 6) << "jobs " << jobs;
+        EXPECT_EQ(warm_process.stats.cache_misses, 0) << "jobs " << jobs;
+        EXPECT_EQ(warm_process.stats.worker_restarts, 0)
+            << "jobs " << jobs;
+        EXPECT_EQ(outcomeBytes(warm_thread), outcomeBytes(warm_process))
+            << "jobs " << jobs;
+    }
+}
+
+TEST(Isolation, ColdProcessSweepFillsTheCache)
+{
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+
+    // The in-process reference: a cold sweep, then a warm one.
+    runtime::ArtifactCache thread_cache;
+    SweepOptions options;
+    options.cache = &thread_cache;
+    const SweepOutcome cold_reference =
+        runSweep(apps_list, ex, tech, options);
+    const SweepOutcome warm_reference =
+        runSweep(apps_list, ex, tech, options);
+
+    runtime::ArtifactCache process_cache;
+    options.cache = &process_cache;
+    options.isolate = IsolateMode::kProcess;
+    options.jobs = 2;
+    const SweepOutcome cold = runSweep(apps_list, ex, tech, options);
+    EXPECT_EQ(cold.stats.cache_misses, 6);
+    EXPECT_EQ(outcomeBytes(cold_reference), outcomeBytes(cold));
+
+    // Every entry is the record evaluate() memoizes in thread mode.
+    for (const apps::AppInfo &app : apps_list) {
+        const int k = ex.options().max_merged_subgraphs;
+        for (const PeVariant &v :
+             {ex.baselineVariant(), ex.subsetVariant(app),
+              ex.specializedVariant(app, k).value()}) {
+            const std::string key =
+                evalCacheKey(app, v, options.level, tech, options.eval);
+            const std::optional<std::string> stored =
+                process_cache.get(key);
+            ASSERT_TRUE(stored.has_value()) << key;
+            EXPECT_EQ(stored, thread_cache.get(key)) << key;
+        }
+    }
+
+    options.isolate = IsolateMode::kInProcess;
+    options.jobs = 1;
+    const SweepOutcome warm = runSweep(apps_list, ex, tech, options);
+    EXPECT_EQ(warm.stats.cache_misses, 0);
+    EXPECT_EQ(outcomeBytes(warm_reference), outcomeBytes(warm));
+}
+
+TEST(Isolation, DegradedWorkerResultsAreNotCached)
+{
+    const auto apps_list = smallApps();
+    const Explorer ex(tech);
+    const SweepOutcome reference =
+        runSweep(apps_list, ex, tech, SweepOptions{});
+
+    // Every cell degrades (as under CI's --cell-deadline 0.001).  A
+    // degraded result is not what the configured knobs compute, so
+    // it must not be served to a later sweep under their key.
+    runtime::ArtifactCache cache;
+    SweepOptions options;
+    options.cache = &cache;
+    options.isolate = IsolateMode::kProcess;
+    options.cell_deadline_ms = 1e-6;
+    const SweepOutcome degraded = runSweep(apps_list, ex, tech, options);
+    ASSERT_EQ(degraded.report.degraded, 6);
+
+    SweepOptions later_options;
+    later_options.cache = &cache;
+    const SweepOutcome later =
+        runSweep(apps_list, ex, tech, later_options);
+    EXPECT_EQ(later.report.degraded, 0);
+    EXPECT_EQ(later.stats.cells_degraded, 0);
+    EXPECT_EQ(outcomeBytes(reference), outcomeBytes(later));
+}
+
 TEST(Isolation, WorkerKillIsRetriedTransparently)
 {
     const auto apps_list = smallApps();
