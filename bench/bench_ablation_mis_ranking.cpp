@@ -29,7 +29,7 @@ main()
     for (const auto &app :
          {apps::cameraPipeline(), apps::harrisCorner(),
           apps::mobilenetLayer()}) {
-        auto patterns = ex.analyze(app.graph).value();
+        auto patterns = ex.analyze(app).value().patterns;
         if (patterns.size() < 2)
             continue;
 

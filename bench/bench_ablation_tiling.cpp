@@ -19,9 +19,9 @@ main()
 
     bench::header("Ablation: greedy vs min-cost DP tiling");
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
+        bench::domainPe(ex, apps::ipApps(), "pe_ip");
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
+        bench::domainPe(ex, apps::mlApps(), "pe_ml");
 
     std::printf("  %-10s %12s %12s %10s\n", "app", "greedy #PE",
                 "min-cost #PE", "delta");

@@ -17,9 +17,9 @@ main()
     bench::header("Extension: heterogeneous (big.LITTLE) CGRA");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
+        bench::domainPe(ex, apps::ipApps(), "pe_ip");
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
+        bench::domainPe(ex, apps::mlApps(), "pe_ml");
 
     std::printf("  %-10s %-12s %10s %14s %14s\n", "app", "fabric",
                 "#PE(b+l)", "PE area(um2)", "PE pJ/item");

@@ -24,34 +24,30 @@ main()
 
     bench::header("Fig. 12: degree of domain merging (PE IP/IP2/IP3)");
 
+    // Every variant below merges prefixes of one analysis per app.
+    const std::vector<core::AppAnalysis> analyses =
+        ex.analyze(ip_apps).value();
     const core::PeVariant pe_ip =
-        ex.domainVariant(ip_apps, 1, "pe_ip").value();
+        ex.domainVariant(analyses, 1, "pe_ip").value();
     const core::PeVariant pe_ip2 =
-        ex.domainVariant(ip_apps, 2, "pe_ip2").value();
+        ex.domainVariant(analyses, 2, "pe_ip2").value();
 
     // Unbalanced variant: camera's top-3 plus one from each other.
-    core::PeVariant pe_ip3;
+    core::PeVariant pe_ip3 = pe_ip;
+    pe_ip3.name = "pe_ip3";
     {
-        std::vector<apps::AppInfo> weighted;
-        weighted.push_back(apps::cameraPipeline());
-        core::PeVariant camera_heavy = ex.domainVariant(
-            ip_apps, 1, "pe_ip3").value();
-        // Rebuild with camera's extra patterns folded in.
-        const auto extra = ex.specializedVariant(
-            apps::cameraPipeline(), 3).value();
-        std::vector<ir::Graph> patterns = camera_heavy.patterns;
+        // Rebuild with camera's PE 4 patterns (ipApps() lists camera
+        // first) folded in.
+        const auto extra =
+            ex.specializedVariant(analyses.front(), 3).value();
         for (const auto &p : extra.patterns)
-            patterns.push_back(p);
-        pe_ip3 = camera_heavy;
-        pe_ip3.patterns = patterns;
+            pe_ip3.patterns.push_back(p);
         std::set<ir::Op> ops;
-        for (const auto &a : ip_apps) {
-            const auto o = pe::opsUsedBy(a.graph);
-            ops.insert(o.begin(), o.end());
-        }
+        for (const core::AppAnalysis &a : analyses)
+            ops.insert(a.ops.begin(), a.ops.end());
         const pe::PeSpec seed = pe::baselineSubsetPe(ops, "pe_ip3");
         const auto mm = merging::mergeIntoDatapath(
-            seed.dp, patterns, tech, nullptr);
+            seed.dp, pe_ip3.patterns, tech, nullptr);
         pe_ip3.spec = pe::makePeSpec(mm.merged, "pe_ip3");
     }
 

@@ -18,7 +18,7 @@ main()
     bench::header("Fig. 13: unseen applications on PE IP");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
+        bench::domainPe(ex, apps::ipApps(), "pe_ip");
 
     std::printf("  %-10s %-8s %6s %14s %14s\n", "app", "variant",
                 "#PE", "area(um2)", "energy(pJ/px)");

@@ -17,9 +17,9 @@ main()
     bench::header("Fig. 14: post-mapping comparison");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
+        bench::domainPe(ex, apps::ipApps(), "pe_ip");
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
+        bench::domainPe(ex, apps::mlApps(), "pe_ml");
 
     std::printf("  %-10s %-8s %6s %14s %14s %10s %10s\n", "app",
                 "variant", "#PE", "area(um2)", "energy(pJ/it)",

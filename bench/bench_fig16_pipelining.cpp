@@ -18,9 +18,9 @@ main()
     bench::header("Fig. 16: pre- vs post-pipelining");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
+        bench::domainPe(ex, apps::ipApps(), "pe_ip");
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
+        bench::domainPe(ex, apps::mlApps(), "pe_ml");
 
     std::printf("  %-10s %-8s %7s %12s %12s %12s %14s %8s\n", "app",
                 "variant", "stage", "period(ns)", "cgraA(um2)",

@@ -18,7 +18,7 @@ main()
     bench::header("Fig. 18: ML apps — FPGA / CGRA / CGRA-ML / Simba");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
+        bench::domainPe(ex, apps::mlApps(), "pe_ml");
 
     std::printf("  %-10s %-10s %14s %14s\n", "app", "platform",
                 "energy(uJ)", "runtime(ms)");

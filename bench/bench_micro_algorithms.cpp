@@ -92,7 +92,7 @@ BM_MergeDatapaths(benchmark::State &state)
 {
     core::Explorer ex;
     const auto app = apps::harrisCorner(1);
-    const auto patterns = ex.analyze(app.graph).value();
+    const auto patterns = ex.analyze(app).value().patterns;
     std::vector<ir::Graph> graphs;
     for (std::size_t i = 0;
          i < std::min<std::size_t>(4, patterns.size()); ++i)
@@ -154,7 +154,8 @@ BM_FullFlowGaussian(benchmark::State &state)
     core::Explorer ex;
     const auto app = apps::gaussianBlur(4);
     const auto variant =
-        ex.specializedVariant(app, ex.options().max_merged_subgraphs)
+        ex.specializedVariant(ex.analyze(app).value(),
+                              ex.options().max_merged_subgraphs)
             .value();
     const auto &tech = model::defaultTech();
     for (auto _ : state) {
@@ -376,11 +377,17 @@ runKernelRows()
                     stages.jsonFragment().c_str());
     };
     rewriteRow(explorer.baselineVariant());
-    for (const auto &app : apps::analyzedApps()) {
+    const auto analyses = explorer.analyze(apps::analyzedApps());
+    if (!analyses.ok()) {
+        std::fprintf(stderr, "%s\n",
+                     analyses.status().toString().c_str());
+        return 1;
+    }
+    for (const core::AppAnalysis &analysis : *analyses) {
         auto v = explorer.specializedVariant(
-            app, explorer.options().max_merged_subgraphs);
+            analysis, explorer.options().max_merged_subgraphs);
         if (!v.ok()) {
-            std::fprintf(stderr, "%s: %s\n", app.name.c_str(),
+            std::fprintf(stderr, "%s: %s\n", analysis.app.c_str(),
                          v.status().toString().c_str());
             return 1;
         }

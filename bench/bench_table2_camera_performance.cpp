@@ -27,9 +27,10 @@ main()
     std::vector<Row> rows;
     rows.push_back({"PE Base", ex.baselineVariant()});
     rows.push_back({"PE 1", ex.subsetVariant(app)});
+    const core::AppAnalysis analysis = ex.analyze(app).value();
     for (int k = 1; k <= 3; ++k) {
         rows.push_back({"PE " + std::to_string(k + 1),
-                        ex.specializedVariant(app, k).value()});
+                        ex.specializedVariant(analysis, k).value()});
     }
 
     double base_perf = 0.0, last_perf = 0.0;

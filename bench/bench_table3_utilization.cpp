@@ -15,9 +15,9 @@ main()
     bench::header("Table 3: post-pipelining resource utilization");
     const core::PeVariant base = ex.baselineVariant();
     const core::PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
+        bench::domainPe(ex, apps::ipApps(), "pe_ip");
     const core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
+        bench::domainPe(ex, apps::mlApps(), "pe_ml");
 
     std::printf("  %-10s %-8s %6s %6s %6s %6s %6s %14s\n", "app",
                 "variant", "#PE", "#MEM", "#RF", "#IO", "#Reg",

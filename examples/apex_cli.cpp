@@ -6,11 +6,14 @@
  *       List the built-in applications.
  *   apexc analyze <app|file.apexir> [--support N] [--max-nodes N]
  *       Mine + MIS-rank frequent subgraphs of an application.
- *   apexc explore <app> [--variant base|pe1|spec|ip|ml]
+ *   apexc explore <app> [--variant base|pe1|spec|ip|ml|biglittle]
  *                       [--level map|pnr|pipe]
- *       Run the full flow and print the evaluation record.
- *   apexc rtl <app> [--variant ...] [-o DIR]
- *       Emit the PE's Verilog and a self-checking testbench.
+ *       Run the full flow and print the evaluation record (default
+ *       variant: base).  biglittle pairs the app's domain PE with a
+ *       minimal scalar PE on one fabric.
+ *   apexc rtl <app> [--variant base|pe1|spec|ip|ml] [-o DIR]
+ *       Emit the PE's Verilog and a self-checking testbench (default
+ *       variant: spec).
  *   apexc dump <app> [-o FILE]
  *       Serialize an application graph to the apexir text format.
  *   apexc sweep [--level map|pnr|pipe] [--diagnostics]
@@ -91,6 +94,11 @@
  * (crash / oom / hang) — and the sweep continues.  With no faults
  * the report is byte-identical to --isolate thread at any --jobs.
  *
+ * Flags: an unknown --variant name (the error lists the accepted
+ * ones), and a numeric flag whose value is not one whole number
+ * ("--deadline abc", "--jobs 2x"), are usage errors: exit 2, the
+ * flag and the value named on stderr, nothing on stdout.
+ *
  * Exit codes: 0 on success, otherwise the stage-specific code from
  * exitCodeFor() (2 usage, 3 parse, 4 invalid IR, 5 mining, 6 merge,
  * 7 mapping, 8 placement, 9 routing, 10 capacity, 12 timeout,
@@ -116,6 +124,7 @@
 #include <sstream>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "core/evaluate.hpp"
 #include "core/status.hpp"
 #include "core/sweep.hpp"
@@ -134,6 +143,10 @@
 namespace {
 
 using namespace apex;
+using cli::firstError;
+using cli::flagValue;
+using cli::hasFlag;
+using cli::numericFlag;
 
 /** Set by the SIGINT/SIGTERM handler; polled by the sweep's tasks.
  * A lock-free atomic store is async-signal-safe, and the sweep
@@ -203,24 +216,6 @@ writeArtifact(const std::string &path, const std::string &bytes)
     return s.ok();
 }
 
-const char *
-flagValue(int argc, char **argv, const char *flag)
-{
-    for (int i = 0; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 0; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
-}
-
 /** --isolate MODE, accepting both "--isolate process" and the
  * "--isolate=process" spelling; null when absent. */
 const char *
@@ -236,14 +231,15 @@ isolateFlag(int argc, char **argv)
 
 /** --jobs N, else $APEX_JOBS, else 1 (sequential).  0 = one lane per
  * hardware thread. */
-int
+Result<int>
 requestedJobs(int argc, char **argv)
 {
-    if (const char *s = flagValue(argc, argv, "--jobs"))
-        return std::atoi(s);
+    int jobs = 1;
     if (const char *env = std::getenv("APEX_JOBS"))
-        return std::atoi(env);
-    return 1;
+        jobs = std::atoi(env);
+    if (Status s = numericFlag(argc, argv, "--jobs", &jobs); !s.ok())
+        return s;
+    return jobs;
 }
 
 /** Pool for the requested job count; null = run sequentially. */
@@ -263,7 +259,7 @@ makePool(int jobs)
  * the request service::sweepOptionsFor() maps to sweep options on
  * both paths (and in apexd), so the paths cannot disagree on a
  * flag. */
-service::SweepRequest
+Result<service::SweepRequest>
 sweepRequest(int argc, char **argv)
 {
     service::SweepRequest request;
@@ -271,12 +267,14 @@ sweepRequest(int argc, char **argv)
         request.level = s;
     if (const char *s = isolateFlag(argc, argv))
         request.isolate = s;
-    if (const char *s = flagValue(argc, argv, "--cell-retries"))
-        request.cell_retries = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--deadline"))
-        request.deadline_ms = std::atof(s);
-    if (const char *s = flagValue(argc, argv, "--cell-deadline"))
-        request.cell_deadline_ms = std::atof(s);
+    if (Status s = firstError(
+            {numericFlag(argc, argv, "--cell-retries",
+                         &request.cell_retries),
+             numericFlag(argc, argv, "--deadline", &request.deadline_ms),
+             numericFlag(argc, argv, "--cell-deadline",
+                         &request.cell_deadline_ms)});
+        !s.ok())
+        return s;
     return request;
 }
 
@@ -292,24 +290,35 @@ makeCache(int argc, char **argv)
     return std::make_unique<runtime::ArtifactCache>(copt);
 }
 
+/** The --variant names that build one PE (explore also takes
+ * biglittle, a fabric of two PE types). */
+constexpr const char *kPeVariants = "base, pe1, spec, ip, ml";
+
 /** The PE variant named by --variant; a failed build (mining, merge,
- * timeout) is returned, never replaced by a less specialized PE. */
+ * timeout) is returned, never replaced by a less specialized PE.  An
+ * unknown name is kInvalidArgument listing the @p accepted names. */
 Result<core::PeVariant>
 buildVariant(const std::string &kind, const apps::AppInfo &app,
-             const core::Explorer &ex,
-             runtime::ThreadPool *pool = nullptr,
+             const core::Explorer &ex, const std::string &accepted,
              const core::EvalOptions &eval = {})
 {
+    if (kind == "base")
+        return ex.baselineVariant();
     if (kind == "pe1")
         return ex.subsetVariant(app);
     if (kind == "spec")
-        return core::bestSpecializedVariant(
-            app, ex, model::defaultTech(), pool, eval);
-    if (kind == "ip")
-        return ex.domainVariant(apps::ipApps(), 1, "pe_ip");
-    if (kind == "ml")
-        return ex.domainVariant(apps::mlApps(), 1, "pe_ml");
-    return ex.baselineVariant();
+        return core::bestSpecializedVariant(app, ex,
+                                            model::defaultTech(), eval);
+    if (kind == "ip" || kind == "ml") {
+        const auto analyses =
+            ex.analyze(kind == "ip" ? apps::ipApps() : apps::mlApps());
+        if (!analyses)
+            return analyses.status();
+        return ex.domainVariant(*analyses, 1, "pe_" + kind);
+    }
+    return Status(ErrorCode::kInvalidArgument,
+                  "unknown --variant '" + kind + "' (expected one of " +
+                      accepted + ")");
 }
 
 int
@@ -335,24 +344,30 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
     if (!app)
         return loadFailure(app.status());
     core::ExplorerOptions options;
-    if (const char *s = flagValue(argc, argv, "--support"))
-        options.miner.min_support = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--max-nodes"))
-        options.miner.max_pattern_nodes = std::atoi(s);
-    const auto pool = makePool(requestedJobs(argc, argv));
-    options.pool = pool.get();
+    const auto jobs = requestedJobs(argc, argv);
+    if (Status s = firstError(
+            {numericFlag(argc, argv, "--support",
+                         &options.miner.min_support),
+             numericFlag(argc, argv, "--max-nodes",
+                         &options.miner.max_pattern_nodes),
+             jobs.status()});
+        !s.ok())
+        return loadFailure(s);
+    const auto pool = makePool(*jobs);
+    options.miner.pool = pool.get();
     core::Explorer ex(model::defaultTech(), options);
 
-    const auto patterns = ex.analyze(app->graph);
-    if (!patterns)
-        return loadFailure(patterns.status());
+    const auto analysis = ex.analyze(*app);
+    if (!analysis)
+        return loadFailure(analysis.status());
+    const auto &patterns = analysis->patterns;
     std::printf("%zu mergeable frequent subgraphs in %s "
                 "(support >= %d, <= %d nodes):\n",
-                patterns->size(), app->name.c_str(),
+                patterns.size(), app->name.c_str(),
                 options.miner.min_support,
                 options.miner.max_pattern_nodes);
     int rank = 0;
-    for (const auto &p : *patterns) {
+    for (const auto &p : patterns) {
         std::printf("#%-3d nodes=%d freq=%d mni=%d mis=%d  ops:",
                     rank++, p.core_size, p.frequency, p.mni_support,
                     p.mis_size);
@@ -363,7 +378,7 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
         }
         std::printf("\n");
         if (rank >= 12) {
-            std::printf("... (%zu more)\n", patterns->size() - rank);
+            std::printf("... (%zu more)\n", patterns.size() - rank);
             break;
         }
     }
@@ -384,11 +399,14 @@ cmdExplore(int argc, char **argv, const std::string &source)
     if (!parsed_level)
         return loadFailure(parsed_level.status());
     const core::EvalLevel level = *parsed_level;
+    const auto jobs = requestedJobs(argc, argv);
+    if (!jobs)
+        return loadFailure(jobs.status());
 
-    const auto pool = makePool(requestedJobs(argc, argv));
+    const auto pool = makePool(*jobs);
     const auto cache = makeCache(argc, argv);
     core::ExplorerOptions ex_options;
-    ex_options.pool = pool.get();
+    ex_options.miner.pool = pool.get();
     core::Explorer ex(model::defaultTech(), ex_options);
     core::EvalOptions eval_options;
     eval_options.cache = cache.get();
@@ -398,7 +416,8 @@ cmdExplore(int argc, char **argv, const std::string &source)
     if (kind == "biglittle") {
         const bool is_ip =
             app->domain == apps::Domain::kImageProcessing;
-        const auto domain = buildVariant(is_ip ? "ip" : "ml", *app, ex);
+        const auto domain =
+            buildVariant(is_ip ? "ip" : "ml", *app, ex, kPeVariants);
         if (!domain)
             return loadFailure(domain.status());
         // Several PE types are evaluated up to P&R at most.
@@ -428,7 +447,9 @@ cmdExplore(int argc, char **argv, const std::string &source)
     }
 
     const auto variant =
-        buildVariant(kind, *app, ex, pool.get(), eval_options);
+        buildVariant(kind, *app, ex,
+                     std::string(kPeVariants) + ", biglittle",
+                     eval_options);
     if (!variant)
         return loadFailure(variant.status());
     const auto r = core::evaluate(*app, *variant, level,
@@ -483,7 +504,7 @@ cmdRtl(int argc, char **argv, const std::string &source)
 
     core::Explorer ex;
     auto built = buildVariant(variant_flag ? variant_flag : "spec",
-                              *app, ex);
+                              *app, ex, kPeVariants);
     if (!built)
         return loadFailure(built.status());
     core::PeVariant variant = std::move(built).value();
@@ -523,15 +544,21 @@ cmdDump(int argc, char **argv, const std::string &source)
 int
 cmdSweep(int argc, char **argv)
 {
-    auto parsed = service::sweepOptionsFor(sweepRequest(argc, argv));
+    const auto request = sweepRequest(argc, argv);
+    if (!request)
+        return loadFailure(request.status());
+    auto parsed = service::sweepOptionsFor(*request);
     if (!parsed)
         return loadFailure(parsed.status());
     core::SweepOptions options = std::move(parsed).value();
+    const auto jobs = requestedJobs(argc, argv);
+    if (!jobs)
+        return loadFailure(jobs.status());
 
     // One pool serves both the sweep's build/evaluation tasks and the
     // miner's candidate expansion, so nested parallelism shares the
     // lanes.
-    const auto pool = makePool(requestedJobs(argc, argv));
+    const auto pool = makePool(*jobs);
     const auto cache = makeCache(argc, argv);
     options.pool = pool.get();
     options.cache = cache.get();
@@ -554,7 +581,7 @@ cmdSweep(int argc, char **argv)
     std::signal(SIGTERM, onInterrupt);
 
     core::ExplorerOptions ex_options;
-    ex_options.pool = pool.get();
+    ex_options.miner.pool = pool.get();
     // Variant construction (mining, merging) runs under the sweep
     // deadline too — a sweep bound means the whole command.
     ex_options.miner.deadline = options.deadline;
@@ -665,11 +692,12 @@ int
 cmdClientTop(int argc, char **argv, service::Client &client)
 {
     int max_samples = 0;
-    if (const char *s = flagValue(argc, argv, "--samples"))
-        max_samples = std::atoi(s);
-    const char *interval = flagValue(argc, argv, "--interval");
-    const double interval_ms =
-        interval != nullptr ? std::atof(interval) : 0.0;
+    double interval_ms = 0.0;
+    if (Status s = firstError(
+            {numericFlag(argc, argv, "--samples", &max_samples),
+             numericFlag(argc, argv, "--interval", &interval_ms)});
+        !s.ok())
+        return serviceFailure(s);
     const bool json = hasFlag(argc, argv, "--json");
 
     std::signal(SIGINT, onInterrupt);
@@ -707,8 +735,11 @@ connectDaemon(int argc, char **argv, service::Client *client)
 {
     if (const char *path = flagValue(argc, argv, "--socket"))
         return client->connect(path);
-    if (const char *port = flagValue(argc, argv, "--port"))
-        return client->connectTcp(std::atoi(port));
+    if (flagValue(argc, argv, "--port") != nullptr) {
+        int port = 0;
+        APEX_RETURN_IF_ERROR(numericFlag(argc, argv, "--port", &port));
+        return client->connectTcp(port);
+    }
     return Status(ErrorCode::kInvalidArgument,
                   "client requires --socket PATH or --port N");
 }
@@ -732,32 +763,37 @@ connectDaemon(int argc, char **argv, service::Client *client)
 int
 cmdClientSweep(int argc, char **argv)
 {
-    service::SweepRequest request = sweepRequest(argc, argv);
     // A bad flag is a usage error before any daemon is dialed,
     // exactly as in batch mode.
+    auto parsed = sweepRequest(argc, argv);
+    if (!parsed)
+        return loadFailure(parsed.status());
+    service::SweepRequest request = std::move(parsed).value();
     if (const auto checked = service::sweepOptionsFor(request); !checked)
         return loadFailure(checked.status());
+    service::RetryPolicy policy;
+    int retries = 0;
+    int port = 0;
+    if (Status s = firstError(
+            {numericFlag(argc, argv, "--priority", &request.priority),
+             numericFlag(argc, argv, "--retries", &retries),
+             numericFlag(argc, argv, "--retry-base-ms", &policy.base_ms),
+             numericFlag(argc, argv, "--port", &port)});
+        !s.ok())
+        return loadFailure(s);
+    policy.max_attempts = retries + 1;
     request.id = 1;
     // Every client request gets a trace id, whether or not --trace
     // was given: the daemon stamps it on the request's spans either
     // way, so a trace can still be fetched after the fact.
     request.trace_id = service::mintTraceId();
-    if (const char *s = flagValue(argc, argv, "--priority"))
-        request.priority = std::atoi(s);
     request.want_progress = hasFlag(argc, argv, "--progress");
 
     const char *path = flagValue(argc, argv, "--socket");
-    const char *port = flagValue(argc, argv, "--port");
-    if (path == nullptr && port == nullptr)
+    if (path == nullptr && flagValue(argc, argv, "--port") == nullptr)
         return serviceFailure(
             Status(ErrorCode::kInvalidArgument,
                    "client requires --socket PATH or --port N"));
-    service::RetryPolicy policy;
-    policy.max_attempts = 1;
-    if (const char *s = flagValue(argc, argv, "--retries"))
-        policy.max_attempts = std::atoi(s) + 1;
-    if (const char *s = flagValue(argc, argv, "--retry-base-ms"))
-        policy.base_ms = std::atof(s);
 
     // Progress and the coalescing verdict go to stderr: stdout is
     // reserved for the byte-identity contract with batch mode.
@@ -774,10 +810,9 @@ cmdClientSweep(int argc, char **argv)
     Status s;
     {
         APEX_SPAN("client.sweep");
-        s = service::runSweepResilient(
-            path != nullptr ? path : "",
-            port != nullptr ? std::atoi(port) : 0, request, policy,
-            &reply, on_progress, &stats);
+        s = service::runSweepResilient(path != nullptr ? path : "",
+                                       port, request, policy, &reply,
+                                       on_progress, &stats);
     }
     if (!s.ok())
         return serviceFailure(s);
@@ -937,17 +972,21 @@ main(int argc, char **argv)
         // --metrics-interval MS: rewrite the metrics file while the
         // command runs (long sweeps become observable in flight).
         std::unique_ptr<runtime::PeriodicMetricsWriter> periodic;
-        if (const char *s =
-                flagValue(argc, argv, "--metrics-interval")) {
+        if (flagValue(argc, argv, "--metrics-interval") != nullptr) {
             if (metrics_path == nullptr) {
                 std::fprintf(stderr,
                              "apexc: --metrics-interval requires "
                              "--metrics-out FILE\n");
                 return exitCodeFor(ErrorCode::kInvalidArgument);
             }
+            double interval_ms = 0.0;
+            if (Status s = numericFlag(argc, argv, "--metrics-interval",
+                                       &interval_ms);
+                !s.ok())
+                return loadFailure(s);
             periodic =
                 std::make_unique<runtime::PeriodicMetricsWriter>(
-                    metrics_path, std::atof(s));
+                    metrics_path, interval_ms);
         }
         const int rc = runCommand(argc, argv);
         periodic.reset(); // Stop the flusher; the final dump is below.

@@ -49,12 +49,11 @@
  */
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 
 #include <poll.h>
 
+#include "cli_flags.hpp"
 #include "runtime/eventlog.hpp"
 #include "runtime/record.hpp"
 #include "runtime/telemetry.hpp"
@@ -64,6 +63,9 @@
 namespace {
 
 using namespace apex;
+using cli::flagValue;
+using cli::hasFlag;
+using cli::numericFlag;
 
 /** SIGTERM/SIGINT latch; the main thread polls it. */
 volatile std::sig_atomic_t g_shutdown = 0;
@@ -72,24 +74,6 @@ extern "C" void
 onShutdown(int /*signum*/)
 {
     g_shutdown = 1;
-}
-
-const char *
-flagValue(int argc, char **argv, const char *flag)
-{
-    for (int i = 0; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 0; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
 }
 
 } // namespace
@@ -113,27 +97,29 @@ main(int argc, char **argv)
                      "[--metrics-interval MS]]\n");
         return 2;
     }
-    if (const char *s = flagValue(argc, argv, "--tcp-port"))
-        options.tcp_port = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--executors"))
-        options.executors = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--jobs"))
-        options.jobs = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--queue-depth"))
-        options.queue_depth =
-            static_cast<std::size_t>(std::atoi(s));
     if (const char *s = flagValue(argc, argv, "--cache-dir"))
         options.cache_dir = s;
-    if (const char *s = flagValue(argc, argv, "--mem-budget"))
-        options.mem_budget_bytes =
-            static_cast<std::size_t>(std::atoll(s));
-    if (const char *s = flagValue(argc, argv, "--session-cap"))
-        options.session_cap = std::atoi(s);
-    if (const char *s = flagValue(argc, argv, "--retry-after-ms"))
-        options.retry_after_ms = std::atof(s);
-    if (const char *s =
-            flagValue(argc, argv, "--statusz-interval-ms"))
-        options.statusz_interval_ms = std::atof(s);
+    double metrics_interval_ms = 0.0;
+    if (const Status s = cli::firstError(
+            {numericFlag(argc, argv, "--tcp-port", &options.tcp_port),
+             numericFlag(argc, argv, "--executors", &options.executors),
+             numericFlag(argc, argv, "--jobs", &options.jobs),
+             numericFlag(argc, argv, "--queue-depth",
+                         &options.queue_depth),
+             numericFlag(argc, argv, "--mem-budget",
+                         &options.mem_budget_bytes),
+             numericFlag(argc, argv, "--session-cap",
+                         &options.session_cap),
+             numericFlag(argc, argv, "--retry-after-ms",
+                         &options.retry_after_ms),
+             numericFlag(argc, argv, "--statusz-interval-ms",
+                         &options.statusz_interval_ms),
+             numericFlag(argc, argv, "--metrics-interval",
+                         &metrics_interval_ms)});
+        !s.ok()) {
+        std::fprintf(stderr, "apexd: %s\n", s.toString().c_str());
+        return exitCodeFor(s.code());
+    }
 
     // Structured event log: episodes (admission saturation, accept
     // exhaustion, cache tier flips) as JSONL, correlated by trace id.
@@ -161,7 +147,7 @@ main(int argc, char **argv)
 
     const char *metrics_path = flagValue(argc, argv, "--metrics-out");
     std::unique_ptr<runtime::PeriodicMetricsWriter> periodic;
-    if (const char *s = flagValue(argc, argv, "--metrics-interval")) {
+    if (flagValue(argc, argv, "--metrics-interval") != nullptr) {
         if (metrics_path == nullptr) {
             std::fprintf(stderr,
                          "apexd: --metrics-interval requires "
@@ -169,7 +155,7 @@ main(int argc, char **argv)
             return 2;
         }
         periodic = std::make_unique<runtime::PeriodicMetricsWriter>(
-            metrics_path, std::atof(s));
+            metrics_path, metrics_interval_ms);
     }
 
     // Handlers go in before start(): a SIGTERM racing the startup

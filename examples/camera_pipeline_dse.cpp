@@ -25,7 +25,8 @@ main()
     std::printf("Analyzing %s (%zu compute ops, %d px/cycle)...\n",
                 app.name.c_str(), app.graph.computeNodes().size(),
                 app.items_per_cycle);
-    const auto patterns = ex.analyze(app.graph).value();
+    const core::AppAnalysis analysis = ex.analyze(app).value();
+    const auto &patterns = analysis.patterns;
     std::printf("  %zu mergeable frequent subgraphs", patterns.size());
     if (!patterns.empty()) {
         std::printf("; best: %d nodes with MIS %d",
@@ -37,7 +38,7 @@ main()
     variants.push_back(ex.baselineVariant());
     variants.push_back(ex.subsetVariant(app));
     for (int k = 1; k <= ex.options().max_merged_subgraphs; ++k)
-        variants.push_back(ex.specializedVariant(app, k).value());
+        variants.push_back(ex.specializedVariant(analysis, k).value());
     variants.push_back(
         core::bestSpecializedVariant(app, ex, tech).value());
 

@@ -25,7 +25,8 @@ main()
     std::printf("\n\n");
 
     const core::PeVariant pe_ip =
-        ex.domainVariant(ip_apps, 1, "pe_ip").value();
+        ex.domainVariant(ex.analyze(ip_apps).value(), 1, "pe_ip")
+            .value();
     std::printf("%s\n", pe::describe(pe_ip.spec, tech).c_str());
 
     const core::PeVariant base = ex.baselineVariant();

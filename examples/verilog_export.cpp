@@ -47,7 +47,8 @@ main()
 
     // PE ML, automatically pipelined.
     core::PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
+        ex.domainVariant(ex.analyze(apps::mlApps()).value(), 1, "pe_ml")
+            .value();
     const auto pipe = pipeline::pipelinePe(pe_ml.spec, tech);
     std::printf("  pe_ml: %d stage(s), %.2f -> %.2f ns\n",
                 pipe.stages, pipe.unpipelined, pipe.period);

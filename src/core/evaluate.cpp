@@ -761,50 +761,33 @@ Result<PeVariant>
 bestSpecializedVariant(const apps::AppInfo &app,
                        const Explorer &explorer,
                        const model::TechModel &tech,
-                       runtime::ThreadPool *pool,
                        const EvalOptions &options)
 {
-    // Candidate k is PE (k+1): k = 0 is the subset PE.
-    const int candidates = explorer.options().max_merged_subgraphs + 1;
-    std::vector<PeVariant> variants(candidates);
-    std::vector<Status> statuses(candidates);
-    std::vector<double> scores(candidates, 1e300);
-    const auto build = [&](int k) {
-        if (k == 0) {
-            variants[k] = explorer.subsetVariant(app);
-        } else if (auto v = explorer.specializedVariant(app, k);
-                   v.ok()) {
-            variants[k] = std::move(v).value();
-        } else {
-            statuses[k] = v.status();
-            return;
-        }
-        const EvalResult r = evaluate(app, variants[k],
-                                      EvalLevel::kPostMapping, tech,
-                                      options);
-        if (r.success)
-            scores[k] = r.pe_area * r.pe_energy;
+    const auto analysis = explorer.analyze(app);
+    if (!analysis.ok())
+        return analysis.status().withContext("building variant 'pe2_" +
+                                             app.name + "'");
+    const auto score = [&](const PeVariant &v) {
+        const EvalResult r = evaluate(app, v, EvalLevel::kPostMapping,
+                                      tech, options);
+        return r.success ? r.pe_area * r.pe_energy : 1e300;
     };
-    // Speculative parallel schedule: build and score every candidate
-    // concurrently (each writes only its own slots), then walk them
-    // in order exactly as the sequential schedule builds them.
-    const bool speculative = pool != nullptr && pool->parallelism() > 1;
-    if (speculative)
-        runtime::parallelFor(pool, candidates, build);
-    int best = 0;
-    for (int k = 0; k < candidates; ++k) {
-        if (!speculative)
-            build(k);
-        if (!statuses[k].ok())
-            return statuses[k];
-        if (k > 0 && scores[k] >= scores[best])
+    // Candidate k is PE (k+1): k = 0 is the subset PE.
+    PeVariant best = explorer.subsetVariant(app);
+    double best_score = score(best);
+    for (int k = 1; k <= explorer.options().max_merged_subgraphs; ++k) {
+        auto v = explorer.specializedVariant(*analysis, k);
+        if (!v.ok())
+            return v.status();
+        const double s = score(*v);
+        if (s >= best_score)
             break; // merging more subgraphs stopped paying off
-        best = k;
+        best = std::move(v).value();
+        best_score = s;
     }
-    PeVariant v = std::move(variants[best]);
-    v.name = "pe_spec_" + app.name;
-    v.spec.name = v.name;
-    return v;
+    best.name = "pe_spec_" + app.name;
+    best.spec.name = best.name;
+    return best;
 }
 
 } // namespace apex::core

@@ -10,7 +10,6 @@
 #include "core/explorer.hpp"
 #include "core/status.hpp"
 #include "runtime/cache.hpp"
-#include "runtime/thread_pool.hpp"
 
 /**
  * @file
@@ -179,17 +178,14 @@ EvalResult evaluate(const apps::AppInfo &app, const HeteroCgra &cgra,
  * improving variant ("the most specialized PE possible without
  * increasing the area or energy of the application").
  *
- * Candidates are walked in k order; the first one whose build fails
- * before the stopping rule halts is returned as the error.  With
- * @p pool (parallelism > 1), every candidate k is built and scored
- * concurrently first — speculative work past the stopping point is
- * wasted, but the walk sees the same candidates, so both schedules
- * pick the same variant and report the same failure.
+ * The app is analyzed once, before PE 1 is scored; every candidate
+ * merges a prefix of that analysis, walked in k order.  A failed
+ * analysis, or the first candidate whose build fails before the
+ * stopping rule halts, is returned as the error.
  */
 Result<PeVariant> bestSpecializedVariant(
     const apps::AppInfo &app, const Explorer &explorer,
-    const model::TechModel &tech, runtime::ThreadPool *pool = nullptr,
-    const EvalOptions &options = {});
+    const model::TechModel &tech, const EvalOptions &options = {});
 
 /**
  * Serialize a *successful* EvalResult for the artifact cache

@@ -1,11 +1,13 @@
 #include "core/explorer.hpp"
 
+#include <optional>
 #include <set>
 
 #include "core/fault.hpp"
 #include "ir/signature.hpp"
 #include "merging/merge.hpp"
 #include "pe/baseline.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace apex::core {
 
@@ -39,31 +41,25 @@ mergeable(const mining::MinedPattern &p)
 
 } // namespace
 
-Explorer::Explorer(const model::TechModel &tech,
-                   ExplorerOptions options)
-    : tech_(tech), options_(options)
+Result<AppAnalysis>
+Explorer::analyze(const apps::AppInfo &app) const
 {
-    // The miner inherits the explorer's pool unless the caller wired
-    // a dedicated one.
-    if (options_.miner.pool == nullptr)
-        options_.miner.pool = options_.pool;
-}
-
-Result<std::vector<mining::MinedPattern>>
-Explorer::analyze(const Graph &app, mining::MineStats *stats) const
-{
-    if (stats != nullptr)
-        *stats = mining::MineStats{};
     if (Status fault = checkFault(FaultStage::kMine); !fault.ok())
         return std::move(fault).withContext("mining subgraphs");
     try {
+        AppAnalysis a;
+        a.app = app.name;
+        a.ops = pe::opsUsedBy(app.graph);
+        mining::MineStats stats;
         mining::FrequentSubgraphMiner miner(options_.miner);
-        auto patterns = miner.mine(app, stats);
-        mining::rankPatterns(patterns);
-        std::erase_if(patterns, [&](const mining::MinedPattern &p) {
+        a.patterns = miner.mine(app.graph, &stats);
+        a.mine_capped_levels =
+            static_cast<int>(stats.capped_levels.size());
+        mining::rankPatterns(a.patterns);
+        std::erase_if(a.patterns, [&](const mining::MinedPattern &p) {
             return !mergeable(p) || p.mis_size < options_.min_mis;
         });
-        return patterns;
+        return a;
     } catch (const ApexError &e) {
         return e.status().withContext("mining subgraphs");
     } catch (const std::exception &e) {
@@ -72,20 +68,22 @@ Explorer::analyze(const Graph &app, mining::MineStats *stats) const
     }
 }
 
-Result<std::vector<Graph>>
-Explorer::topPatterns(const Graph &app, int k,
-                      mining::MineStats *stats) const
+Result<std::vector<AppAnalysis>>
+Explorer::analyze(const std::vector<apps::AppInfo> &apps) const
 {
-    auto mined = analyze(app, stats);
-    if (!mined.ok())
-        return mined.status();
-    std::vector<Graph> result;
-    for (const auto &p : mined.value()) {
-        if (static_cast<int>(result.size()) >= k)
-            break;
-        result.push_back(p.pattern);
+    // Each iteration writes only its own slot.
+    std::vector<std::optional<Result<AppAnalysis>>> slots(apps.size());
+    runtime::parallelFor(options_.miner.pool,
+                         static_cast<int>(apps.size()),
+                         [&](int i) { slots[i] = analyze(apps[i]); });
+    std::vector<AppAnalysis> analyses;
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+        if (!slots[i]->ok())
+            return slots[i]->status().withContext(
+                "analyzing application '" + apps[i].name + "'");
+        analyses.push_back(std::move(*slots[i]).value());
     }
-    return result;
+    return analyses;
 }
 
 PeVariant
@@ -107,20 +105,59 @@ Explorer::subsetVariant(const apps::AppInfo &app) const
 }
 
 Result<PeVariant>
-Explorer::specializedVariant(const apps::AppInfo &app, int k) const
+Explorer::specializedVariant(const AppAnalysis &analysis, int k) const
+{
+    std::vector<Graph> patterns;
+    for (const mining::MinedPattern &p : analysis.patterns) {
+        if (static_cast<int>(patterns.size()) >= k)
+            break;
+        patterns.push_back(p.pattern);
+    }
+    return mergedVariant("pe" + std::to_string(k + 1) + "_" +
+                             analysis.app,
+                         analysis.ops, std::move(patterns),
+                         analysis.mine_capped_levels);
+}
+
+Result<PeVariant>
+Explorer::domainVariant(const std::vector<AppAnalysis> &analyses,
+                        int per_app, const std::string &name) const
+{
+    // Seed: the subset PE over the op-union of the domain's apps.
+    std::set<Op> ops;
+    int capped_levels = 0;
+    for (const AppAnalysis &a : analyses) {
+        ops.insert(a.ops.begin(), a.ops.end());
+        capped_levels += a.mine_capped_levels;
+    }
+    // Interleave the domain's top subgraphs app by app, deduplicated
+    // by canonical identity, so every application contributes its
+    // most valuable pattern before any contributes a second one.
+    std::vector<Graph> patterns;
+    std::set<std::string> seen;
+    for (int round = 0; round < per_app; ++round) {
+        for (const AppAnalysis &a : analyses) {
+            if (round >= static_cast<int>(a.patterns.size()))
+                continue;
+            const Graph &pattern = a.patterns[round].pattern;
+            if (seen.insert(ir::canonicalCode(pattern)).second)
+                patterns.push_back(pattern);
+        }
+    }
+    return mergedVariant(name, ops, std::move(patterns),
+                         capped_levels);
+}
+
+Result<PeVariant>
+Explorer::mergedVariant(std::string name, const std::set<Op> &ops,
+                        std::vector<Graph> patterns,
+                        int mine_capped_levels) const
 {
     PeVariant v;
-    v.name = "pe" + std::to_string(k + 1) + "_" + app.name;
-    const pe::PeSpec seed =
-        pe::baselineSubsetPe(pe::opsUsedBy(app.graph), v.name);
-    mining::MineStats mine_stats;
-    auto patterns = topPatterns(app.graph, k, &mine_stats);
-    if (!patterns.ok())
-        return patterns.status().withContext("building variant '" +
-                                             v.name + "'");
-    v.patterns = std::move(patterns).value();
-    v.mine_capped_levels =
-        static_cast<int>(mine_stats.capped_levels.size());
+    v.name = std::move(name);
+    v.patterns = std::move(patterns);
+    v.mine_capped_levels = mine_capped_levels;
+    const pe::PeSpec seed = pe::baselineSubsetPe(ops, v.name);
     const auto mm = merging::mergeIntoDatapath(
         seed.dp, v.patterns, tech_, nullptr, options_.merge);
     if (!mm.status.ok())
@@ -130,73 +167,6 @@ Explorer::specializedVariant(const apps::AppInfo &app, int k) const
     v.merge_timeouts = mm.clique_timeouts;
     v.spec = pe::makePeSpec(mm.merged, v.name,
                             seed.has_register_file);
-    return v;
-}
-
-Result<PeVariant>
-Explorer::domainVariant(const std::vector<apps::AppInfo> &domain_apps,
-                        int per_app, const std::string &name) const
-{
-    PeVariant v;
-    v.name = name;
-    // Seed: the subset PE over the op-union of the domain's apps.
-    std::set<Op> ops;
-    for (const apps::AppInfo &app : domain_apps) {
-        const auto app_ops = pe::opsUsedBy(app.graph);
-        ops.insert(app_ops.begin(), app_ops.end());
-    }
-    const pe::PeSpec seed = pe::baselineSubsetPe(ops, name);
-
-    // Interleave the domain's top subgraphs app by app, deduplicated
-    // by canonical identity, so every application contributes its
-    // most valuable pattern before any contributes a second one.
-    std::vector<std::vector<Graph>> per_app_patterns(
-        domain_apps.size());
-    std::vector<mining::MineStats> per_app_stats(domain_apps.size());
-    // Fan the per-app mining out (a plain in-order loop without a
-    // pool); each iteration writes only its own slot.  The first
-    // failure *in app order* is reported.
-    std::vector<Status> statuses(domain_apps.size());
-    runtime::parallelFor(
-        options_.pool, static_cast<int>(domain_apps.size()),
-        [&](int i) {
-            auto patterns = topPatterns(domain_apps[i].graph, per_app,
-                                        &per_app_stats[i]);
-            if (patterns.ok())
-                per_app_patterns[i] = std::move(patterns).value();
-            else
-                statuses[i] = patterns.status();
-        });
-    for (std::size_t i = 0; i < domain_apps.size(); ++i) {
-        if (!statuses[i].ok())
-            return std::move(statuses[i])
-                .withContext("building domain variant '" + name +
-                             "' (app '" + domain_apps[i].name + "')");
-    }
-    for (const mining::MineStats &s : per_app_stats)
-        v.mine_capped_levels +=
-            static_cast<int>(s.capped_levels.size());
-
-    std::set<std::string> seen;
-    for (int round = 0; round < per_app; ++round) {
-        for (const auto &list : per_app_patterns) {
-            if (round >= static_cast<int>(list.size()))
-                continue;
-            const std::string code =
-                ir::canonicalCode(list[round]);
-            if (seen.insert(code).second)
-                v.patterns.push_back(list[round]);
-        }
-    }
-
-    const auto mm = merging::mergeIntoDatapath(
-        seed.dp, v.patterns, tech_, nullptr, options_.merge);
-    if (!mm.status.ok())
-        return mm.status.withContext("building domain variant '" +
-                                     name + "'");
-    v.non_optimal_merges = mm.non_optimal_cliques;
-    v.merge_timeouts = mm.clique_timeouts;
-    v.spec = pe::makePeSpec(mm.merged, name);
     return v;
 }
 

@@ -1,6 +1,7 @@
 #ifndef APEX_CORE_EXPLORER_H_
 #define APEX_CORE_EXPLORER_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,7 +11,6 @@
 #include "mining/miner.hpp"
 #include "model/tech.hpp"
 #include "pe/spec.hpp"
-#include "runtime/thread_pool.hpp"
 
 /**
  * @file
@@ -25,6 +25,10 @@
  *  - PE IP / PE ML : PE 1 over the op-union of a domain's apps,
  *              merged with top subgraphs from every app;
  *  - PE Spec : the most specialized per-application variant.
+ *
+ * Each application is analyzed once (analyze()); every merged
+ * variant is a pure function of analyses, built from prefixes of
+ * their ranked pattern lists, so no variant builder mines.
  */
 
 namespace apex::core {
@@ -44,16 +48,20 @@ struct PeVariant {
     /** Of those, searches cut short by the merge deadline. */
     int merge_timeouts = 0;
     /** Mining levels whose pattern frontier hit the miner's
-     * max_patterns_per_level safety valve while this variant was
-     * built (summed over apps for domain variants).  Non-zero means
-     * candidate patterns were silently dropped — the variant is
-     * valid but may have missed a better subgraph, so sweeps surface
-     * it as a warning (same policy as non_optimal_merges). */
+     * max_patterns_per_level safety valve in the analyses this
+     * variant was built from (summed over apps for domain variants).
+     * Non-zero means candidate patterns were silently dropped — the
+     * variant is valid but may have missed a better subgraph, so
+     * sweeps surface it as a warning (same policy as
+     * non_optimal_merges). */
     int mine_capped_levels = 0;
 };
 
 /** Exploration knobs. */
 struct ExplorerOptions {
+    /** Mining knobs.  miner.pool is the explorer's one worker pool:
+     * mining's per-level candidate expansion and the per-app fan-out
+     * of analyze(apps) both run on it. */
     mining::MinerOptions miner{.min_support = 3,
                                .max_pattern_nodes = 4,
                                .mine_constants = true,
@@ -65,13 +73,19 @@ struct ExplorerOptions {
     merging::MergeOptions merge;
     /** Maximum subgraphs merged into the most specialized PE. */
     int max_merged_subgraphs = 3;
-    /**
-     * Worker pool shared by mining (per-level candidate expansion)
-     * and domain analysis (per-app mining fan-out).  Null, or
-     * parallelism <= 1, keeps every path on the original sequential
-     * schedule; results are identical either way.
-     */
-    runtime::ThreadPool *pool = nullptr;
+};
+
+/** One application's frequent-subgraph analysis (Sec. 3): everything
+ * its merged PE variants are built from. */
+struct AppAnalysis {
+    std::string app;
+    /** The compute ops the application uses: PE 1's op set. */
+    std::set<ir::Op> ops;
+    /** Mergeable patterns with MIS >= min_mis, in MIS order; PE (1+k)
+     * merges the first k. */
+    std::vector<mining::MinedPattern> patterns;
+    /** Mining levels whose frontier hit max_patterns_per_level. */
+    int mine_capped_levels = 0;
 };
 
 /** APEX explorer: analysis + PE-variant generation. */
@@ -79,7 +93,8 @@ class Explorer {
   public:
     explicit Explorer(const model::TechModel &tech =
                           model::defaultTech(),
-                      ExplorerOptions options = {});
+                      ExplorerOptions options = {})
+        : tech_(tech), options_(options) {}
 
     /**
      * Frequent-subgraph analysis of one application (Sec. 3): mining,
@@ -87,14 +102,16 @@ class Explorer {
      * compute nodes and MIS >= min_mis survive — those are the PE
      * candidates.  Mining failures (including injected faults and
      * unexpected exceptions) come back as kMiningFailed.
-     *
-     * @param stats Optional miner counters for the run (levels,
-     * candidates, capped levels, ...); left zeroed on failure paths
-     * that never reach the miner.
      */
-    Result<std::vector<mining::MinedPattern>>
-    analyze(const ir::Graph &app,
-            mining::MineStats *stats = nullptr) const;
+    Result<AppAnalysis> analyze(const apps::AppInfo &app) const;
+
+    /**
+     * The analyses of @p apps, in order, fanned out over miner.pool
+     * (a plain in-order loop without one).  The first failure in app
+     * order is returned, naming its application.
+     */
+    Result<std::vector<AppAnalysis>>
+    analyze(const std::vector<apps::AppInfo> &apps) const;
 
     /** PE Base. */
     PeVariant baselineVariant() const;
@@ -103,30 +120,30 @@ class Explorer {
     PeVariant subsetVariant(const apps::AppInfo &app) const;
 
     /**
-     * PE (1+k) for @p app: PE 1 merged with the top @p k subgraphs.
-     * k = 0 degenerates to PE 1.  Mining and merge failures come
-     * back typed (kMiningFailed / kMergeInfeasible).
+     * PE (1+k) of the analyzed app: PE 1 merged with its top @p k
+     * subgraphs.  k = 0 degenerates to PE 1.  A merge failure comes
+     * back typed (kMergeInfeasible).
      */
-    Result<PeVariant> specializedVariant(const apps::AppInfo &app,
+    Result<PeVariant> specializedVariant(const AppAnalysis &analysis,
                                          int k) const;
 
     /**
-     * Domain PE: op-union subset PE merged with the top
-     * @p per_app subgraphs of every application in @p domain_apps.
-     * Failures come back typed, naming the app whose mining failed.
+     * Domain PE: the subset PE over the op-union of @p analyses,
+     * merged with the top @p per_app subgraphs of every application.
      */
     Result<PeVariant>
-    domainVariant(const std::vector<apps::AppInfo> &domain_apps,
+    domainVariant(const std::vector<AppAnalysis> &analyses,
                   int per_app, const std::string &name) const;
 
     const model::TechModel &tech() const { return tech_; }
     const ExplorerOptions &options() const { return options_; }
 
   private:
-    /** Top-k mergeable pattern graphs of an app, in MIS order. */
-    Result<std::vector<ir::Graph>>
-    topPatterns(const ir::Graph &app, int k,
-                mining::MineStats *stats = nullptr) const;
+    /** The subset PE over @p ops merged with @p patterns. */
+    Result<PeVariant> mergedVariant(std::string name,
+                                    const std::set<ir::Op> &ops,
+                                    std::vector<ir::Graph> patterns,
+                                    int mine_capped_levels) const;
 
     const model::TechModel &tech_;
     ExplorerOptions options_;

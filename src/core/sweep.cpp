@@ -587,13 +587,18 @@ runSweep(const std::vector<apps::AppInfo> &apps,
             slot.variants[kBaseline] = explorer.baselineVariant();
             slot.variants[kSubset] = explorer.subsetVariant(app);
             const int k = explorer.options().max_merged_subgraphs;
-            auto v = explorer.specializedVariant(app, k);
+            const std::string spec_name =
+                "pe" + std::to_string(k + 1) + "_" + app.name;
+            const auto analysis = explorer.analyze(app);
+            auto v = analysis.ok()
+                         ? explorer.specializedVariant(*analysis, k)
+                         : analysis.status().withContext(
+                               "building variant '" + spec_name + "'");
             if (v.ok()) {
                 slot.variants[kSpecialized] = std::move(v).value();
             } else {
                 rec.spec_failed = true;
-                rec.spec_name =
-                    "pe" + std::to_string(k + 1) + "_" + app.name;
+                rec.spec_name = spec_name;
                 rec.spec_status = v.status();
             }
             for (int j = 0; j < kJournalCellsPerApp; ++j) {

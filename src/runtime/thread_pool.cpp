@@ -61,7 +61,10 @@ ThreadPool::ThreadPool(int parallelism)
 
 ThreadPool::~ThreadPool()
 {
-    stop_.store(true, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(wake_mutex_);
+        stop_.store(true, std::memory_order_relaxed);
+    }
     wake_cv_.notify_all();
     for (std::thread &t : threads_)
         t.join();
@@ -83,7 +86,12 @@ ThreadPool::submit(std::function<void()> fn)
         std::lock_guard<std::mutex> lock(lanes_[lane]->mutex);
         lanes_[lane]->deque.push_back(std::move(fn));
     }
-    pending_.fetch_add(1, std::memory_order_release);
+    // Raised under wake_mutex_: a worker between its predicate check
+    // and its wait would otherwise miss this notify and nap 10 ms.
+    {
+        std::lock_guard<std::mutex> lock(wake_mutex_);
+        pending_.fetch_add(1, std::memory_order_release);
+    }
     wake_cv_.notify_one();
 }
 

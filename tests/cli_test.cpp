@@ -100,6 +100,54 @@ TEST(Cli, InvalidArgumentsExitWithValidationCode)
     EXPECT_EQ(run(apexc + " sweep --resume 2> /dev/null"), want);
 }
 
+TEST(Cli, UnknownVariantIsAUsageErrorListingTheAcceptedNames)
+{
+    // An unknown --variant never falls back to PE Base: it prints and
+    // writes nothing and names every variant the command takes.
+    ScratchDir dir("unknown_variant");
+    const std::string rtl = dir.str() + "/rtl";
+    const std::string out = dir.str() + "/out";
+    const std::string err = dir.str() + "/err";
+    fs::create_directories(rtl);
+    const int want = exitCodeFor(ErrorCode::kInvalidArgument);
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {" explore camera --variant bogus --level map",
+         "base, pe1, spec, ip, ml, biglittle"},
+        {" rtl camera --variant typo -o " + rtl,
+         "base, pe1, spec, ip, ml)"},
+    };
+    for (const auto &[args, names] : cases) {
+        EXPECT_EQ(run(apexc + args + " > " + out + " 2> " + err), want)
+            << args;
+        EXPECT_EQ(slurp(out), "") << args;
+        EXPECT_NE(slurp(err).find(names), std::string::npos)
+            << args << ": " << slurp(err);
+    }
+    EXPECT_TRUE(fs::is_empty(rtl));
+}
+
+TEST(Cli, MalformedNumericFlagIsAUsageError)
+{
+    // A numeric flag's value is one whole number or a usage error
+    // naming the flag and the value, never a silent zero.
+    ScratchDir dir("malformed_number");
+    const std::string out = dir.str() + "/out";
+    const std::string err = dir.str() + "/err";
+    const int want = exitCodeFor(ErrorCode::kInvalidArgument);
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {" sweep --level map --deadline abc", "'abc' for --deadline"},
+        {" analyze camera --support abc", "'abc' for --support"},
+        {" explore camera --level map --jobs 2x", "'2x' for --jobs"},
+    };
+    for (const auto &[args, message] : cases) {
+        EXPECT_EQ(run(apexc + args + " > " + out + " 2> " + err), want)
+            << args;
+        EXPECT_EQ(slurp(out), "") << args;
+        EXPECT_NE(slurp(err).find(message), std::string::npos)
+            << args << ": " << slurp(err);
+    }
+}
+
 TEST(Cli, ExpiredDeadlineExitsWithTimeoutCode)
 {
     // The clock-skew fault makes the first deadline poll observe an

@@ -3,8 +3,10 @@
 #include "core/evaluate.hpp"
 #include "core/explorer.hpp"
 #include "core/fault.hpp"
+#include "ir/signature.hpp"
 #include "ir/validate.hpp"
 #include "model/tech.hpp"
+#include "pe/baseline.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace apex::core {
@@ -15,7 +17,10 @@ const model::TechModel &tech = model::defaultTech();
 TEST(ExplorerTest, AnalyzeProducesViableRankedPatterns) {
     Explorer ex;
     const auto app = apps::gaussianBlur(4);
-    const auto patterns = ex.analyze(app.graph).value();
+    const AppAnalysis analysis = ex.analyze(app).value();
+    EXPECT_EQ(analysis.app, app.name);
+    EXPECT_EQ(analysis.ops, pe::opsUsedBy(app.graph));
+    const auto &patterns = analysis.patterns;
     ASSERT_FALSE(patterns.empty());
     for (const auto &p : patterns) {
         EXPECT_GE(p.core_size, 2);
@@ -37,7 +42,8 @@ TEST(ExplorerTest, VariantRecipeShrinksWithSpecialization) {
         << "PE 1 drops unused hardware";
 
     // Merging subgraphs grows the PE core itself...
-    const PeVariant pe2 = ex.specializedVariant(app, 1).value();
+    const PeVariant pe2 =
+        ex.specializedVariant(ex.analyze(app).value(), 1).value();
     EXPECT_GE(pe2.spec.area(tech), pe1.spec.area(tech) * 0.9);
     EXPECT_FALSE(pe2.patterns.empty());
 }
@@ -45,10 +51,41 @@ TEST(ExplorerTest, VariantRecipeShrinksWithSpecialization) {
 TEST(ExplorerTest, DomainVariantCoversAllApps) {
     Explorer ex;
     const auto ip = apps::ipApps();
-    const PeVariant pe_ip = ex.domainVariant(ip, 1, "pe_ip").value();
+    const PeVariant pe_ip =
+        ex.domainVariant(ex.analyze(ip).value(), 1, "pe_ip").value();
     EXPECT_GE(pe_ip.patterns.size(), 2u)
         << "at least two distinct domain subgraphs expected";
     EXPECT_TRUE(pe_ip.spec.dp.validate());
+}
+
+TEST(ExplorerTest, DomainVariantsMergePrefixesOfOneAnalysis) {
+    const Explorer ex;
+    FaultInjector &faults = FaultInjector::instance();
+    faults.reset();
+    const auto analyses = ex.analyze(apps::ipApps()).value();
+    EXPECT_EQ(faults.callCount(FaultStage::kMine), 4);
+    const PeVariant pe_ip = ex.domainVariant(analyses, 1, "pe_ip").value();
+    const PeVariant pe_ip2 =
+        ex.domainVariant(analyses, 2, "pe_ip2").value();
+    EXPECT_EQ(faults.callCount(FaultStage::kMine), 4)
+        << "building from an analysis mines nothing";
+    // PE IP2 merges every app's top subgraph first, as PE IP does.
+    ASSERT_GT(pe_ip2.patterns.size(), pe_ip.patterns.size());
+    for (std::size_t i = 0; i < pe_ip.patterns.size(); ++i)
+        EXPECT_EQ(ir::canonicalCode(pe_ip2.patterns[i]),
+                  ir::canonicalCode(pe_ip.patterns[i]));
+}
+
+TEST(ExplorerTest, DomainAnalysisNamesTheFirstFailedApp) {
+    const Explorer ex;
+    FaultScope fault(FaultStage::kMine, 2); // ipApps()[1] is harris
+    const auto analyses = ex.analyze(apps::ipApps());
+    ASSERT_FALSE(analyses.ok());
+    EXPECT_EQ(analyses.status().code(), ErrorCode::kMiningFailed);
+    EXPECT_NE(analyses.status().toString().find(
+                  "analyzing application 'harris'"),
+              std::string::npos)
+        << analyses.status().toString();
 }
 
 TEST(EvaluateTest, PostMappingCameraSpecializationShape) {
@@ -86,39 +123,45 @@ TEST(EvaluateTest, PostMappingCameraSpecializationShape) {
     EXPECT_LT(spec.pe_energy, 0.85 * base.pe_energy);
 }
 
-TEST(EvaluateTest, SpecSearchPicksTheSameVariantOnBothSchedules) {
-    Explorer ex;
+TEST(EvaluateTest, SpecSearchMinesItsAppOnce) {
+    // Every PE Spec candidate merges a prefix of one analysis, with
+    // or without a mining pool, and the pool changes only the
+    // schedule: the cache key fingerprints datapath and patterns.
     const auto app = apps::cameraPipeline(1);
     runtime::ThreadPool pool(4);
-    const PeVariant walked =
-        bestSpecializedVariant(app, ex, tech).value();
-    const PeVariant speculative =
-        bestSpecializedVariant(app, ex, tech, &pool).value();
-    EXPECT_EQ(walked.name, "pe_spec_camera");
-    EXPECT_EQ(speculative.name, walked.name);
-    // The cache key fingerprints the datapath and the patterns.
-    EXPECT_EQ(evalCacheKey(app, speculative, EvalLevel::kPostMapping,
-                           tech, {}),
-              evalCacheKey(app, walked, EvalLevel::kPostMapping, tech,
-                           {}));
+    std::vector<std::string> keys;
+    for (runtime::ThreadPool *lanes :
+         std::initializer_list<runtime::ThreadPool *>{nullptr, &pool}) {
+        ExplorerOptions options;
+        options.miner.pool = lanes;
+        const Explorer ex(tech, options);
+        FaultInjector::instance().reset();
+        const PeVariant spec =
+            bestSpecializedVariant(app, ex, tech).value();
+        EXPECT_EQ(spec.name, "pe_spec_camera");
+        EXPECT_EQ(FaultInjector::instance().callCount(FaultStage::kMine),
+                  1)
+            << (lanes ? "pool" : "sequential");
+        keys.push_back(
+            evalCacheKey(app, spec, EvalLevel::kPostMapping, tech, {}));
+    }
+    EXPECT_EQ(keys[0], keys[1]);
 }
 
-TEST(EvaluateTest, SpecSearchReportsAFailedBuildOnBothSchedules) {
-    // A candidate that cannot be built is an error, never PE 1 under
-    // the PE Spec name.  With k <= 2 camera's stopping rule reaches
-    // every candidate, so whichever speculative build draws the
-    // fault, the in-order walk meets it.
-    ExplorerOptions options;
-    options.max_merged_subgraphs = 2;
-    const Explorer ex(tech, options);
+TEST(EvaluateTest, SpecSearchReportsAFailedBuild) {
+    // A failed analysis or candidate build is an error, never PE 1
+    // under the PE Spec name.
+    const Explorer ex;
     const auto app = apps::cameraPipeline(1);
-    runtime::ThreadPool pool(4);
-    for (runtime::ThreadPool *lanes :
-         std::initializer_list<runtime::ThreadPool *>{&pool, nullptr}) {
-        FaultScope fault(FaultStage::kMine, 1);
-        const auto spec = bestSpecializedVariant(app, ex, tech, lanes);
-        ASSERT_FALSE(spec.ok()) << (lanes ? "pool" : "sequential");
-        EXPECT_EQ(spec.status().code(), ErrorCode::kMiningFailed);
+    const std::pair<FaultStage, ErrorCode> cases[] = {
+        {FaultStage::kMine, ErrorCode::kMiningFailed},
+        {FaultStage::kMerge, ErrorCode::kMergeInfeasible},
+    };
+    for (const auto &[stage, code] : cases) {
+        FaultScope fault(stage, 1);
+        const auto spec = bestSpecializedVariant(app, ex, tech);
+        ASSERT_FALSE(spec.ok()) << faultStageName(stage);
+        EXPECT_EQ(spec.status().code(), code);
     }
 }
 
@@ -140,7 +183,8 @@ TEST(EvaluateTest, PostPipeliningImprovesPerformance) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
     const PeVariant spec_variant =
-        ex.specializedVariant(app, ex.options().max_merged_subgraphs)
+        ex.specializedVariant(ex.analyze(app).value(),
+                              ex.options().max_merged_subgraphs)
             .value();
 
     const auto pnr = evaluate(app, spec_variant,
@@ -163,7 +207,8 @@ TEST(EvaluateTest, DomainPeBeatsBaselineOnUnseenApps) {
     // beats the baseline on it.
     Explorer ex;
     const PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
+        ex.domainVariant(ex.analyze(apps::ipApps()).value(), 1, "pe_ip")
+            .value();
     const auto unseen = apps::laplacianPyramid(1);
 
     const auto base = evaluate(unseen, ex.baselineVariant(),
@@ -179,7 +224,8 @@ TEST(EvaluateTest, DomainPeBeatsBaselineOnUnseenApps) {
 TEST(EvaluateTest, MlPeOnMlApps) {
     Explorer ex;
     const PeVariant pe_ml =
-        ex.domainVariant(apps::mlApps(), 1, "pe_ml").value();
+        ex.domainVariant(ex.analyze(apps::mlApps()).value(), 1, "pe_ml")
+            .value();
     const auto app = apps::mobilenetLayer(2);
 
     const auto base = evaluate(app, ex.baselineVariant(),

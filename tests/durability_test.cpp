@@ -591,7 +591,7 @@ TEST(Deadline, MinerStopsAtLevelBoundary)
     ExplorerOptions options;
     options.miner.deadline = Deadline::after(-1.0);
     const Explorer ex(tech, options);
-    const auto mined = ex.analyze(apps::gaussianBlur(1).graph);
+    const auto mined = ex.analyze(apps::gaussianBlur(1));
     ASSERT_FALSE(mined.ok());
     EXPECT_EQ(mined.status().code(), ErrorCode::kTimeout);
 }
@@ -841,7 +841,7 @@ TEST(Isolation, ColdProcessSweepFillsTheCache)
         const int k = ex.options().max_merged_subgraphs;
         for (const PeVariant &v :
              {ex.baselineVariant(), ex.subsetVariant(app),
-              ex.specializedVariant(app, k).value()}) {
+              ex.specializedVariant(ex.analyze(app).value(), k).value()}) {
             const std::string key =
                 evalCacheKey(app, v, options.level, tech, options.eval);
             const std::optional<std::string> stored =

@@ -20,7 +20,8 @@ HeteroCgra
 bigLittle(const Explorer &ex)
 {
     return makeBigLittleCgra(
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value(),
+        ex.domainVariant(ex.analyze(apps::ipApps()).value(), 1, "pe_ip")
+            .value(),
         "biglittle");
 }
 
@@ -78,7 +79,8 @@ TEST(HeteroTest, HeteroBeatsHomogeneousOnArea) {
     Explorer ex;
     const auto app = apps::gaussianBlur(2);
     const PeVariant pe_ip =
-        ex.domainVariant(apps::ipApps(), 1, "pe_ip").value();
+        ex.domainVariant(ex.analyze(apps::ipApps()).value(), 1, "pe_ip")
+            .value();
 
     const auto homo = evaluate(app, pe_ip,
                                EvalLevel::kPostMapping, tech);

@@ -551,7 +551,8 @@ sweepLibraries()
         for (const auto &app : apex::apps::allApps()) {
             add(explorer.subsetVariant(app), app.name);
             auto spec = explorer.specializedVariant(
-                app, explorer.options().max_merged_subgraphs);
+                explorer.analyze(app).value(),
+                explorer.options().max_merged_subgraphs);
             EXPECT_TRUE(spec.ok()) << app.name;
             if (spec.ok())
                 add(spec.value(), app.name);

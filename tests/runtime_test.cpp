@@ -541,7 +541,7 @@ TEST(ParallelSweep, JobCountDoesNotChangeResults)
     // miner, so mining's parallelFor nests inside build tasks.
     runtime::ThreadPool pool(4);
     core::ExplorerOptions shared_options;
-    shared_options.pool = &pool;
+    shared_options.miner.pool = &pool;
     const core::Explorer shared_explorer(tech, shared_options);
     core::SweepOptions shared;
     shared.pool = &pool;
