@@ -17,22 +17,21 @@ main()
 
     bench::header("Fig. 15: post-place-and-route comparison");
     const core::PeVariant base = ex.baselineVariant();
-    const core::PeVariant pe_ip =
-        bench::domainPe(ex, apps::ipApps(), "pe_ip");
-    const core::PeVariant pe_ml =
-        bench::domainPe(ex, apps::mlApps(), "pe_ml");
+    const bench::AnalyzedSet set = bench::analyzeAll(ex);
 
     std::printf("  %-10s %-8s %10s %10s %10s %12s %12s %10s\n",
                 "app", "variant", "sbA(um2)", "cbA(um2)",
                 "memA(um2)", "cgraA(um2)", "cgraE(pJ/it)",
                 "dE%");
 
-    for (const apps::AppInfo &app : apps::analyzedApps()) {
+    for (std::size_t i = 0; i < set.apps.size(); ++i) {
+        const apps::AppInfo &app = set.apps[i];
         const bool is_ip =
             app.domain == apps::Domain::kImageProcessing;
-        const core::PeVariant &domain = is_ip ? pe_ip : pe_ml;
+        const core::PeVariant &domain = is_ip ? set.pe_ip : set.pe_ml;
         const core::PeVariant spec =
-            core::bestSpecializedVariant(app, ex, tech).value();
+            core::bestSpecializedVariant(app, set.analyses[i], ex, tech)
+                .value();
 
         const auto rb = bench::evalOrWarn(
             app, base, core::EvalLevel::kPostPnr, tech);

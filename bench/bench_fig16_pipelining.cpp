@@ -17,21 +17,20 @@ main()
 
     bench::header("Fig. 16: pre- vs post-pipelining");
     const core::PeVariant base = ex.baselineVariant();
-    const core::PeVariant pe_ip =
-        bench::domainPe(ex, apps::ipApps(), "pe_ip");
-    const core::PeVariant pe_ml =
-        bench::domainPe(ex, apps::mlApps(), "pe_ml");
+    const bench::AnalyzedSet set = bench::analyzeAll(ex);
 
     std::printf("  %-10s %-8s %7s %12s %12s %12s %14s %8s\n", "app",
                 "variant", "stage", "period(ns)", "cgraA(um2)",
                 "E(pJ/item)", "perf(f/ms/mm2)", "gain");
 
-    for (const apps::AppInfo &app : apps::analyzedApps()) {
+    for (std::size_t i = 0; i < set.apps.size(); ++i) {
+        const apps::AppInfo &app = set.apps[i];
         const bool is_ip =
             app.domain == apps::Domain::kImageProcessing;
-        const core::PeVariant &domain = is_ip ? pe_ip : pe_ml;
+        const core::PeVariant &domain = is_ip ? set.pe_ip : set.pe_ml;
         const core::PeVariant spec =
-            core::bestSpecializedVariant(app, ex, tech).value();
+            core::bestSpecializedVariant(app, set.analyses[i], ex, tech)
+                .value();
 
         struct Entry {
             const core::PeVariant *v;

@@ -201,16 +201,20 @@ kernelCliqueInstance(int n)
     return pb;
 }
 
+/** n occurrences of up to four nodes drawn from [0, universe)
+ * (default n). */
 std::vector<std::vector<ir::NodeId>>
-kernelOccurrences(int n)
+kernelOccurrences(int n, int universe = 0)
 {
+    if (universe <= 0)
+        universe = n;
     std::uint32_t lcg = 777;
     std::vector<std::vector<ir::NodeId>> occ(n);
     for (int i = 0; i < n; ++i) {
         for (int k = 0; k < 4; ++k) {
             lcg = lcg * 1664525u + 1013904223u;
             occ[i].push_back(
-                static_cast<ir::NodeId>((lcg >> 16) % n));
+                static_cast<ir::NodeId>((lcg >> 16) % universe));
         }
         std::sort(occ[i].begin(), occ[i].end());
         occ[i].erase(std::unique(occ[i].begin(), occ[i].end()),
@@ -219,17 +223,19 @@ kernelOccurrences(int n)
     return occ;
 }
 
-/** kernelOccurrences(n) with every occurrence also holding one of
- * two hub nodes: each hub's bucket is a clique of n/2 occurrences,
- * the dense regime an app-wide shared constant produces. */
+/** kernelOccurrences(n, universe) with every occurrence also
+ * holding one of @p hubs hub nodes: each hub's bucket is a clique of
+ * n/hubs occurrences, the dense regime an app-wide shared constant
+ * produces.  One hub makes the overlap graph complete. */
 std::vector<std::vector<ir::NodeId>>
-kernelHubOccurrences(int n)
+kernelHubOccurrences(int n, int hubs, int universe = 0)
 {
-    auto occ = kernelOccurrences(n);
+    auto occ = kernelOccurrences(n, universe);
     for (int i = 0; i < n; ++i) {
         for (ir::NodeId &node : occ[i])
-            node += 2;
-        occ[i].insert(occ[i].begin(), static_cast<ir::NodeId>(i % 2));
+            node += static_cast<ir::NodeId>(hubs);
+        occ[i].insert(occ[i].begin(),
+                      static_cast<ir::NodeId>(i % hubs));
     }
     return occ;
 }
@@ -296,9 +302,12 @@ runKernelRows()
 
     // MIS: bucket-built bitset overlap rows + bucket greedy / bitset
     // exact vs the all-pairs + scanning reference, on sparse random
-    // occurrences (`mis`) and on two-hub ones whose overlap graph is
-    // two big cliques (`mis_dense`).  MIS has no deterministic work
-    // counter, so CI gates the dense rows' ms_ref/ms ratio.
+    // occurrences (`mis`), on two-hub ones whose overlap graph is
+    // two big cliques (`mis_dense`), and on one-hub ones over 33
+    // nodes, fast's largest patterns, whose overlap graph is complete
+    // (`mis_complete`: solved without a matrix).  MIS has no
+    // deterministic work counter, so CI gates the dense and complete
+    // rows' ms_ref/ms ratios.
     const auto misRow = [](const char *kernel, int n,
                            const std::vector<std::vector<ir::NodeId>>
                                &occ) {
@@ -318,7 +327,8 @@ runKernelRows()
     for (int n : {26, 200, 800, 2000})
         misRow("mis", n, kernelOccurrences(n));
     for (int n : {1000, 4000})
-        misRow("mis_dense", n, kernelHubOccurrences(n));
+        misRow("mis_dense", n, kernelHubOccurrences(n, 2));
+    misRow("mis_complete", 4800, kernelHubOccurrences(4800, 1, 32));
 
     // Isomorphism: label-indexed matcher vs whole-graph-scan
     // reference, multiply-accumulate pattern.

@@ -14,10 +14,7 @@ main()
 
     bench::header("Table 3: post-pipelining resource utilization");
     const core::PeVariant base = ex.baselineVariant();
-    const core::PeVariant pe_ip =
-        bench::domainPe(ex, apps::ipApps(), "pe_ip");
-    const core::PeVariant pe_ml =
-        bench::domainPe(ex, apps::mlApps(), "pe_ml");
+    const bench::AnalyzedSet set = bench::analyzeAll(ex);
 
     std::printf("  %-10s %-8s %6s %6s %6s %6s %6s %14s\n", "app",
                 "variant", "#PE", "#MEM", "#RF", "#IO", "#Reg",
@@ -35,14 +32,17 @@ main()
                     r.util.regs, r.util.routing_tiles);
     };
 
-    for (const apps::AppInfo &app : apps::analyzedApps()) {
+    for (std::size_t i = 0; i < set.apps.size(); ++i) {
+        const apps::AppInfo &app = set.apps[i];
         const bool is_ip =
             app.domain == apps::Domain::kImageProcessing;
         report(app, base, "base");
-        report(app, is_ip ? pe_ip : pe_ml,
+        report(app, is_ip ? set.pe_ip : set.pe_ml,
                is_ip ? "pe_ip" : "pe_ml");
         report(app,
-               core::bestSpecializedVariant(app, ex, tech).value(),
+               core::bestSpecializedVariant(app, set.analyses[i], ex,
+                                            tech)
+                   .value(),
                "spec");
     }
     bench::note("paper (Table 3): e.g. camera 232 PEs baseline -> "

@@ -62,7 +62,9 @@
  * Parallelism: --jobs N (or the APEX_JOBS environment variable) runs
  * analyze/explore/sweep on a work-stealing pool with N lanes; N = 0
  * asks for one lane per hardware thread.  The default (1) is the
- * sequential schedule, and results are byte-identical for any N.
+ * sequential schedule, and results are byte-identical for any N.  A
+ * value that is not a whole number, in the flag or the variable, is
+ * exit 2.
  * --cache-dir DIR adds a content-addressed on-disk evaluation cache,
  * so repeated sweeps become incremental.  Runtime counters (tasks
  * run/stolen, cache hits/misses, per-stage time) are printed to
@@ -147,6 +149,7 @@ using cli::firstError;
 using cli::flagValue;
 using cli::hasFlag;
 using cli::numericFlag;
+using cli::numericValue;
 
 /** Set by the SIGINT/SIGTERM handler; polled by the sweep's tasks.
  * A lock-free atomic store is async-signal-safe, and the sweep
@@ -230,29 +233,17 @@ isolateFlag(int argc, char **argv)
 }
 
 /** --jobs N, else $APEX_JOBS, else 1 (sequential).  0 = one lane per
- * hardware thread. */
+ * hardware thread.  Both are checked like every numeric flag. */
 Result<int>
 requestedJobs(int argc, char **argv)
 {
     int jobs = 1;
     if (const char *env = std::getenv("APEX_JOBS"))
-        jobs = std::atoi(env);
+        if (Status s = numericValue(env, "APEX_JOBS", &jobs); !s.ok())
+            return s;
     if (Status s = numericFlag(argc, argv, "--jobs", &jobs); !s.ok())
         return s;
     return jobs;
-}
-
-/** Pool for the requested job count; null = run sequentially. */
-std::unique_ptr<runtime::ThreadPool>
-makePool(int jobs)
-{
-    if (jobs == 1)
-        return nullptr;
-    const int n = jobs <= 0 ? runtime::ThreadPool::defaultParallelism()
-                            : jobs;
-    if (n <= 1)
-        return nullptr;
-    return std::make_unique<runtime::ThreadPool>(n);
 }
 
 /** The sweep flags `apexc sweep` and `apexc client sweep` share, as
@@ -306,9 +297,14 @@ buildVariant(const std::string &kind, const apps::AppInfo &app,
         return ex.baselineVariant();
     if (kind == "pe1")
         return ex.subsetVariant(app);
-    if (kind == "spec")
-        return core::bestSpecializedVariant(app, ex,
+    if (kind == "spec") {
+        const auto analysis = ex.analyze(app);
+        if (!analysis)
+            return analysis.status().withContext(
+                "building variant 'pe2_" + app.name + "'");
+        return core::bestSpecializedVariant(app, *analysis, ex,
                                             model::defaultTech(), eval);
+    }
     if (kind == "ip" || kind == "ml") {
         const auto analyses =
             ex.analyze(kind == "ip" ? apps::ipApps() : apps::mlApps());
@@ -353,7 +349,7 @@ cmdAnalyze(int argc, char **argv, const std::string &source)
              jobs.status()});
         !s.ok())
         return loadFailure(s);
-    const auto pool = makePool(*jobs);
+    const auto pool = runtime::makePool(*jobs);
     options.miner.pool = pool.get();
     core::Explorer ex(model::defaultTech(), options);
 
@@ -403,7 +399,7 @@ cmdExplore(int argc, char **argv, const std::string &source)
     if (!jobs)
         return loadFailure(jobs.status());
 
-    const auto pool = makePool(*jobs);
+    const auto pool = runtime::makePool(*jobs);
     const auto cache = makeCache(argc, argv);
     core::ExplorerOptions ex_options;
     ex_options.miner.pool = pool.get();
@@ -558,7 +554,7 @@ cmdSweep(int argc, char **argv)
     // One pool serves both the sweep's build/evaluation tasks and the
     // miner's candidate expansion, so nested parallelism shares the
     // lanes.
-    const auto pool = makePool(*jobs);
+    const auto pool = runtime::makePool(*jobs);
     const auto cache = makeCache(argc, argv);
     options.pool = pool.get();
     options.cache = cache.get();

@@ -17,7 +17,10 @@
  * Unix-domain socket (optionally TCP on 127.0.0.1).  Identical
  * concurrent sweep requests coalesce onto one execution; a full
  * admission queue rejects with an explicit frame (see
- * src/service/server.hpp and DESIGN.md Sec. 7g).
+ * src/service/server.hpp and DESIGN.md Sec. 7g).  --executors N
+ * sweeps run at once; each executor owns one pool of --jobs lanes for
+ * its lifetime (1, the default: none; 0: one lane per hardware
+ * thread) and lends it to its sweeps and their miner.
  *
  * SIGTERM / SIGINT shut down gracefully: listeners close, queued
  * requests are abandoned, running sweeps cancel cooperatively, and

@@ -40,7 +40,7 @@ main()
     for (int k = 1; k <= ex.options().max_merged_subgraphs; ++k)
         variants.push_back(ex.specializedVariant(analysis, k).value());
     variants.push_back(
-        core::bestSpecializedVariant(app, ex, tech).value());
+        core::bestSpecializedVariant(app, analysis, ex, tech).value());
 
     std::printf("%-18s %6s %10s %12s %12s %12s %10s\n", "variant",
                 "#PE", "PEum2/PE", "PE area", "CGRA area",

@@ -38,11 +38,29 @@ hasFlag(int argc, char **argv, const char *flag)
 }
 
 /**
- * Parse the value of numeric @p flag into @p out, which keeps its
- * value when the flag is absent.  The whole token must parse as a T
- * ("8", "-1", "0.5" for a double); anything else ("abc", "10ms", "")
- * is kInvalidArgument naming the flag and the value.
+ * Parse @p text, the value of @p name (a flag or an environment
+ * variable), into @p out.  The whole token must parse as a T ("8",
+ * "-1", "0.5" for a double); anything else ("abc", "10ms", "") is
+ * kInvalidArgument naming @p name and the value, and leaves @p out
+ * as it was.
  */
+template <typename T>
+Status
+numericValue(const char *text, const char *name, T *out)
+{
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end)
+        return Status(ErrorCode::kInvalidArgument,
+                      "malformed value '" + std::string(text) +
+                          "' for " + name);
+    *out = value;
+    return Status::okStatus();
+}
+
+/** numericValue() of numeric @p flag; @p out keeps its value when
+ * the flag is absent. */
 template <typename T>
 Status
 numericFlag(int argc, char **argv, const char *flag, T *out)
@@ -50,15 +68,7 @@ numericFlag(int argc, char **argv, const char *flag, T *out)
     const char *text = flagValue(argc, argv, flag);
     if (text == nullptr)
         return Status::okStatus();
-    const char *end = text + std::strlen(text);
-    T value{};
-    const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc() || ptr != end)
-        return Status(ErrorCode::kInvalidArgument,
-                      "malformed value '" + std::string(text) +
-                          "' for " + flag);
-    *out = value;
-    return Status::okStatus();
+    return numericValue(text, flag, out);
 }
 
 /** The first failure of @p statuses, in order; ok when none failed. */

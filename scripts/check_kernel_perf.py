@@ -17,7 +17,10 @@ headline claim of the incremental-embedding rework.
 MIS has no deterministic work counter, so its gate is a loose timing
 ratio on the dense (`mis_dense`, two-hub) rows: occurrences sharing a
 node widely are where an overlap construction that is quadratic per
-shared node loses to the all-pairs reference.
+shared node loses to the all-pairs reference.  The `mis_complete` row
+(one node in every occurrence, fast's largest patterns) has its own
+floor, set above what the bitset path reaches there, so it fails
+unless the complete-overlap shortcut answers without a matrix.
 
 Rewrite rows (one per PE library: PE Base and each analyzed app's
 PE k) time the lowered rewrite-rule validator against the historic
@@ -40,6 +43,9 @@ Failure conditions:
     whose matcher-call reduction falls below MIN_MINER_ISO_FACTOR;
   * the largest mis_dense row's reference/optimized wall-time ratio
     (ms_ref/ms) falls below MIN_MIS_DENSE_SPEEDUP;
+  * the baseline has a mis_complete row and the current run has none,
+    or a mis_complete row's ms_ref/ms falls below
+    MIN_MIS_COMPLETE_SPEEDUP;
   * any rewrite row whose rule count drifts from the baseline (the
     synthesized library changed), or a PE Base rewrite row whose
     ms_ref/ms falls below MIN_REWRITE_SPEEDUP;
@@ -59,6 +65,7 @@ NODE_REGRESSION_FACTOR = 2.0
 MIN_CLIQUE_RATIO = 5.0
 MIN_MINER_ISO_FACTOR = 3.0
 MIN_MIS_DENSE_SPEEDUP = 5.0
+MIN_MIS_COMPLETE_SPEEDUP = 200.0
 MIN_REWRITE_SPEEDUP = 5.0
 MIN_PLACE_SPEEDUP = 1.4
 
@@ -142,6 +149,17 @@ def main():
             failures.append(
                 f"mis_dense n={largest['n']}: ms_ref/ms "
                 f"{speedup:.2f} < {MIN_MIS_DENSE_SPEEDUP}")
+
+    base_complete = [r for r in baseline if r["kernel"] == "mis_complete"]
+    cur_complete = [r for r in current if r["kernel"] == "mis_complete"]
+    if base_complete and not cur_complete:
+        failures.append("no mis_complete rows in current output")
+    for row in cur_complete:
+        speedup = row["ms_ref"] / max(row["ms"], 0.01)
+        if speedup < MIN_MIS_COMPLETE_SPEEDUP:
+            failures.append(
+                f"mis_complete n={row['n']}: ms_ref/ms {speedup:.2f} "
+                f"< {MIN_MIS_COMPLETE_SPEEDUP}")
 
     # Rewrite rows: the rule count is a pure function of the PE and
     # its patterns, so drift means synthesis or validation changed.

@@ -759,14 +759,11 @@ makeBigLittleCgra(const PeVariant &big, const std::string &name)
 
 Result<PeVariant>
 bestSpecializedVariant(const apps::AppInfo &app,
+                       const AppAnalysis &analysis,
                        const Explorer &explorer,
                        const model::TechModel &tech,
                        const EvalOptions &options)
 {
-    const auto analysis = explorer.analyze(app);
-    if (!analysis.ok())
-        return analysis.status().withContext("building variant 'pe2_" +
-                                             app.name + "'");
     const auto score = [&](const PeVariant &v) {
         const EvalResult r = evaluate(app, v, EvalLevel::kPostMapping,
                                       tech, options);
@@ -776,7 +773,7 @@ bestSpecializedVariant(const apps::AppInfo &app,
     PeVariant best = explorer.subsetVariant(app);
     double best_score = score(best);
     for (int k = 1; k <= explorer.options().max_merged_subgraphs; ++k) {
-        auto v = explorer.specializedVariant(*analysis, k);
+        auto v = explorer.specializedVariant(analysis, k);
         if (!v.ok())
             return v.status();
         const double s = score(*v);

@@ -178,14 +178,15 @@ EvalResult evaluate(const apps::AppInfo &app, const HeteroCgra &cgra,
  * improving variant ("the most specialized PE possible without
  * increasing the area or energy of the application").
  *
- * The app is analyzed once, before PE 1 is scored; every candidate
- * merges a prefix of that analysis, walked in k order.  A failed
- * analysis, or the first candidate whose build fails before the
- * stopping rule halts, is returned as the error.
+ * Every candidate merges a prefix of @p analysis, the app's one
+ * analysis (Explorer::analyze), walked in k order, so the search
+ * mines nothing.  The first candidate whose build fails before the
+ * stopping rule halts is returned as the error.
  */
 Result<PeVariant> bestSpecializedVariant(
-    const apps::AppInfo &app, const Explorer &explorer,
-    const model::TechModel &tech, const EvalOptions &options = {});
+    const apps::AppInfo &app, const AppAnalysis &analysis,
+    const Explorer &explorer, const model::TechModel &tech,
+    const EvalOptions &options = {});
 
 /**
  * Serialize a *successful* EvalResult for the artifact cache

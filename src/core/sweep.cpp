@@ -431,13 +431,8 @@ runSweep(const std::vector<apps::AppInfo> &apps,
     runtime::ThreadPool *pool = options.pool;
     std::unique_ptr<runtime::ThreadPool> owned_pool;
     if (pool == nullptr) {
-        int n = options.jobs;
-        if (n <= 0)
-            n = runtime::ThreadPool::defaultParallelism();
-        if (n > 1) {
-            owned_pool = std::make_unique<runtime::ThreadPool>(n);
-            pool = owned_pool.get();
-        }
+        owned_pool = runtime::makePool(options.jobs);
+        pool = owned_pool.get();
     }
     out.stats.jobs = pool != nullptr ? pool->parallelism() : 1;
 

@@ -1,8 +1,11 @@
 #ifndef APEX_IR_SIGNATURE_H_
 #define APEX_IR_SIGNATURE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "ir/graph.hpp"
 
@@ -40,17 +43,23 @@ bool isomorphic(const Graph &a, const Graph &b);
  */
 class Fnv64 {
   public:
+    /** The value's 8 little-endian bytes.  A step on a zero byte only
+     * multiplies by the prime, so the bytes after the last non-zero
+     * one fold into one multiply by a power of it: the digest of the
+     * full 8-byte loop, at the cost of the significant bytes. */
     Fnv64 &mix(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xff;
-            h_ *= 1099511628211ull;
+        int bytes = 0;
+        for (; v != 0; v >>= 8, ++bytes) {
+            h_ ^= v & 0xff;
+            h_ *= kPrime;
         }
+        h_ *= kPrimePowers[8 - bytes];
         return *this;
     }
     Fnv64 &mix(std::string_view s) {
         for (const char c : s) {
             h_ ^= static_cast<unsigned char>(c);
-            h_ *= 1099511628211ull;
+            h_ *= kPrime;
         }
         mix(static_cast<std::uint64_t>(s.size())); // length-delimited
         return *this;
@@ -61,6 +70,15 @@ class Fnv64 {
     std::uint64_t digest() const { return h_; }
 
   private:
+    static constexpr std::uint64_t kPrime = 1099511628211ull;
+    /** kPrimePowers[k] = kPrime^k (mod 2^64). */
+    static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+        std::array<std::uint64_t, 9> p{1};
+        for (std::size_t k = 1; k < p.size(); ++k)
+            p[k] = p[k - 1] * kPrime;
+        return p;
+    }();
+
     std::uint64_t h_ = 14695981039346656037ull;
 };
 

@@ -1,9 +1,10 @@
 #include "mining/miner.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <cstdint>
+#include <map>
+#include <numeric>
+#include <set>
 #include <tuple>
 
 #include "ir/signature.hpp"
@@ -120,31 +121,51 @@ struct WorkPattern {
     bool embeddings_complete = true;
 };
 
-/** Fill occurrences / MNI / frequency from the embedding list. */
+/** Fill occurrences / MNI / frequency from the embedding list, on
+ * flat arrays: one row of core images per embedding, sorted and
+ * deduplicated, gives the occurrences in set order; one column per
+ * core node, sorted, gives its distinct images. */
 void
 computeSupport(const MinerOptions &opt, WorkPattern *wp)
 {
-    std::set<std::vector<NodeId>> occ_sets;
-    std::map<NodeId, std::set<NodeId>> image; // core node -> targets
-    for (const Embedding &e : wp->embeddings) {
-        std::vector<NodeId> s;
-        s.reserve(wp->core_ids.size());
-        for (NodeId cid : wp->core_ids) {
-            s.push_back(e.map[cid]);
-            image[cid].insert(e.map[cid]);
-        }
-        std::sort(s.begin(), s.end());
-        occ_sets.insert(std::move(s));
-    }
-    wp->mined.occurrences.assign(occ_sets.begin(), occ_sets.end());
+    const std::size_t m = wp->embeddings.size();
+    const std::size_t c = wp->core_ids.size();
 
     // GRAMI minimum-node-image support.
-    wp->mined.mni_support =
-        wp->embeddings.empty() ? 0 : INT32_MAX;
+    wp->mined.mni_support = m == 0 ? 0 : INT32_MAX;
+    std::vector<NodeId> column(m);
     for (NodeId cid : wp->core_ids) {
+        for (std::size_t e = 0; e < m; ++e)
+            column[e] = wp->embeddings[e].map[cid];
+        std::sort(column.begin(), column.end());
+        const auto images = std::unique(column.begin(), column.end()) -
+                            column.begin();
         wp->mined.mni_support =
-            std::min(wp->mined.mni_support,
-                     static_cast<int>(image[cid].size()));
+            std::min(wp->mined.mni_support, static_cast<int>(images));
+    }
+
+    std::vector<NodeId> rows(m * c);
+    for (std::size_t e = 0; e < m; ++e) {
+        NodeId *row = rows.data() + e * c;
+        for (std::size_t j = 0; j < c; ++j)
+            row[j] = wp->embeddings[e].map[wp->core_ids[j]];
+        std::sort(row, row + c);
+    }
+    const auto rowLess = [&](std::size_t a, std::size_t b) {
+        return std::lexicographical_compare(
+            rows.begin() + a * c, rows.begin() + (a + 1) * c,
+            rows.begin() + b * c, rows.begin() + (b + 1) * c);
+    };
+    std::vector<std::size_t> order(m);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), rowLess);
+    wp->mined.occurrences.clear();
+    for (std::size_t k = 0; k < m; ++k) {
+        if (k > 0 && !rowLess(order[k - 1], order[k]))
+            continue; // equal to the previous row
+        wp->mined.occurrences.emplace_back(
+            rows.begin() + order[k] * c,
+            rows.begin() + (order[k] + 1) * c);
     }
 
     wp->mined.frequency =

@@ -23,6 +23,28 @@ namespace apex::mining {
 namespace {
 
 /**
+ * True when one target node lies in every occurrence, so the overlap
+ * graph is complete.  Such a node is one of occurrence 0's, and each
+ * of those is looked up in every other occurrence: membership, not a
+ * count of incidences, so an occurrence listing a node twice is still
+ * one occurrence.
+ */
+bool
+someNodeInEvery(const std::vector<std::vector<ir::NodeId>> &occurrences)
+{
+    return std::any_of(
+        occurrences[0].begin(), occurrences[0].end(),
+        [&](ir::NodeId node) {
+            return std::all_of(
+                occurrences.begin() + 1, occurrences.end(),
+                [&](const std::vector<ir::NodeId> &occ) {
+                    return std::find(occ.begin(), occ.end(), node) !=
+                           occ.end();
+                });
+        });
+}
+
+/**
  * The overlap graph as bitset rows: row i = occurrences sharing a
  * target node with occurrence i, i itself excluded.  Occurrences that
  * hold one node form a clique, so each node's bucket is ORed into the
@@ -280,6 +302,12 @@ maximalIndependentSet(
     telemetry::StageTimer timer(
         telemetry::histogram("apex.mis.solve.ms"));
 
+    // One node in every occurrence makes the overlap graph complete:
+    // greedy takes vertex 0 (all degrees tie) and removes the rest,
+    // and the exact search, seeded with {0}, finds no strictly larger
+    // set.  No matrix is needed to know that.
+    if (someNodeInEvery(occurrences))
+        return MisResult{{0}, 1};
     const core::BitsetMatrix adj = overlapRows(occurrences);
 
     if (n <= kExactMisLimit) {

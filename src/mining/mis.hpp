@@ -30,7 +30,10 @@
  * 50 MB at the default 20000).  An edge list would instead pay one
  * pair per (occurrence pair, shared node) — quadratic in every
  * bucket, so a node shared by thousands of occurrences (an app-wide
- * constant) alone emits tens of millions of pairs.  Greedy picks use
+ * constant) alone emits tens of millions of pairs.  When one node
+ * lies in every occurrence, the overlap graph is complete and both
+ * solvers pick occurrence 0, so that case returns {0} before any
+ * incidence list or matrix is built.  Greedy picks use
  * row popcounts as degrees and a bucket-by-degree structure, and the
  * exact branch and bound runs on the same rows with cached live
  * degrees.  All of it is deterministic with ascending-index

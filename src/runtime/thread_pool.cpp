@@ -1,10 +1,13 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <climits>
 #include <cstdlib>
 #include <exception>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "runtime/telemetry.hpp"
@@ -39,12 +42,25 @@ int
 ThreadPool::defaultParallelism()
 {
     if (const char *env = std::getenv("APEX_JOBS")) {
-        const int n = std::atoi(env);
-        if (n >= 1)
+        const std::string_view text(env);
+        int n = 0;
+        const auto [end, ec] =
+            std::from_chars(text.data(), text.data() + text.size(), n);
+        if (ec == std::errc() && end == text.data() + text.size() &&
+            n >= 1)
             return n;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+std::unique_ptr<ThreadPool>
+makePool(int jobs)
+{
+    const int n = jobs <= 0 ? ThreadPool::defaultParallelism() : jobs;
+    if (n <= 1)
+        return nullptr;
+    return std::make_unique<ThreadPool>(n);
 }
 
 ThreadPool::ThreadPool(int parallelism)

@@ -64,7 +64,8 @@ class ThreadPool {
      */
     bool tryRunOne();
 
-    /** $APEX_JOBS when set and valid, else hardware concurrency. */
+    /** $APEX_JOBS when it is a whole positive integer, else hardware
+     * concurrency. */
     static int defaultParallelism();
 
   private:
@@ -88,6 +89,13 @@ class ThreadPool {
     std::atomic<bool> stop_{false};
     std::atomic<int> pending_{0};
 };
+
+/**
+ * The pool for a job count: @p jobs lanes, or defaultParallelism()
+ * when jobs <= 0; null when that is one lane, so the sequential path
+ * runs inline without a pool.
+ */
+std::unique_ptr<ThreadPool> makePool(int jobs);
 
 /**
  * Run fn(0..n-1) across the pool with the caller participating.

@@ -656,17 +656,20 @@ Server::admitSweep(Session &session, const SweepRequest &request)
 void
 Server::executorLoop()
 {
+    const std::unique_ptr<runtime::ThreadPool> pool =
+        runtime::makePool(options_.jobs);
     while (auto job = queue_.pop()) {
         if (options_.admission_hold_ms > 0)
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(
                     options_.admission_hold_ms));
-        runJob(*job);
+        runJob(*job, pool.get());
     }
 }
 
 void
-Server::runJob(const std::shared_ptr<SweepJob> &job)
+Server::runJob(const std::shared_ptr<SweepJob> &job,
+               runtime::ThreadPool *pool)
 {
     const Clock::time_point t0 = Clock::now();
     telemetry::counter("apex.service.sweeps").add(1);
@@ -681,7 +684,7 @@ Server::runJob(const std::shared_ptr<SweepJob> &job)
     // executeJob's span closes before the report is published: a
     // client that fetches its trace slice right after the report
     // must find it.
-    SweepReply reply = executeJob(job);
+    SweepReply reply = executeJob(job, pool);
 
     // Stop accepting coalesced joiners *before* publishing: a request
     // arriving after this point starts a fresh sweep instead of
@@ -719,7 +722,8 @@ Server::runJob(const std::shared_ptr<SweepJob> &job)
 }
 
 SweepReply
-Server::executeJob(const std::shared_ptr<SweepJob> &job)
+Server::executeJob(const std::shared_ptr<SweepJob> &job,
+                   runtime::ThreadPool *pool)
 {
     const SweepRequest &request = job->request;
     APEX_SPAN("service.execute");
@@ -727,7 +731,7 @@ Server::executeJob(const std::shared_ptr<SweepJob> &job)
     // price of admission, not of the sweep (matching the batch CLI,
     // where the deadline clock starts after flag parsing).
     core::SweepOptions opts = sweepOptionsFor(request).value();
-    opts.jobs = options_.jobs;
+    opts.pool = pool;
     opts.cache = cache_.get();
     opts.cancel = &stop_;
     // With a cache dir the daemon journals every sweep under a
@@ -752,6 +756,7 @@ Server::executeJob(const std::shared_ptr<SweepJob> &job)
     // Variant construction observes the sweep deadline too, exactly
     // like the batch path.
     core::ExplorerOptions ex_options;
+    ex_options.miner.pool = pool;
     ex_options.miner.deadline = opts.deadline;
     ex_options.merge.deadline = opts.deadline;
     const core::Explorer explorer(model::defaultTech(), ex_options);

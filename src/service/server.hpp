@@ -73,7 +73,10 @@ struct ServerOptions {
     /** Admission bound: queued (not yet running) requests beyond this
      * are rejected. */
     std::size_t queue_depth = 8;
-    /** Worker lanes per sweep (core::SweepOptions::jobs). */
+    /** Worker lanes per sweep.  Each executor owns one pool of this
+     * many lanes for its lifetime and lends it to every sweep it runs
+     * and to that sweep's miner.  1 = no pool (the sequential
+     * schedule); <= 0 = runtime::ThreadPool::defaultParallelism(). */
     int jobs = 1;
     /** Artifact-cache directory ("" = in-memory only). */
     std::string cache_dir;
@@ -156,6 +159,10 @@ class Server {
     };
 
     void ioLoop();
+    /** Pop and run jobs until shutdown, on this executor's own pool
+     * (runtime::makePool(options_.jobs)).  Executors do not share
+     * one: a sweep that waits for its tasks helps run whatever its
+     * pool holds, which would be another request's work. */
     void executorLoop();
     void acceptPending(int listen_fd);
     /** True while accepts are paused after fd/memory exhaustion. */
@@ -169,9 +176,12 @@ class Server {
     /** Dispatch one post-handshake frame; false drops the session. */
     bool dispatch(Session &session, const runtime::FramedRecord &rec);
     void admitSweep(Session &session, const SweepRequest &request);
-    void runJob(const std::shared_ptr<SweepJob> &job);
-    /** Run the job's sweep under the `service.execute` span. */
-    SweepReply executeJob(const std::shared_ptr<SweepJob> &job);
+    void runJob(const std::shared_ptr<SweepJob> &job,
+                runtime::ThreadPool *pool);
+    /** Run the job's sweep, and its miner, on @p pool (null: inline)
+     * under the `service.execute` span. */
+    SweepReply executeJob(const std::shared_ptr<SweepJob> &job,
+                          runtime::ThreadPool *pool);
     void broadcastProgress(const std::shared_ptr<SweepJob> &job,
                            const core::SweepProgress &progress);
     /** Queue @p frame for the io thread and wake it. */

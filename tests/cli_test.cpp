@@ -148,6 +148,30 @@ TEST(Cli, MalformedNumericFlagIsAUsageError)
     }
 }
 
+TEST(Cli, MalformedJobsVariableIsAUsageError)
+{
+    // APEX_JOBS is checked like --jobs: a malformed value is a usage
+    // error naming the variable, not a silent default lane count.
+    ScratchDir dir("malformed_jobs_env");
+    const std::string out = dir.str() + "/out";
+    const std::string err = dir.str() + "/err";
+    EXPECT_EQ(run("APEX_JOBS=abc " + apexc +
+                  " sweep --level map --diagnostics > " + out + " 2> " +
+                  err),
+              exitCodeFor(ErrorCode::kInvalidArgument));
+    EXPECT_EQ(slurp(out), "");
+    EXPECT_NE(slurp(err).find("malformed value 'abc' for APEX_JOBS"),
+              std::string::npos)
+        << slurp(err);
+
+    EXPECT_EQ(run("APEX_JOBS=2 " + apexc +
+                  " sweep --level map --diagnostics > " + out + " 2> " +
+                  err),
+              0);
+    EXPECT_NE(slurp(err).find("jobs=2 "), std::string::npos)
+        << slurp(err);
+}
+
 TEST(Cli, ExpiredDeadlineExitsWithTimeoutCode)
 {
     // The clock-skew fault makes the first deadline poll observe an

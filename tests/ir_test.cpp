@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "ir/builder.hpp"
 #include "ir/dot.hpp"
@@ -220,6 +223,53 @@ TEST(SignatureTest, LutTableDistinguishes) {
     Value a2 = b2.inputBit(), c2 = b2.inputBit(), d2 = b2.inputBit();
     b2.outputBit(b2.lut(0x96, a2, c2, d2));
     EXPECT_FALSE(isomorphic(b1.graph(), b2.graph()));
+}
+
+/** FNV-1a over all eight little-endian bytes of each value: the
+ * digest Fnv64::mix must reproduce whatever its loop skips. */
+class ByteLoopFnv {
+  public:
+    ByteLoopFnv &mix(std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 1099511628211ull;
+        }
+        return *this;
+    }
+    std::uint64_t digest() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 14695981039346656037ull;
+};
+
+TEST(SignatureTest, FnvMixMatchesTheFullByteLoop) {
+    std::vector<std::uint64_t> values = {
+        0, 1, 0xff, 0x100, 1ull << 56, ~0ull, 0x0100000000000001ull};
+    std::uint64_t x = 0x9e3779b97f4a7c15ull; // splitmix64
+    for (int i = 0; i < 64; ++i) {
+        x += 0x9e3779b97f4a7c15ull;
+        std::uint64_t z = x;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        z ^= z >> 31;
+        values.push_back(z >> (i % 64)); // every significant width
+    }
+    ByteLoopFnv chained_ref;
+    Fnv64 chained;
+    for (const std::uint64_t v : values) {
+        SCOPED_TRACE(v);
+        EXPECT_EQ(Fnv64().mix(v).digest(), ByteLoopFnv().mix(v).digest());
+        chained.mix(v);
+        chained_ref.mix(v);
+        EXPECT_EQ(chained.digest(), chained_ref.digest());
+    }
+    for (const double d : {0.0, -0.0, 1.0, 0.1, -2.5e300}) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &d, sizeof bits);
+        EXPECT_EQ(Fnv64().mixDouble(d).digest(),
+                  ByteLoopFnv().mix(bits).digest())
+            << d;
+    }
 }
 
 TEST(StreamingTest, RegisterDelaysByOneCycle) {

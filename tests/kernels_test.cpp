@@ -352,6 +352,39 @@ TEST(MisDifferentialTest, HubRegimeMatchesReference) {
     }
 }
 
+TEST(MisDifferentialTest, NearCompleteOverlapTakesTheFullPath) {
+    // Occurrence i holds hub node 0 and its own node i + 1, so the
+    // overlap graph is complete exactly when every occurrence holds
+    // the hub.  The complete case returns {0} without a matrix; one
+    // occurrence short of the hub, also when another lists the hub
+    // twice (as many hub incidences as occurrences), must take the
+    // full path, where the short one is isolated and the set has two.
+    const auto expectReference = [](const auto &occ, int size) {
+        const auto got = maximalIndependentSet(occ);
+        const auto ref = maximalIndependentSetReference(occ);
+        EXPECT_EQ(got.chosen, ref.chosen);
+        EXPECT_EQ(got.size, ref.size);
+        EXPECT_EQ(ref.size, size);
+    };
+    for (int n : {2, 28, 29, 300, 1500}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        std::vector<std::vector<apex::ir::NodeId>> complete(n);
+        for (int i = 0; i < n; ++i)
+            complete[i] = {0, static_cast<apex::ir::NodeId>(i + 1)};
+        expectReference(complete, 1);
+
+        const int shy = n / 2;
+        auto short_one = complete;
+        short_one[shy].erase(short_one[shy].begin());
+        expectReference(short_one, 2);
+
+        auto doubled = short_one;
+        const int twice = (shy + 1) % n;
+        doubled[twice].insert(doubled[twice].begin(), 0);
+        expectReference(doubled, 2);
+    }
+}
+
 TEST(MisDifferentialTest, EveryMinedAppPatternMatchesReference) {
     // The explorer's miner options, so fast's 4,795-occurrence
     // patterns (complete overlap graphs) are among the instances.

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -83,6 +84,33 @@ TEST(ThreadPool, SequentialPoolRunsInline)
     // parallelism <= 1: submit() executes before returning.
     EXPECT_EQ(ran.load(), 1);
     EXPECT_EQ(pool.parallelism(), 1);
+}
+
+TEST(ThreadPool, DefaultParallelismTakesOnlyAWholePositiveJobsValue)
+{
+    const char *saved = std::getenv("APEX_JOBS");
+    const std::string restore = saved != nullptr ? saved : "";
+    ::unsetenv("APEX_JOBS");
+    const int hardware = runtime::ThreadPool::defaultParallelism();
+    const std::pair<const char *, int> cases[] = {
+        {"3", 3},          {"17", 17},       {"0", hardware},
+        {"-2", hardware},  {"abc", hardware}, {"3x", hardware},
+        {" 3", hardware},  {"", hardware},
+    };
+    for (const auto &[value, want] : cases) {
+        ::setenv("APEX_JOBS", value, 1);
+        EXPECT_EQ(runtime::ThreadPool::defaultParallelism(), want)
+            << "APEX_JOBS='" << value << "'";
+    }
+    // A pool for jobs <= 0 takes the default; one lane is no pool.
+    ::setenv("APEX_JOBS", "1", 1);
+    EXPECT_EQ(runtime::makePool(0), nullptr);
+    EXPECT_EQ(runtime::makePool(1), nullptr);
+    EXPECT_EQ(runtime::makePool(3)->parallelism(), 3);
+    if (saved != nullptr)
+        ::setenv("APEX_JOBS", restore.c_str(), 1);
+    else
+        ::unsetenv("APEX_JOBS");
 }
 
 TEST(ThreadPool, ParallelForPropagatesFirstException)
